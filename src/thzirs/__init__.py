@@ -3,7 +3,6 @@
 from .allocation import (
     AllocationResult,
     DualState,
-    brute_force_allocation,
     solve_allocation,
     tight_auxiliary,
 )

@@ -123,8 +123,7 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
 
 
-def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req,
-                        allocation_tolerance, max_repairs: int = 4):
+def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req, max_repairs: int = 4):
     """Steer the profile toward the rate floors when no allocation meets them.
 
     Each pass gives every floored UE its highest-headroom free band (hardest
@@ -163,9 +162,7 @@ def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req,
         sca = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles))
         phases = sca.phases
         gains = np.abs(vectors @ phases.coefficients) ** 2
-        alloc = solve_allocation(
-            gains, sub_bands, p_max, rate_req, tolerance=allocation_tolerance
-        )
+        alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
         if alloc.feasible:
             break
     return phases, gains, alloc
@@ -197,7 +194,6 @@ def inner_solve(
     optimize_phases: bool = True,
     tolerance: float = 1e-3,
     max_rounds: int = 30,
-    allocation_tolerance: float = 1e-6,
 ) -> Solution:
     """Alternate allocation and phase restoration at one array position.
 
@@ -218,15 +214,11 @@ def inner_solve(
         phases = PhaseVector(phases)
 
     gains = np.abs(vectors @ phases.coefficients) ** 2
-    alloc = solve_allocation(
-        gains, sub_bands, p_max, rate_req, tolerance=allocation_tolerance
-    )
+    alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
     if not alloc.feasible and optimize_phases and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off
-        phases, gains, alloc = _repair_feasibility(
-            vectors, phases, sub_bands, p_max, rate_req, allocation_tolerance
-        )
+        phases, gains, alloc = _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req)
     if not alloc.feasible:
         return _infeasible(placement, phases, u_count, i_count, 1)
     trace = [alloc.objective]
@@ -263,14 +255,7 @@ def inner_solve(
 
         gains = np.abs(vectors @ phases.coefficients) ** 2
         alloc = solve_allocation(
-            gains,
-            sub_bands,
-            p_max,
-            rate_req,
-            tolerance=allocation_tolerance,
-            warm_winners=held_alloc.winners,
-            init_lam=held_alloc.dual.lam,
-            init_mu=held_alloc.dual.mu,
+            gains, sub_bands, p_max, rate_req, warm_winners=held_alloc.winners
         )
         if not alloc.feasible:
             # cannot happen when the slack chain holds; keep the last

@@ -95,14 +95,12 @@ def water_vapor_mixing_ratio(atmosphere: Atmosphere) -> float:
     return (atmosphere.relative_humidity_pct / 100.0) * p_w / atmosphere.pressure_hpa
 
 
-def absorption_coefficient(frequency_hz, mixing_ratio: float, as_printed: bool = False):
+def absorption_coefficient(frequency_hz, mixing_ratio: float):
     """Molecular absorption coefficient K(f) in 1/m.
 
     Two pressure-broadened water lines (centered near 325 and 380 GHz) sit on
     a cubic polynomial floor.  The line shapes use squared detuning, which
-    keeps K positive and peaked at the line centers; ``as_printed=True``
-    selects an unsquared-detuning variant kept only for comparison (it can go
-    negative and is not used anywhere else).
+    keeps K positive and peaked at the line centers.
 
     Accepts scalars or numpy arrays for ``frequency_hz``.
     """
@@ -127,10 +125,7 @@ def absorption_coefficient(frequency_hz, mixing_ratio: float, as_printed: bool =
     wavenumber = f / (100.0 * SPEED_OF_LIGHT)
     det1 = wavenumber - _LINE_1
     det2 = wavenumber - _LINE_2
-    if not as_printed:
-        det1 = det1 * det1
-        det2 = det2 * det2
-    lines = a / (b + det1) + c / (d + det2)
+    lines = a / (b + det1 * det1) + c / (d + det2 * det2)
     poly = ((_P1 * f + _P2) * f + _P3) * f + _P4
     out = lines + poly
     return out if out.ndim else float(out)

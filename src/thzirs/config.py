@@ -71,9 +71,10 @@ class ExperimentConfig:
         if len(ap) != 3:
             raise ConfigError("ap_position_m needs exactly three coordinates")
         self.ap_position_m = ap
-        if not (0 <= ap[0] <= self.room_width_m and 0 <= ap[1] <= self.room_length_m
-                and 0 < ap[2] <= self.room_height_m):
+        if not (0 <= ap[0] <= self.room_width_m and 0 <= ap[1] <= self.room_length_m):
             raise ConfigError(f"AP position {ap} outside the room")
+        if not (0 < ap[2] < self.room_height_m):
+            raise ConfigError("AP height must sit strictly between floor and ceiling")
 
         if self.ue_positions_m is not None:
             rows = tuple(tuple(float(v) for v in row) for row in self.ue_positions_m)

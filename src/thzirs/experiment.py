@@ -199,31 +199,40 @@ def _solution_dict(seed, algo, u_count, sol: Solution, extra=None) -> dict:
     return d
 
 
+def _solve(config: ExperimentConfig, algo: str, seed: int, scene, bands, mix):
+    """Run one algorithm on one scene; returns (Solution, extra report fields).
+
+    The solvers are looked up as module attributes at call time, so a
+    wrapper installed on this module sees every call.
+    """
+    u_count = scene.ue_count
+    common = (scene, bands, config.element_count, config.spacing_m,
+              config.p_max_w, config.rate_floor_bps, mix)
+    grid = {"grid_step_x": config.grid_step_x_m, "grid_step_y": config.grid_step_y_m}
+    tolerance = config.inner_tolerance
+    if algo == "minidis":
+        return baseline_mini_dis(*common, tolerance=tolerance), None
+    if algo == "ranloc":
+        rng = stream(seed, STREAM_RANDOM_PLACEMENT + (u_count << 8))
+        return baseline_ran_loc(*common, rng=rng, tolerance=tolerance), None
+    if algo == "bcs":
+        search = bcs_solve(*common, **grid, tolerance=tolerance)
+    elif algo == "ranphi":
+        rng = stream(seed, STREAM_RANDOM_PHASES + (u_count << 8))
+        search = baseline_ran_phi(*common, rng=rng, **grid, tolerance=tolerance)
+    else:
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    return search.solution, {"points_evaluated": search.points_evaluated,
+                             "best_trace": [float(r) for r in search.best_trace]}
+
+
 def run_single(config: ExperimentConfig, algo: str, seed: int, ue_count=None) -> Solution:
     """One (algorithm, seed) instance with freshly drawn UE positions."""
-    algo = algo.lower()
     u_count = int(ue_count) if ue_count is not None else config.ue_count
     bands = resolve_bands(config)
     mix = config.mixing_ratio()
     scene = config.scene_for(draw_ue_positions(config, seed, u_count))
-    common = (scene, bands, config.element_count, config.spacing_m,
-              config.p_max_w, config.rate_floor_bps, mix)
-    if algo == "bcs":
-        return bcs_solve(*common, grid_step_x=config.grid_step_x_m,
-                         grid_step_y=config.grid_step_y_m,
-                         tolerance=config.inner_tolerance).solution
-    if algo == "minidis":
-        return baseline_mini_dis(*common, tolerance=config.inner_tolerance)
-    if algo == "ranloc":
-        rng = stream(seed, STREAM_RANDOM_PLACEMENT + (u_count << 8))
-        return baseline_ran_loc(*common, rng=rng, tolerance=config.inner_tolerance)
-    if algo == "ranphi":
-        rng = stream(seed, STREAM_RANDOM_PHASES + (u_count << 8))
-        return baseline_ran_phi(*common, rng=rng,
-                                grid_step_x=config.grid_step_x_m,
-                                grid_step_y=config.grid_step_y_m,
-                                tolerance=config.inner_tolerance).solution
-    raise ConfigError(f"unknown algorithm {algo!r}")
+    return _solve(config, algo.lower(), seed, scene, bands, mix)[0]
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> dict:
@@ -236,32 +245,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         rows, solutions, timing = [], [], []
         for u_count in ue_counts:
             scene = config.scene_for(positions[:u_count])
-            common = (scene, bands, config.element_count, config.spacing_m,
-                      config.p_max_w, config.rate_floor_bps, mix)
             for algo in config.algorithms:
                 t0 = time.perf_counter()
-                extra = None
-                if algo == "bcs":
-                    search = bcs_solve(*common, grid_step_x=config.grid_step_x_m,
-                                       grid_step_y=config.grid_step_y_m,
-                                       tolerance=config.inner_tolerance)
-                    sol = search.solution
-                    extra = {"points_evaluated": search.points_evaluated,
-                             "best_trace": [float(r) for r in search.best_trace]}
-                elif algo == "minidis":
-                    sol = baseline_mini_dis(*common, tolerance=config.inner_tolerance)
-                elif algo == "ranloc":
-                    rng = stream(seed, STREAM_RANDOM_PLACEMENT + (u_count << 8))
-                    sol = baseline_ran_loc(*common, rng=rng, tolerance=config.inner_tolerance)
-                else:
-                    rng = stream(seed, STREAM_RANDOM_PHASES + (u_count << 8))
-                    search = baseline_ran_phi(*common, rng=rng,
-                                              grid_step_x=config.grid_step_x_m,
-                                              grid_step_y=config.grid_step_y_m,
-                                              tolerance=config.inner_tolerance)
-                    sol = search.solution
-                    extra = {"points_evaluated": search.points_evaluated,
-                             "best_trace": [float(r) for r in search.best_trace]}
+                sol, extra = _solve(config, algo, seed, scene, bands, mix)
                 wall = time.perf_counter() - t0
                 rows.append([seed, algo, u_count, sol.sum_rate_bps, sol.feasible])
                 solutions.append(_solution_dict(seed, algo, u_count, sol, extra))

@@ -171,18 +171,6 @@ def optimal_single_ue_phases(
     return PhaseVector(steering_phase_profile(frequency_hz, placement, scene, ue_index))
 
 
-def endpoint_distance_hessian(xy, endpoint, ceiling_height_m) -> np.ndarray:
-    """2x2 Hessian in (X, Y) of the distance from (X, Y, H) to one endpoint."""
-    dx = xy[0] - endpoint[0]
-    dy = xy[1] - endpoint[1]
-    hz2 = (ceiling_height_m - endpoint[2]) ** 2
-    q = dx * dx + dy * dy + hz2
-    d3 = q ** 1.5
-    if d3 == 0:
-        raise ValueError("degenerate geometry: anchor coincides with an endpoint")
-    return np.array([[dy * dy + hz2, -dx * dy], [-dx * dy, dx * dx + hz2]]) / d3
-
-
 def _distance_terms(xy, endpoints, weights, height):
     """Objective, gradient and Hessian of sum_k w_k * dist((X,Y,H), endpoint_k)."""
     f = 0.0

@@ -18,7 +18,8 @@ import numpy as np
 
 from conftest import ACCEPTANCE_VERDICTS
 
-from thzirs.allocation import brute_force_allocation, solve_allocation
+from allocation_oracle import brute_force_allocation
+from thzirs.allocation import solve_allocation
 from thzirs.bcs import candidate_grid, inner_solve
 from thzirs.channel import (
     Atmosphere,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from allocation_oracle import best_exact_solve, brute_force_allocation, exact_solve_at
 from thzirs.allocation import (
+    ENUMERATION_CAP,
     AllocationResult,
-    brute_force_allocation,
     solve_allocation,
     tight_auxiliary,
 )
@@ -176,3 +177,38 @@ def test_input_validation():
         solve_allocation(np.ones((1, 2)) * 1e-9, bands, 1.0, -5.0)
     with pytest.raises(ValueError):
         solve_allocation(np.array([[1e-9, -1e-9]]), bands, 1.0, 0.0)
+
+
+def floored_instance(rng, u, i):
+    """Fixed-size instance with floors at 40% of a round-robin witness."""
+    gains = 10.0 ** rng.uniform(-10.0, -7.5, (u, i))
+    widths = rng.choice([25e9, 50e9], size=i)
+    bands = make_bands(widths, noise=10.0 ** rng.uniform(-20.5, -19.5))
+    winners = np.arange(i) % u
+    kappa = gains / np.array([b.noise_power_w for b in bands])
+    per_band = widths * np.log2(1.0 + kappa[winners, np.arange(i)] / i)
+    return gains, bands, 0.4 * np.bincount(winners, weights=per_band, minlength=u)
+
+
+@pytest.mark.parametrize("u, i", [(3, 5), (4, 5), (4, 6), (2, 8)])
+def test_matches_exact_enumeration_beyond_81_assignments(u, i):
+    rng = np.random.default_rng(36 + 10 * u + i)
+    for trial in range(10):
+        gains, bands, floors = floored_instance(rng, u, i)
+        res = solve_allocation(gains, bands, 1.0, floors)
+        objective, feasible = best_exact_solve(gains, bands, 1.0, floors)
+        assert res.feasible == feasible, f"trial {trial}"
+        assert res.objective == pytest.approx(objective, rel=1e-9), f"trial {trial}"
+        if feasible:
+            # powers and multipliers match the scalar split of the same assignment
+            powers, _, lam, mu = exact_solve_at(res.winners, gains, bands, 1.0, floors)
+            np.testing.assert_allclose(res.powers, powers, rtol=1e-9, atol=1e-15)
+            np.testing.assert_allclose(res.dual.lam, lam, rtol=1e-9)
+            np.testing.assert_allclose(res.dual.mu, mu, rtol=1e-9, atol=1e-12)
+
+
+def test_refuses_plans_above_the_enumeration_cap():
+    assert ENUMERATION_CAP == 4**6
+    with pytest.raises(ValueError, match=r"4 UEs over 7 sub-bands give 16384 assignments"
+                                         r", above the exact-allocation cap of 4096"):
+        solve_allocation(np.ones((4, 7)) * 1e-9, make_bands([50e9] * 7), 1.0, 0.0)

@@ -78,13 +78,6 @@ def test_absorption_default_air_values():
     )
 
 
-def test_absorption_as_printed_variant_goes_negative():
-    mu = default_mu()
-    val = absorption_coefficient(300e9, mu, as_printed=True)
-    np.testing.assert_allclose(val, -0.0001433267304527451, rtol=1e-12)
-    assert val < 0
-
-
 def test_absorption_peaks_near_line_centers():
     mu = default_mu()
     f = np.arange(200e9, 400e9 + 0.05e9, 0.1e9)

@@ -110,6 +110,7 @@ def test_unreadable_or_malformed_config(tmp_path):
     [
         {"room_length_m": -1.0},
         {"ap_position_m": (9.0, 0.0, 2.0)},
+        {"ap_position_m": (2.5, 4.0, 3.0)},
         {"ue_height_m": 3.5},
         {"ue_count": 0},
         {"relative_humidity_pct": 120.0},
@@ -186,6 +187,15 @@ def test_cli_optimize_reports_and_exits_clean(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "algo=minidis seed=3 U=2" in out
     assert "feasible=true" in out
+
+
+def test_cli_optimize_refuses_plans_above_the_allocation_cap(tmp_path, capsys):
+    # 10 GHz bands tile 200..400 GHz with 16 sub-bands: 2**16 assignments
+    cfg = write_config(tmp_path, {"bands": {"width_ghz": 10}})
+    assert main(["optimize", "--config", cfg, "--algo", "minidis", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "2 UEs over 16 sub-bands give 65536 assignments" in err
+    assert "exact-allocation cap of 4096" in err
 
 
 def test_cli_optimize_signals_infeasible(tmp_path, capsys):
