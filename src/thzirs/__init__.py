@@ -58,8 +58,6 @@ from .phase_opt import (
     Surrogate,
     effective_vector,
     exact_values,
-    penalized_phase_update,
-    price_update,
     sca_phase_optimize,
     sgd_solve,
     surrogate,

@@ -7,6 +7,7 @@ expansion around an anchor, and the resulting linear constraints are handled
 with a priced (multiplier-weighted) penalty whose phase update is closed form.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,14 @@ class PhaseProblem:
             raise ValueError("one target per effective vector required")
         if self.vectors.shape[1] != self.anchor.shape[0]:
             raise ValueError("anchor length must match vector width")
+        if self.targets.shape[0] == 0:
+            raise ValueError("need at least one target")
+        if not np.all(np.isfinite(self.targets)):
+            raise ValueError("targets must be finite")
         if np.any(self.targets < 0):
             raise ValueError("targets must be non-negative")
+        if not (np.all(np.isfinite(self.vectors)) and np.all(np.isfinite(self.anchor))):
+            raise ValueError("effective vectors and anchor must be finite")
 
 
 @dataclass
@@ -82,31 +89,6 @@ def exact_values(vectors: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.abs(np.atleast_2d(vectors) @ phi) ** 2
 
 
-def penalized_phase_update(surr: Surrogate, prices: np.ndarray):
-    """Unit-modulus maximizer of sum_k 2 rho_k Re{theta_k . phi}.
-
-    Each entry independently maximizes Re{v_n exp(j phi_n)} for
-    v = 2 rho . theta, so phi_n = -angle(v_n).  With all prices at zero the
-    penalty is flat and the anchor is returned with a flag.
-    """
-    prices = np.asarray(prices, dtype=float)
-    if np.any(prices < 0):
-        raise ValueError("prices must be non-negative")
-    if not np.any(prices > 0):
-        return surr.anchor.copy(), True
-    v = 2.0 * (prices @ surr.theta)
-    return -np.angle(v), False
-
-
-def price_update(prices: np.ndarray, slacks: np.ndarray, step: float) -> np.ndarray:
-    """Projected subgradient step on the prices.
-
-    Satisfied constraints (positive slack) see their price shrink toward
-    zero, violated ones grow.
-    """
-    return np.maximum(0.0, prices - step * np.asarray(slacks, dtype=float))
-
-
 @dataclass
 class SgdResult:
     phases: PhaseVector
@@ -132,17 +114,30 @@ def sgd_solve(
     Returns the iterate with the best minimum constraint slack seen (the
     anchor itself counts as iterate zero).  Steps decay as tau0/sqrt(t) with
     tau0 set from the largest achievable constraint level.
+
+    Each step sets phi_n = -angle(v_n) for v = 2 rho . theta, the entrywise
+    maximizer of the priced surrogate, then takes a projected subgradient
+    step on the prices; all prices at zero leave the penalty flat and end
+    the loop.  The loop is kept bit-identical to the step-by-step form in
+    ``tests/phase_oracle.py``.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1)
     k = targets.shape[0]
+    if k == 0 or surr.theta.shape[0] != k:
+        raise ValueError(f"need one target per surrogate row ({surr.theta.shape[0]}), got {k}")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
     prices = np.ones(k) if init_prices is None else np.asarray(init_prices, dtype=float).copy()
-    if prices.shape != (k,) or np.any(prices < 0):
-        raise ValueError("need one non-negative price per constraint")
+    if prices.shape != (k,) or not np.all(np.isfinite(prices)) or np.any(prices < 0):
+        raise ValueError("need one finite, non-negative price per constraint")
 
     scale = float(np.max((np.sum(np.abs(surr.vectors), axis=1)) ** 2))
+    if not (math.isfinite(scale) and np.all(np.isfinite(surr.anchor))):
+        raise ValueError("effective vectors and anchor must be finite")
     if scale <= 0:
         raise ValueError("all effective vectors are zero")
     tau0 = 1.0 / scale
+    gap = 1e-15 * scale
     feas_tol = 1e-6 * max(np.max(targets), np.finfo(float).tiny)
 
     # Hard certificate: the linear form 2 Re{theta.phi} tops out at
@@ -150,30 +145,36 @@ def sgd_solve(
     upper = 2.0 * np.sum(np.abs(surr.theta), axis=1) - surr.psi
     certified_infeasible = bool(np.any(targets > upper + feas_tol))
 
+    # doubling is exact, so theta2 products equal 2.0 * (theta products)
+    theta2 = 2.0 * surr.theta
+    psi = surr.psi
     best_angles = surr.anchor.copy()
-    best_slack = float(np.min(surrogate_values(surr, best_angles) - targets))
     prev_coeff = np.exp(1j * best_angles)
+    best_slack = float(((theta2 @ prev_coeff).real - psi - targets).min())
 
     converged = False
     collapsed = False
     stall = 0
     it = 0
     for it in range(1, max_iters + 1):
-        angles, flat = penalized_phase_update(surr, prices)
-        if flat:
+        if not (prices > 0).any():
             collapsed = True
             break
-        slacks = surrogate_values(surr, angles) - targets
-        worst = float(np.min(slacks))
-        if worst > best_slack + 1e-15 * scale:
+        v = prices @ theta2
+        angles = -np.arctan2(v.imag, v.real)
+        coeff = np.exp(1j * angles)
+        slacks = (theta2 @ coeff).real - psi - targets
+        worst = float(slacks.min())
+        if worst > best_slack + gap:
             best_slack = worst
             best_angles = angles
             stall = 0
         else:
             stall += 1
-        prices = price_update(prices, slacks, tau0 / np.sqrt(it))
-        coeff = np.exp(1j * angles)
-        if np.linalg.norm(coeff - prev_coeff) <= tolerance:
+        prices = np.maximum(0.0, prices - tau0 / math.sqrt(it) * slacks)
+        # np.linalg.norm's own formula for a complex vector
+        d = coeff - prev_coeff
+        if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) <= tolerance:
             converged = True
             break
         prev_coeff = coeff
@@ -217,7 +218,7 @@ def sca_phase_optimize(
     matches it at the anchor, and the incumbent is always kept as fallback.
     """
     targets = problem.targets
-    scale_t = max(float(np.max(targets)) if targets.size else 0.0, np.finfo(float).tiny)
+    scale_t = max(float(np.max(targets)), np.finfo(float).tiny)
     feas_tol = 1e-6 * scale_t
     improve_tol = 1e-6 * scale_t
 

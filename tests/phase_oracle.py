@@ -1,0 +1,112 @@
+"""Reference form of the priced subgradient phase restoration.
+
+``reference_sgd_solve`` is the loop ``thzirs.phase_opt.sgd_solve`` computes,
+written step by step through ``penalized_phase_update``,
+``surrogate_values``, ``price_update`` and ``np.linalg.norm``.  The library
+inlines the same arithmetic in the same order, so every iterate, price and
+flag must agree bit for bit.
+"""
+
+import numpy as np
+
+from thzirs.geometry import PhaseVector
+from thzirs.phase_opt import SgdResult, Surrogate, surrogate_values
+
+
+def penalized_phase_update(surr: Surrogate, prices: np.ndarray):
+    """Unit-modulus maximizer of sum_k 2 rho_k Re{theta_k . phi}.
+
+    Each entry independently maximizes Re{v_n exp(j phi_n)} for
+    v = 2 rho . theta, so phi_n = -angle(v_n).  With all prices at zero the
+    penalty is flat and the anchor is returned with a flag.
+    """
+    prices = np.asarray(prices, dtype=float)
+    if np.any(prices < 0):
+        raise ValueError("prices must be non-negative")
+    if not np.any(prices > 0):
+        return surr.anchor.copy(), True
+    v = 2.0 * (prices @ surr.theta)
+    return -np.angle(v), False
+
+
+def price_update(prices: np.ndarray, slacks: np.ndarray, step: float) -> np.ndarray:
+    """Projected subgradient step on the prices.
+
+    Satisfied constraints (positive slack) see their price shrink toward
+    zero, violated ones grow.
+    """
+    return np.maximum(0.0, prices - step * np.asarray(slacks, dtype=float))
+
+
+def reference_sgd_solve(
+    surr: Surrogate,
+    targets: np.ndarray,
+    init_prices=None,
+    tolerance: float = 1e-4,
+    max_iters: int = 500,
+    stall_limit: int = 100,
+) -> SgdResult:
+    """Alternate the closed-form phase update with priced subgradient steps.
+
+    Returns the iterate with the best minimum constraint slack seen (the
+    anchor itself counts as iterate zero).  Steps decay as tau0/sqrt(t) with
+    tau0 set from the largest achievable constraint level.
+    """
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    k = targets.shape[0]
+    prices = np.ones(k) if init_prices is None else np.asarray(init_prices, dtype=float).copy()
+    if prices.shape != (k,) or np.any(prices < 0):
+        raise ValueError("need one non-negative price per constraint")
+
+    scale = float(np.max((np.sum(np.abs(surr.vectors), axis=1)) ** 2))
+    if scale <= 0:
+        raise ValueError("all effective vectors are zero")
+    tau0 = 1.0 / scale
+    feas_tol = 1e-6 * max(np.max(targets), np.finfo(float).tiny)
+
+    # Hard certificate: the linear form 2 Re{theta.phi} tops out at
+    # 2 sum|theta_n|, so a larger demand can never be met.
+    upper = 2.0 * np.sum(np.abs(surr.theta), axis=1) - surr.psi
+    certified_infeasible = bool(np.any(targets > upper + feas_tol))
+
+    best_angles = surr.anchor.copy()
+    best_slack = float(np.min(surrogate_values(surr, best_angles) - targets))
+    prev_coeff = np.exp(1j * best_angles)
+
+    converged = False
+    collapsed = False
+    stall = 0
+    it = 0
+    for it in range(1, max_iters + 1):
+        angles, flat = penalized_phase_update(surr, prices)
+        if flat:
+            collapsed = True
+            break
+        slacks = surrogate_values(surr, angles) - targets
+        worst = float(np.min(slacks))
+        if worst > best_slack + 1e-15 * scale:
+            best_slack = worst
+            best_angles = angles
+            stall = 0
+        else:
+            stall += 1
+        prices = price_update(prices, slacks, tau0 / np.sqrt(it))
+        coeff = np.exp(1j * angles)
+        if np.linalg.norm(coeff - prev_coeff) <= tolerance:
+            converged = True
+            break
+        prev_coeff = coeff
+        if stall >= stall_limit and best_slack < -feas_tol:
+            break
+
+    feasible = best_slack >= -feas_tol
+    return SgdResult(
+        phases=PhaseVector(best_angles),
+        converged=converged,
+        feasible=feasible,
+        infeasible=certified_infeasible or (not feasible and stall >= stall_limit),
+        iterations=it,
+        min_slack=best_slack,
+        prices=prices,
+        prices_collapsed=collapsed,
+    )

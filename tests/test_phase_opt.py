@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from phase_oracle import penalized_phase_update, price_update, reference_sgd_solve
 
 from thzirs.channel import SubBand, absorption_coefficient, cascaded_gain, water_vapor_mixing_ratio
 from thzirs.channel import Atmosphere
@@ -8,8 +11,6 @@ from thzirs.phase_opt import (
     PhaseProblem,
     effective_vector,
     exact_values,
-    penalized_phase_update,
-    price_update,
     sca_phase_optimize,
     sgd_solve,
     surrogate,
@@ -174,3 +175,87 @@ def test_phase_problem_validation():
         PhaseProblem(vectors=np.ones((2, 3), dtype=complex), targets=np.ones(2), anchor=np.zeros(4))
     with pytest.raises(ValueError):
         PhaseProblem(vectors=np.ones((1, 3), dtype=complex), targets=[-1.0], anchor=np.zeros(3))
+    with pytest.raises(ValueError, match="at least one target"):
+        PhaseProblem(vectors=np.ones((0, 3), dtype=complex), targets=[], anchor=np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseProblem(vectors=np.ones((2, 3), dtype=complex), targets=[bad, 1.0], anchor=np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            PhaseProblem(vectors=np.full((1, 3), bad, dtype=complex), targets=[1.0], anchor=np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            PhaseProblem(vectors=np.ones((1, 3), dtype=complex), targets=[1.0], anchor=[0.0, bad, 0.0])
+
+
+@pytest.mark.parametrize(
+    "targets, init_prices, match",
+    [
+        ([np.nan, 0.1], None, "targets must be finite"),
+        ([0.1, np.inf], None, "targets must be finite"),
+        ([0.1, 0.1], [np.nan, 1.0], "finite, non-negative price"),
+        ([0.1, 0.1], [1.0, np.inf], "finite, non-negative price"),
+        ([], None, "one target per surrogate row"),
+    ],
+    ids=["nan-target", "inf-target", "nan-price", "inf-price", "empty"],
+)
+def test_sgd_rejects_non_finite_or_empty_problems(targets, init_prices, match):
+    rng = np.random.default_rng(28)
+    surr = surrogate(random_vectors(rng, 2, 4), np.zeros(4))
+    with pytest.raises(ValueError, match=match):
+        sgd_solve(surr, np.array(targets, dtype=float), init_prices=init_prices)
+
+
+def test_sgd_matches_reference_bit_for_bit():
+    """The inlined loop against the step-by-step oracle: same arithmetic in
+    the same order, so every output must be exactly equal."""
+    rng = np.random.default_rng(29)
+    families = list(itertools.product(
+        ("none", "zeros", "random"),          # init_prices
+        (1, 50, 500),                         # max_iters
+        ("feasible", "restore", "stall", "certified"),
+        (1.0, 1e-6),                          # row scale: unit and THz-like
+    ))
+    seen = set()
+    for case in range(8 * len(families)):
+        init, max_iters, kind, scale = families[case % len(families)]
+        k = 1 + case % 4
+        n = 1 + (case // 4) % 20
+        vectors = random_vectors(rng, k, n, scale)
+        anchor = rng.uniform(0, 2 * np.pi, n)
+        coherent = np.sum(np.abs(vectors), axis=1) ** 2
+        if kind == "feasible":
+            # the incumbent's own received powers, as the inner solve asks
+            targets = exact_values(vectors, anchor)
+        elif kind == "restore":
+            witness = rng.uniform(0, 2 * np.pi, n)
+            targets = 0.8 * exact_values(vectors, witness)
+        elif kind == "stall":
+            # rows that pull the phases apart, so the targets are often out
+            # of reach together and the subgradient can stall out
+            targets = rng.uniform(0.5, 1.3, k) * coherent / k
+        else:
+            targets = 2.0 * coherent + 1.0 * scale**2
+        init_prices = {
+            "none": None,
+            "zeros": np.zeros(k),
+            "random": rng.uniform(0.0, 2.0, k),
+        }[init]
+        surr = surrogate(vectors, anchor)
+        got = sgd_solve(surr, targets, init_prices=init_prices, max_iters=max_iters)
+        ref = reference_sgd_solve(surr, targets, init_prices=init_prices, max_iters=max_iters)
+
+        assert np.array_equal(got.phases.angles, ref.phases.angles), case
+        assert np.array_equal(got.prices, ref.prices), case
+        assert got.iterations == ref.iterations, case
+        assert got.min_slack == ref.min_slack, case
+        for flag in ("converged", "feasible", "infeasible", "prices_collapsed"):
+            assert getattr(got, flag) == getattr(ref, flag), (case, flag)
+        seen.add(
+            "collapsed" if ref.prices_collapsed
+            else "converged" if ref.converged
+            else "capped" if ref.iterations == max_iters
+            else "stalled"
+        )
+        if kind == "certified":
+            assert ref.infeasible, case
+    # every way out of the loop was exercised
+    assert seen == {"collapsed", "converged", "capped", "stalled"}
