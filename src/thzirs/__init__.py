@@ -43,8 +43,6 @@ from .geometry import (
     IrsPlacement,
     PhaseVector,
     Scene,
-    departure_steering_phase,
-    incident_steering_phase,
     optimal_single_ue_phases,
     path_length,
     solve_min_total_distance,

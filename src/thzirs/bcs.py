@@ -21,8 +21,8 @@ from .geometry import (
     IrsPlacement,
     PhaseVector,
     Scene,
+    _two_hop,
     optimal_single_ue_phases,
-    path_length,
     solve_min_total_distance,
 )
 from .phase_opt import PhaseProblem, effective_vector, sca_phase_optimize
@@ -68,7 +68,8 @@ class Solution:
                 raise ValueError("infeasible solution carries a nonzero rate")
             return 0.0
 
-        vectors = _link_vectors(scene, self.placement, sub_bands, mixing_ratio)
+        absorb = absorption_coefficient([b.center_hz for b in sub_bands], mixing_ratio)
+        vectors = effective_vector(sub_bands, self.placement, scene, absorb)
         gains = np.abs(vectors @ self.phases.coefficients) ** 2
         cols = np.arange(len(sub_bands))
         bw = np.array([b.bandwidth_hz for b in sub_bands])
@@ -97,18 +98,6 @@ class SearchResult:
     anchor: Optional[Solution] = None
 
 
-def _link_vectors(scene: Scene, placement: IrsPlacement, sub_bands, mixing_ratio: float) -> np.ndarray:
-    """Unit-power effective rows for every (UE, band) pair, shape (U, I, N)."""
-    u_count = scene.ue_count
-    i_count = len(sub_bands)
-    vectors = np.empty((u_count, i_count, placement.element_count), dtype=complex)
-    for i, band in enumerate(sub_bands):
-        absorb = float(absorption_coefficient(band.center_hz, mixing_ratio))
-        for u in range(u_count):
-            vectors[u, i] = effective_vector(band, 1.0, placement, scene, u, absorb)
-    return vectors
-
-
 def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     """Matched profile for the hardest requirement at the plan's center.
 
@@ -116,8 +105,7 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     path) is the one most likely to miss its floor, so the first
     allocation starts from the profile that protects it best.
     """
-    dists = np.array([path_length(placement, scene, u) for u in range(scene.ue_count)])
-    hardest = int(np.lexsort((dists, rate_req))[-1])
+    hardest = int(np.lexsort((_two_hop(placement, scene)[0], rate_req))[-1])
     lo = min(b.lo_hz for b in sub_bands)
     hi = max(b.hi_hz for b in sub_bands)
     return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
@@ -206,7 +194,8 @@ def inner_solve(
     rate_req = np.broadcast_to(
         np.asarray(rate_requirements, dtype=float), (u_count,)
     ).copy()
-    vectors = _link_vectors(scene, placement, sub_bands, mixing_ratio)
+    absorb = absorption_coefficient([b.center_hz for b in sub_bands], mixing_ratio)
+    vectors = effective_vector(sub_bands, placement, scene, absorb)
 
     if phases is None:
         phases = _initial_phases(scene, placement, sub_bands, rate_req)
@@ -335,15 +324,8 @@ def bcs_solve(
     candidate (outside the lattice counter), so the search never returns
     less than the distance heuristic it refines.
     """
-    y_hi = admissible_y_span(scene, element_count, spacing_m)
-    ax, ay = solve_min_total_distance(scene, y_max=y_hi)
-    anchor = inner_solve(
-        scene,
-        IrsPlacement(ax, ay, element_count, spacing_m),
-        sub_bands,
-        p_max,
-        rate_requirements,
-        mixing_ratio,
+    anchor = baseline_mini_dis(
+        scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
         tolerance=tolerance,
     )
 

@@ -131,19 +131,27 @@ def absorption_coefficient(frequency_hz, mixing_ratio: float):
     return out if out.ndim else float(out)
 
 
-def cascaded_gain(frequency_hz: float, path_length_m: float, absorption_per_m: float) -> complex:
+def cascaded_gain(frequency_hz, path_length_m, absorption_per_m):
     """Complex gain of the two-hop reflected path, Friis spreading over the
-    total length times molecular attenuation, with the propagation phase."""
-    if path_length_m <= 0 or not np.isfinite(path_length_m):
+    total length times molecular attenuation, with the propagation phase.
+
+    The arguments broadcast against each other; all-scalar input gives a
+    complex scalar.
+    """
+    f = np.asarray(frequency_hz, dtype=float)
+    d = np.asarray(path_length_m, dtype=float)
+    k = np.asarray(absorption_per_m, dtype=float)
+    if not np.all(np.isfinite(d) & (d > 0)):
         raise ValueError(f"path length must be positive, got {path_length_m}")
-    if frequency_hz <= 0 or not np.isfinite(frequency_hz):
+    if not np.all(np.isfinite(f) & (f > 0)):
         raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    if absorption_per_m < 0 or not np.isfinite(absorption_per_m):
+    if not np.all(np.isfinite(k) & (k >= 0)):
         raise ValueError(f"absorption must be non-negative, got {absorption_per_m}")
-    amplitude = SPEED_OF_LIGHT / (4.0 * np.pi * frequency_hz * path_length_m)
-    amplitude *= np.exp(-0.5 * absorption_per_m * path_length_m)
-    phase = -2.0 * np.pi * frequency_hz * path_length_m / SPEED_OF_LIGHT
-    return complex(amplitude * np.cos(phase), amplitude * np.sin(phase))
+    amplitude = SPEED_OF_LIGHT / (4.0 * np.pi * f * d)
+    amplitude = amplitude * np.exp(-0.5 * k * d)
+    phase = -2.0 * np.pi * f * d / SPEED_OF_LIGHT
+    re, im = amplitude * np.cos(phase), amplitude * np.sin(phase)
+    return complex(re, im) if re.ndim == 0 else re + 1j * im
 
 
 def reflected_channel(sub_band, placement, phases, scene, ue_index, absorption_per_m):
@@ -164,18 +172,15 @@ def reflected_channel(sub_band, placement, phases, scene, ue_index, absorption_p
     Returns:
         Complex channel coefficient.
     """
-    from .geometry import path_length, steering_phase_profile
+    from .phase_opt import effective_vector
 
     angles = np.asarray(getattr(phases, "angles", phases), dtype=float)
     if angles.shape != (placement.element_count,):
         raise ValueError(
             f"phase vector has {angles.shape} entries, expected {placement.element_count}"
         )
-    d = path_length(placement, scene, ue_index)
-    g = cascaded_gain(sub_band.center_hz, d, absorption_per_m)
-    beta = steering_phase_profile(sub_band.center_hz, placement, scene, ue_index)
-    factor = np.sum(np.exp(1j * (angles - beta)))
-    return g * factor
+    rows = effective_vector([sub_band], placement, scene, absorption_per_m)
+    return rows[ue_index, 0] @ np.exp(1j * angles)
 
 
 def subband_rate(sub_band: SubBand, power_w: float, channel_power_gain: float) -> float:

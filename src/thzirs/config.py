@@ -12,7 +12,9 @@ center list, taken verbatim, or an auto-plan range handed to
 """
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +27,15 @@ class ConfigError(ValueError):
 
 
 _ALGORITHMS = ("bcs", "minidis", "ranloc", "ranphi")
+
+
+def _non_finite(value) -> bool:
+    """True when value is, or holds, a NaN or infinite number."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return any(_non_finite(v) for v in value)
+    if isinstance(value, numbers.Integral):
+        return False
+    return isinstance(value, numbers.Real) and not math.isfinite(value)
 
 
 @dataclass
@@ -65,6 +76,10 @@ class ExperimentConfig:
     sweep_step_ghz: float = 0.5
 
     def __post_init__(self):
+        # JSON admits NaN and Infinity, which slip through every range check below
+        bad = [f.name for f in fields(self) if _non_finite(getattr(self, f.name))]
+        if bad:
+            raise ConfigError(f"non-finite number in {', '.join(bad)}")
         if self.room_length_m <= 0 or self.room_width_m <= 0 or self.room_height_m <= 0:
             raise ConfigError("room dimensions must be positive")
         ap = tuple(float(v) for v in self.ap_position_m)
@@ -80,6 +95,10 @@ class ExperimentConfig:
             rows = tuple(tuple(float(v) for v in row) for row in self.ue_positions_m)
             if not rows or any(len(r) != 3 for r in rows):
                 raise ConfigError("ue positions must be non-empty (x, y, z) rows")
+            try:
+                self.scene_for(rows)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             self.ue_positions_m = rows
             self.ue_count = len(rows)
         if self.ue_count < 1:

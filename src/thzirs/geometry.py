@@ -67,6 +67,11 @@ class IrsPlacement:
         """Extent of the array along y."""
         return (self.element_count - 1) * self.spacing_m
 
+    @property
+    def offsets_m(self) -> np.ndarray:
+        """Distance of each element from the anchor along +y."""
+        return np.arange(self.element_count) * self.spacing_m
+
     def fits_room(self, scene: Scene) -> bool:
         return (
             0 <= self.x_m <= scene.room_width_m
@@ -100,67 +105,41 @@ class PhaseVector:
         return float(np.linalg.norm(self.coefficients - np.exp(1j * o)))
 
 
-def incident_vector(placement: IrsPlacement, scene: Scene) -> np.ndarray:
-    """Vector from the AP to the anchor element."""
-    return placement.anchor_position(scene) - scene.ap_position_m
+def _two_hop(placement: IrsPlacement, scene: Scene):
+    """Two-hop length AP -> anchor -> UE and steering slope of every UE, each (U,).
 
-
-def departure_vector(placement: IrsPlacement, scene: Scene, ue_index: int) -> np.ndarray:
-    """Vector from the anchor element to UE ``ue_index``."""
-    return scene.ue_positions_m[ue_index] - placement.anchor_position(scene)
+    Element n (1-based) of the array sits (n-1) spacings along +y from the
+    anchor.  Its incident plus departure steering phase at wavenumber k is
+    k * slope * (n-1) * spacing: the projection of that offset onto the AP
+    and UE directions.
+    """
+    anchor = placement.anchor_position(scene)
+    r0 = anchor - scene.ap_position_m
+    ru = scene.ue_positions_m - anchor
+    # vecdot is the 1-D dot np.linalg.norm takes, so lengths match it bit for bit
+    n0 = np.sqrt(np.vecdot(r0, r0))
+    nu = np.sqrt(np.vecdot(ru, ru))
+    if n0 == 0 or np.any(nu == 0):
+        raise ValueError("AP or UE coincides with the array anchor")
+    lengths = n0 + nu
+    if not np.all(np.isfinite(lengths)):
+        raise ValueError(f"two-hop path lengths must be finite, got {lengths}")
+    ap_y, ue_y = scene.ap_position_m[1], scene.ue_positions_m[:, 1]
+    slope = (placement.y_m - ap_y) / n0 + (ue_y - placement.y_m) / nu
+    return lengths, slope
 
 
 def path_length(placement: IrsPlacement, scene: Scene, ue_index: int) -> float:
     """Total two-hop distance AP -> anchor -> UE."""
-    d0 = np.linalg.norm(incident_vector(placement, scene))
-    du = np.linalg.norm(departure_vector(placement, scene, ue_index))
-    if d0 == 0 or du == 0:
-        raise ValueError("AP or UE coincides with the array anchor")
-    return float(d0 + du)
-
-
-def incident_steering_phase(frequency_hz: float, placement: IrsPlacement, scene: Scene, n: int) -> float:
-    """Phase advance of element n (1-based) on the incident leg.
-
-    Element n sits (n-1) spacings along +y from the anchor; the phase is the
-    projection of that offset onto the AP direction times the wavenumber.
-    """
-    r0 = incident_vector(placement, scene)
-    norm = np.linalg.norm(r0)
-    if norm == 0:
-        raise ValueError("AP coincides with the array anchor")
-    k = 2.0 * np.pi * frequency_hz / SPEED_OF_LIGHT
-    return float(k * (placement.y_m - scene.ap_position_m[1]) * (n - 1) * placement.spacing_m / norm)
-
-
-def departure_steering_phase(
-    frequency_hz: float, placement: IrsPlacement, scene: Scene, ue_index: int, n: int
-) -> float:
-    """Phase advance of element n (1-based) on the departure leg toward one UE."""
-    ru = departure_vector(placement, scene, ue_index)
-    norm = np.linalg.norm(ru)
-    if norm == 0:
-        raise ValueError("UE coincides with the array anchor")
-    k = 2.0 * np.pi * frequency_hz / SPEED_OF_LIGHT
-    return float(
-        k * (scene.ue_positions_m[ue_index][1] - placement.y_m) * (n - 1) * placement.spacing_m / norm
-    )
+    return float(_two_hop(placement, scene)[0][ue_index])
 
 
 def steering_phase_profile(
     frequency_hz: float, placement: IrsPlacement, scene: Scene, ue_index: int
 ) -> np.ndarray:
-    """theta_n + vartheta_n for all N elements at once (vectorized hot path)."""
-    r0 = incident_vector(placement, scene)
-    ru = departure_vector(placement, scene, ue_index)
-    n0, nu = np.linalg.norm(r0), np.linalg.norm(ru)
-    if n0 == 0 or nu == 0:
-        raise ValueError("AP or UE coincides with the array anchor")
+    """theta_n + vartheta_n for all N elements at once."""
     k = 2.0 * np.pi * frequency_hz / SPEED_OF_LIGHT
-    slope = (placement.y_m - scene.ap_position_m[1]) / n0
-    slope += (scene.ue_positions_m[ue_index][1] - placement.y_m) / nu
-    offsets = np.arange(placement.element_count) * placement.spacing_m
-    return k * slope * offsets
+    return k * _two_hop(placement, scene)[1][ue_index] * placement.offsets_m
 
 
 def optimal_single_ue_phases(

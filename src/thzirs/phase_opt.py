@@ -12,22 +12,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import cascaded_gain
-from .geometry import PhaseVector, path_length, steering_phase_profile
+from .channel import SPEED_OF_LIGHT, cascaded_gain
+from .geometry import PhaseVector, _two_hop
 
 
-def effective_vector(sub_band, power_w, placement, scene, ue_index, absorption_per_m) -> np.ndarray:
-    """Row vector e such that e . phi is the received amplitude of one link.
+def effective_vector(sub_bands, placement, scene, absorption_per_m) -> np.ndarray:
+    """Unit-power link rows of every (UE, sub-band) pair, shape (U, I, N).
 
-    Entry n carries sqrt(p) g exp(-j(theta_n + vartheta_n)); the first entry
-    has zero steering phase.
+    Row (u, i) is the e for which e . phi is UE u's received amplitude on
+    band i at unit transmit power.  Entry n carries g exp(-j(theta_n +
+    vartheta_n)); the first entry has zero steering phase.
+    ``absorption_per_m`` is K(f) at the band centers, one value per band or
+    one for all.
     """
-    if power_w < 0:
-        raise ValueError(f"power must be non-negative, got {power_w}")
-    d = path_length(placement, scene, ue_index)
-    g = cascaded_gain(sub_band.center_hz, d, absorption_per_m)
-    beta = steering_phase_profile(sub_band.center_hz, placement, scene, ue_index)
-    return np.sqrt(power_w) * g * np.exp(-1j * beta)
+    f = np.array([b.center_hz for b in sub_bands], dtype=float)
+    lengths, slope = _two_hop(placement, scene)
+    k = 2.0 * np.pi * f / SPEED_OF_LIGHT
+    beta = (k * slope[:, None])[:, :, None] * placement.offsets_m
+    g = cascaded_gain(f, lengths[:, None], absorption_per_m)
+    return g[:, :, None] * np.exp(-1j * beta)
 
 
 @dataclass

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzirs.cli import main, parse_seed_list
 from thzirs.config import (
@@ -79,6 +81,64 @@ def test_dict_round_trip_is_identity():
         assert again == config
 
 
+def _finite(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any config that validates: each field drawn inside its accepted range."""
+    length, width, height = draw(_finite(1.0, 20.0)), draw(_finite(1.0, 20.0)), draw(_finite(2.0, 5.0))
+    kwargs = {
+        "room_length_m": length,
+        "room_width_m": width,
+        "room_height_m": height,
+        "ap_position_m": (draw(_finite(0.0, width)), draw(_finite(0.0, length)),
+                          draw(_finite(0.0, height, exclude_min=True, exclude_max=True))),
+        "ue_count": draw(st.integers(1, 6)),
+        "ue_height_m": draw(_finite(0.0, height, exclude_min=True, exclude_max=True)),
+        "temperature_c": draw(_finite(-100.0, 100.0)),
+        "pressure_hpa": draw(_finite(1.0, 2000.0)),
+        "relative_humidity_pct": draw(_finite(0.0, 100.0)),
+        "band_width_ghz": draw(_finite(0.5, 100.0)),
+        "element_count": draw(st.integers(1, 64)),
+        "spacing_m": draw(_finite(1e-4, 0.05)),
+        "p_max_w": draw(_finite(1e-3, 10.0)),
+        "rate_floor_bps": draw(_finite(0.0, 1e12)),
+        "noise_psd_dbm_per_hz": draw(_finite(-200.0, -100.0)),
+        "noise_figure_db": draw(_finite(0.0, 30.0)),
+        "grid_step_x_m": draw(_finite(0.01, 2.0)),
+        "grid_step_y_m": draw(_finite(0.01, 2.0)),
+        "inner_tolerance": draw(_finite(1e-9, 0.1)),
+        "seeds": tuple(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=5))),
+        "algorithms": tuple(draw(st.lists(st.sampled_from(["bcs", "minidis", "ranloc", "ranphi"]),
+                                          min_size=1, max_size=4))),
+        "ue_counts": draw(st.none() | st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)),
+        "sweep_distances_m": tuple(draw(st.lists(_finite(0.1, 100.0), min_size=1, max_size=3))),
+        "sweep_step_ghz": draw(_finite(0.01, 10.0)),
+    }
+    if draw(st.booleans()):
+        kwargs["ue_positions_m"] = tuple(draw(st.lists(
+            st.tuples(_finite(0.0, width), _finite(0.0, length), _finite(0.0, height, exclude_max=True)),
+            min_size=1, max_size=4,
+        )))
+    if draw(st.booleans()):
+        width = kwargs["band_width_ghz"]
+        kwargs["band_centers_ghz"] = tuple(draw(st.lists(_finite(width, 1000.0), min_size=1, max_size=5)))
+    else:
+        lo, hi = sorted(draw(st.lists(_finite(1.0, 1000.0), min_size=2, max_size=2, unique=True)))
+        kwargs["auto_band_range_ghz"] = (lo, hi)
+    return ExperimentConfig(**kwargs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(valid_configs())
+def test_any_valid_config_round_trips(config):
+    assert config_from_dict(config_to_dict(config)) == config
+    # the same through the JSON text a config file holds
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
 def test_unknown_sections_and_keys_rejected():
     with pytest.raises(ConfigError):
         config_from_dict({"rooms": {}})
@@ -130,6 +190,16 @@ def test_unreadable_or_malformed_config(tmp_path):
         {"algorithms": ("bcs", "newton")},
         {"ue_counts": (0,)},
         {"sweep_step_ghz": 0.0},
+        {"rate_floor_bps": float("nan")},
+        {"inner_tolerance": float("nan")},
+        {"p_max_w": float("inf")},
+        {"room_length_m": float("inf")},
+        {"element_count": float("nan")},
+        {"ap_position_m": (1.0, float("nan"), 2.0)},
+        {"band_centers_ghz": (225.0, float("inf"))},
+        {"ue_positions_m": ((4.0, 9.0, 1.0),)},
+        {"ue_positions_m": ((1.0, 2.0, 3.0),)},
+        {"ue_positions_m": ((-0.5, 2.0, 1.0),)},
     ],
 )
 def test_invalid_settings_rejected(kwargs):
@@ -196,6 +266,31 @@ def test_cli_optimize_refuses_plans_above_the_allocation_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "2 UEs over 16 sub-bands give 65536 assignments" in err
     assert "exact-allocation cap of 4096" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"radio": {"rate_floor_bps": NaN}}', "non-finite number in rate_floor_bps"),
+        ('{"search": {"inner_tolerance": NaN}}', "non-finite number in inner_tolerance"),
+        ('{"radio": {"p_max_w": Infinity}}', "non-finite number in p_max_w"),
+    ],
+    ids=["nan-floor", "nan-tolerance", "inf-power"],
+)
+def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, text, message):
+    # Python's json reads NaN and Infinity although they are not JSON
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["optimize", "--config", str(cfg), "--algo", "minidis", "--seed", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_ue_positions_outside_the_room(tmp_path, capsys):
+    payload = {**FAST, "ues": {"positions_m": [[4.0, 9.0, 1.0]]}}
+    cfg = write_config(tmp_path, payload)
+    assert main(["monte-carlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "UE 0 at [4. 9. 1.] outside the room box" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_optimize_signals_infeasible(tmp_path, capsys):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+from channel_oracle import departure_steering_phase, incident_steering_phase
 
 from thzirs.geometry import (
     IrsPlacement,
     PhaseVector,
     Scene,
-    departure_steering_phase,
-    incident_steering_phase,
     optimal_single_ue_phases,
     path_length,
     solve_min_total_distance,

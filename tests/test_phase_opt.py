@@ -2,11 +2,25 @@ import itertools
 
 import numpy as np
 import pytest
+from channel_oracle import (
+    reference_cascaded_gain,
+    reference_effective_vector,
+    reference_link_vectors,
+    reference_path_length,
+    reference_reflected_channel,
+    reference_steering_phase_profile,
+)
 from phase_oracle import penalized_phase_update, price_update, reference_sgd_solve
 
-from thzirs.channel import SubBand, absorption_coefficient, cascaded_gain, water_vapor_mixing_ratio
-from thzirs.channel import Atmosphere
-from thzirs.geometry import IrsPlacement, Scene, path_length
+from thzirs.channel import (
+    Atmosphere,
+    SubBand,
+    absorption_coefficient,
+    cascaded_gain,
+    reflected_channel,
+    water_vapor_mixing_ratio,
+)
+from thzirs.geometry import IrsPlacement, Scene, path_length, steering_phase_profile
 from thzirs.phase_opt import (
     PhaseProblem,
     effective_vector,
@@ -93,13 +107,107 @@ def test_effective_vector_matched_phase_power():
     mu = water_vapor_mixing_ratio(Atmosphere())
     band = SubBand(300e9, 50e9, 1e-20)
     k = absorption_coefficient(band.center_hz, mu)
-    e = effective_vector(band, 0.7, placement, scene, 0, k)
+    e = np.sqrt(0.7) * effective_vector([band], placement, scene, k)[0, 0]
     g = cascaded_gain(band.center_hz, path_length(placement, scene, 0), k)
     np.testing.assert_allclose(e[0], np.sqrt(0.7) * g, rtol=1e-12)
     np.testing.assert_allclose(np.abs(e), np.sqrt(0.7) * abs(g), rtol=1e-12)
     # aligning phi with the steering restores the coherent sum
     phi = np.exp(-1j * np.angle(e))
     np.testing.assert_allclose(abs(e @ phi) ** 2, 0.7 * 144 * abs(g) ** 2, rtol=1e-10)
+
+
+def random_link_case(rng, u_count, i_count, n):
+    """Random room, AP, UEs, array and band plan; the array need not fit the room."""
+    length, width, height = rng.uniform(3.0, 12.0), rng.uniform(3.0, 8.0), rng.uniform(2.5, 4.0)
+    ap = (rng.uniform(0, width), rng.uniform(0, length), rng.uniform(0.5, height))
+    ues = np.column_stack([
+        rng.uniform(0, width, u_count), rng.uniform(0, length, u_count), rng.uniform(0, height - 0.1, u_count)
+    ])
+    scene = Scene(length, width, height, ap, ues)
+    placement = IrsPlacement(rng.uniform(0, width), rng.uniform(0, length), n, rng.uniform(1e-3, 1e-2))
+    bands = [SubBand(rng.uniform(200e9, 400e9), 50e9, 1e-20) for _ in range(i_count)]
+    absorb = absorption_coefficient([b.center_hz for b in bands], rng.uniform(0.0, 0.03))
+    return scene, placement, bands, absorb
+
+
+def test_link_rows_match_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(404)
+    eps = np.finfo(float).eps
+    for case in range(1000):
+        u_count, i_count, n = 1 + case % 4, 1 + (case // 4) % 5, 1 + (case // 20) % 20
+        scene, placement, bands, absorb = random_link_case(rng, u_count, i_count, n)
+        rows = effective_vector(bands, placement, scene, absorb)
+        assert rows.shape == (u_count, i_count, n)
+        assert np.array_equal(rows, reference_link_vectors(scene, placement, bands, absorb)), case
+
+        band, k = bands[0], float(absorb[0])
+        for u in range(u_count):
+            assert path_length(placement, scene, u) == reference_path_length(placement, scene, u)
+            beta = steering_phase_profile(band.center_hz, placement, scene, u)
+            assert np.array_equal(beta, reference_steering_phase_profile(band.center_hz, placement, scene, u))
+            angles = rng.uniform(0, 2 * np.pi, n)
+            h = reflected_channel(band, placement, angles, scene, u, k)
+            # the channel is the solver's own link row applied to the phases
+            assert h == reference_effective_vector(band, 1.0, placement, scene, u, k) @ np.exp(1j * angles)
+            # and the gain times the summed element responses up to rounding
+            # of the steering phase, which grows with its size
+            g = abs(reference_cascaded_gain(band.center_hz, reference_path_length(placement, scene, u), k))
+            bound = 4 * eps * n * g * (1 + np.max(np.abs(beta)))
+            assert abs(h - reference_reflected_channel(band, placement, angles, scene, u, k)) <= bound
+
+
+def test_cascaded_gain_broadcasts_like_the_scalar_form():
+    f = np.array([210e9, 300e9, 390e9])
+    d = np.array([[2.0], [7.5]])
+    k = np.array([0.0, 0.01, 0.002])
+    g = cascaded_gain(f, d, k)
+    assert g.shape == (2, 3)
+    for u in range(2):
+        for i in range(3):
+            assert g[u, i] == reference_cascaded_gain(f[i], d[u, 0], k[i])
+    assert isinstance(cascaded_gain(300e9, 5.0, 0.01), complex)
+    with pytest.raises(ValueError, match="path length"):
+        cascaded_gain(f, np.array([[2.0], [0.0]]), k)
+    with pytest.raises(ValueError, match="absorption"):
+        cascaded_gain(f, d, np.array([0.0, np.nan, 0.0]))
+
+
+def _ap_on_anchor():
+    return Scene(8.0, 5.0, 3.0, [2.0, 3.0, 3.0], [[4.0, 6.0, 1.0]]), np.array([0.001])
+
+
+def _ue_on_anchor():
+    scene = Scene(8.0, 5.0, 3.0, [0.0, 0.0, 2.0], [[4.0, 6.0, 1.0], [1.0, 1.0, 1.0]])
+    scene.ue_positions_m[1] = [2.0, 3.0, 3.0]
+    return scene, np.array([0.001])
+
+
+def _ue_at_infinity():
+    return Scene(np.inf, 5.0, 3.0, [0.0, 0.0, 2.0], [[4.0, np.inf, 1.0]]), np.array([0.001])
+
+
+def _nan_absorption():
+    return Scene(8.0, 5.0, 3.0, [0.0, 0.0, 2.0], [[4.0, 6.0, 1.0]]), np.array([np.nan])
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (_ap_on_anchor, "coincides with the array anchor"),
+        (_ue_on_anchor, "coincides with the array anchor"),
+        (_ue_at_infinity, "path lengths must be finite"),
+        (_nan_absorption, "absorption must be non-negative"),
+    ],
+    ids=["ap-on-anchor", "ue-on-anchor", "ue-at-infinity", "nan-absorption"],
+)
+def test_link_rows_reject_degenerate_geometry(make, match):
+    scene, absorb = make()
+    placement = IrsPlacement(2.0, 3.0, 4, 0.005)
+    band = SubBand(300e9, 50e9, 1e-20)
+    with pytest.raises(ValueError, match=match):
+        effective_vector([band], placement, scene, absorb)
+    with pytest.raises(ValueError, match=match):
+        reflected_channel(band, placement, np.zeros(4), scene, 0, absorb[0])
 
 
 def test_sgd_reaches_feasible_targets():
