@@ -1,7 +1,8 @@
 """Command-line driver: `plan <subcommand>`.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 infeasible
-instance, 3 numeric failure.  `PLAN_THREADS` caps Monte-Carlo workers.
+Exit codes: 0 success, 1 usage or configuration error (also a Monte-Carlo
+batch in which every seed aborts), 2 infeasible instance, 3 numeric failure.
+`PLAN_THREADS` caps Monte-Carlo workers.
 """
 
 import argparse
@@ -100,6 +101,10 @@ def _cmd_monte_carlo(args) -> int:
     print(f"wrote {len(report.rows)} result rows to {args.out}")
     if report.failures:
         print(f"{len(report.failures)} seed(s) failed; see report.json", file=sys.stderr)
+        if not report.draws:
+            # no seed produced a result: the config itself is at fault
+            print(f"error: {report.failures[0]['error']}", file=sys.stderr)
+            return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -200,10 +200,12 @@ def _solution_dict(seed, algo, u_count, sol: Solution, extra=None) -> dict:
 
 
 def _solve(config: ExperimentConfig, algo: str, seed: int, scene, bands, mix):
-    """Run one algorithm on one scene; returns (Solution, extra report fields).
+    """Run one algorithm on one scene.
 
-    The solvers are looked up as module attributes at call time, so a
-    wrapper installed on this module sees every call.
+    Returns (Solution, extra report fields, min-distance anchor); the anchor
+    is the MinDis solution a ``bcs`` search evaluated first, else None.  The
+    solvers are looked up as module attributes at call time, so a wrapper
+    installed on this module sees every call.
     """
     u_count = scene.ue_count
     common = (scene, bands, config.element_count, config.spacing_m,
@@ -211,10 +213,10 @@ def _solve(config: ExperimentConfig, algo: str, seed: int, scene, bands, mix):
     grid = {"grid_step_x": config.grid_step_x_m, "grid_step_y": config.grid_step_y_m}
     tolerance = config.inner_tolerance
     if algo == "minidis":
-        return baseline_mini_dis(*common, tolerance=tolerance), None
+        return baseline_mini_dis(*common, tolerance=tolerance), None, None
     if algo == "ranloc":
         rng = stream(seed, STREAM_RANDOM_PLACEMENT + (u_count << 8))
-        return baseline_ran_loc(*common, rng=rng, tolerance=tolerance), None
+        return baseline_ran_loc(*common, rng=rng, tolerance=tolerance), None, None
     if algo == "bcs":
         search = bcs_solve(*common, **grid, tolerance=tolerance)
     elif algo == "ranphi":
@@ -222,8 +224,9 @@ def _solve(config: ExperimentConfig, algo: str, seed: int, scene, bands, mix):
         search = baseline_ran_phi(*common, rng=rng, **grid, tolerance=tolerance)
     else:
         raise ConfigError(f"unknown algorithm {algo!r}")
-    return search.solution, {"points_evaluated": search.points_evaluated,
-                             "best_trace": [float(r) for r in search.best_trace]}
+    extra = {"points_evaluated": search.points_evaluated,
+             "best_trace": [float(r) for r in search.best_trace]}
+    return search.solution, extra, search.anchor
 
 
 def run_single(config: ExperimentConfig, algo: str, seed: int, ue_count=None) -> Solution:
@@ -245,9 +248,16 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         rows, solutions, timing = [], [], []
         for u_count in ue_counts:
             scene = config.scene_for(positions[:u_count])
+            anchor = None
             for algo in config.algorithms:
                 t0 = time.perf_counter()
-                sol, extra = _solve(config, algo, seed, scene, bands, mix)
+                if algo == "minidis" and anchor is not None:
+                    # bcs already solved this scene at the min-distance point
+                    sol, extra = anchor, None
+                else:
+                    sol, extra, found = _solve(config, algo, seed, scene, bands, mix)
+                    if found is not None:
+                        anchor = found
                 wall = time.perf_counter() - t0
                 rows.append([seed, algo, u_count, sol.sum_rate_bps, sol.feasible])
                 solutions.append(_solution_dict(seed, algo, u_count, sol, extra))

@@ -5,7 +5,8 @@ The reflecting array hangs on the ceiling plane z = H with its elements laid
 out along +y from the anchor element at (X, Y, H).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +24,19 @@ class Scene:
     ue_positions_m: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ap_position_m", np.asarray(self.ap_position_m, dtype=float))
-        object.__setattr__(self, "ue_positions_m", np.atleast_2d(np.asarray(self.ue_positions_m, dtype=float)))
+        # private read-only copies, so a validated scene cannot change later
+        ap = np.array(self.ap_position_m, dtype=float)
+        ues = np.atleast_2d(np.array(self.ue_positions_m, dtype=float))
+        ap.flags.writeable = ues.flags.writeable = False
+        object.__setattr__(self, "ap_position_m", ap)
+        object.__setattr__(self, "ue_positions_m", ues)
         L, W, H = self.room_length_m, self.room_width_m, self.ceiling_height_m
         if not (L > 0 and W > 0 and H > 0):
             raise ValueError(f"room dimensions must be positive, got L={L} W={W} H={H}")
-        ap = self.ap_position_m
         if ap.shape != (3,):
             raise ValueError(f"AP position must be a 3-vector, got shape {ap.shape}")
         if not (0 <= ap[0] <= W and 0 <= ap[1] <= L and 0 <= ap[2] <= H):
             raise ValueError(f"AP position {ap} outside the room box")
-        ues = self.ue_positions_m
         if ues.ndim != 2 or ues.shape[1] != 3 or ues.shape[0] < 1:
             raise ValueError(f"UE positions must be (U, 3), got {ues.shape}")
         for k, p in enumerate(ues):
@@ -151,21 +154,28 @@ def optimal_single_ue_phases(
 
 
 def _distance_terms(xy, endpoints, weights, height):
-    """Objective, gradient and Hessian of sum_k w_k * dist((X,Y,H), endpoint_k)."""
-    f = 0.0
-    g = np.zeros(2)
-    h = np.zeros((2, 2))
+    """Objective, gradient and Hessian of sum_k w_k * dist((X,Y,H), endpoint_k).
+
+    The sums run in Python floats: on two coordinates and at most a few
+    endpoints, NumPy's per-call overhead would cost more than the arithmetic.
+    """
+    x, y = xy.tolist()
+    f = g0 = g1 = h00 = h01 = h11 = 0.0
     for (ex, ey, ez), w in zip(endpoints, weights):
-        dx, dy = xy[0] - ex, xy[1] - ey
+        dx, dy = x - ex, y - ey
         hz2 = (height - ez) ** 2
         q = dx * dx + dy * dy + hz2
-        dist = np.sqrt(q)
+        dist = math.sqrt(q)
         if dist == 0:
             raise ValueError("degenerate geometry: anchor coincides with an endpoint")
         f += w * dist
-        g += w * np.array([dx, dy]) / dist
-        h += (w / q ** 1.5) * np.array([[dy * dy + hz2, -dx * dy], [-dx * dy, dx * dx + hz2]])
-    return f, g, h
+        g0 += w * dx / dist
+        g1 += w * dy / dist
+        c = w / q ** 1.5
+        h00 += c * (dy * dy + hz2)
+        h01 += c * (-dx * dy)
+        h11 += c * (dx * dx + hz2)
+    return f, np.array([g0, g1]), np.array([[h00, h01], [h01, h11]])
 
 
 def _projected_descent(endpoints, weights, height, lo, hi, x0, tol, max_iters=800):
@@ -229,7 +239,7 @@ def solve_single_ue_placement(scene: Scene, ue_index: int, tolerance: float = 1e
     ue = scene.ue_positions_m[ue_index]
     x0 = 0.5 * (ap[:2] + ue[:2])
     xy = _projected_descent(
-        [ap, ue], [1.0, 1.0], scene.ceiling_height_m, lo, hi, x0, tolerance
+        [ap.tolist(), ue.tolist()], [1.0, 1.0], scene.ceiling_height_m, lo, hi, x0, tolerance
     )
     return float(xy[0]), float(xy[1])
 
@@ -244,7 +254,7 @@ def solve_min_total_distance(scene: Scene, tolerance: float = 1e-8, y_max=None):
     if hi[1] <= 0:
         raise ValueError("array does not fit the room along y")
     u = scene.ue_count
-    endpoints = [scene.ap_position_m] + [scene.ue_positions_m[k] for k in range(u)]
+    endpoints = [scene.ap_position_m.tolist()] + scene.ue_positions_m.tolist()
     weights = [float(u)] + [1.0] * u
     x0 = np.mean([e[:2] for e in endpoints], axis=0)
     xy = _projected_descent(endpoints, weights, scene.ceiling_height_m, lo, hi, x0, tolerance)

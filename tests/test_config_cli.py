@@ -268,6 +268,17 @@ def test_cli_optimize_refuses_plans_above_the_allocation_cap(tmp_path, capsys):
     assert "exact-allocation cap of 4096" in err
 
 
+def test_cli_monte_carlo_fails_when_every_seed_aborts(tmp_path, capsys):
+    # both seeds hit the exact-allocation cap, as plan optimize does
+    payload = {"bands": {"width_ghz": 10}, "runner": {"seeds": [1, 2], "algorithms": ["minidis"]}}
+    cfg = write_config(tmp_path, payload)
+    assert main(["monte-carlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "2 seed(s) failed" in err
+    assert "exact-allocation cap of 4096" in err
+    assert main(["optimize", "--config", cfg, "--algo", "minidis", "--seed", "1"]) == 1
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

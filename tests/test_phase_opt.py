@@ -177,8 +177,13 @@ def _ap_on_anchor():
 
 
 def _ue_on_anchor():
-    scene = Scene(8.0, 5.0, 3.0, [0.0, 0.0, 2.0], [[4.0, 6.0, 1.0], [1.0, 1.0, 1.0]])
-    scene.ue_positions_m[1] = [2.0, 3.0, 3.0]
+    # a validated Scene keeps every UE below the ceiling, so this one skips
+    # validation to reach the guard in the link-row construction
+    scene = object.__new__(Scene)
+    for name, value in (("room_length_m", 8.0), ("room_width_m", 5.0), ("ceiling_height_m", 3.0),
+                        ("ap_position_m", np.array([0.0, 0.0, 2.0])),
+                        ("ue_positions_m", np.array([[4.0, 6.0, 1.0], [2.0, 3.0, 3.0]]))):
+        object.__setattr__(scene, name, value)
     return scene, np.array([0.001])
 
 
