@@ -1,11 +1,6 @@
 """Simulator and joint-optimization engine for IRS-assisted THz downlinks."""
 
-from .allocation import (
-    AllocationResult,
-    DualState,
-    solve_allocation,
-    tight_auxiliary,
-)
+from .allocation import AllocationResult, solve_allocation
 from .bcs import (
     SearchResult,
     Solution,

@@ -3,58 +3,42 @@
 Each sub-band goes to exactly one UE and the total power is capped; every UE
 carries a minimum-rate constraint.  For a fixed assignment the optimal power
 split is multi-level water-filling: per-UE levels are raised just enough to
-meet each rate floor, a common base level spends the rest of the budget, and
-the multipliers fall out of the two levels.  ``solve_allocation`` evaluates
-that closed form for every assignment at once, with sorts and cumulative sums
-along the band axis, and keeps the best feasible one, so the search is exact.
-Plans with more than ``ENUMERATION_CAP`` assignments are refused.
+meet each rate floor, and a common base level spends the rest of the budget.
+``solve_allocation`` evaluates that closed form for every assignment at once,
+with sorts and cumulative sums along the band axis, and keeps the best
+feasible one, so the search is exact.  An infeasible verdict always comes
+with all-zero winners, powers and rates.  Plans with more than
+``ENUMERATION_CAP`` assignments are refused.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-LN2 = np.log(2.0)
-
 # largest number of assignments (U ** I) the exact search enumerates
 ENUMERATION_CAP = 4**6
-
-
-@dataclass
-class DualState:
-    lam: float
-    mu: np.ndarray
 
 
 @dataclass
 class AllocationResult:
     winners: np.ndarray        # (I,) UE index owning each band
     powers: np.ndarray         # (I,)
-    auxiliaries: np.ndarray    # (U, I) tight received-power targets
     rates: np.ndarray          # (U,)
     objective: float
     feasible: bool
-    dual: DualState
     candidates_tried: int = 0  # assignments evaluated
 
-    @property
-    def alpha(self) -> np.ndarray:
-        """Binary (U, I) assignment matrix; columns sum to one."""
-        u = self.auxiliaries.shape[0]
-        a = np.zeros((u, self.winners.shape[0]), dtype=int)
-        a[self.winners, np.arange(self.winners.shape[0])] = 1
-        return a
 
-
-def tight_auxiliary(winners: np.ndarray, powers: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Received-power targets t_ui = p_i |h_ui|^2 on assigned pairs, 0 elsewhere."""
-    winners = np.asarray(winners, dtype=int)
-    powers = np.asarray(powers, dtype=float)
-    gains = np.atleast_2d(np.asarray(gains, dtype=float))
-    t = np.zeros_like(gains)
-    cols = np.arange(winners.shape[0])
-    t[winners, cols] = powers * gains[winners, cols]
-    return t
+def _failure(u_count, i_count, candidates_tried=0) -> AllocationResult:
+    """The infeasible verdict: nothing assigned, no power, no rate."""
+    return AllocationResult(
+        winners=np.zeros(i_count, dtype=int),
+        powers=np.zeros(i_count),
+        rates=np.zeros(u_count),
+        objective=0.0,
+        feasible=False,
+        candidates_tried=candidates_tried,
+    )
 
 
 def _rate_levels(assignments, kappa, bw, rate_req):
@@ -141,21 +125,11 @@ def solve_allocation(
     noise = np.array([b.noise_power_w for b in sub_bands])
     kappa = gains / noise  # SNR per watt
 
-    failure = AllocationResult(
-        winners=np.zeros(i_count, dtype=int),
-        powers=np.zeros(i_count),
-        auxiliaries=np.zeros((u_count, i_count)),
-        rates=np.zeros(u_count),
-        objective=0.0,
-        feasible=False,
-        dual=DualState(0.0, np.zeros(u_count)),
-    )
-
     # Certificate: when a floor is out of reach even with every band at the
     # full budget simultaneously, no assignment can meet it.
     optimistic = np.sum(bw * np.log2(1.0 + kappa * p_max), axis=1)
     if np.any(optimistic < rate_req):
-        return failure
+        return _failure(u_count, i_count)
 
     # every assignment in lexicographic order, the warm one moved to the front
     assignments = np.indices((u_count,) * i_count).reshape(i_count, -1).T
@@ -183,7 +157,7 @@ def solve_allocation(
 
     feasible = consts.sum(axis=1) <= p_max * (1 + 1e-9)
     if not np.any(feasible):
-        return failure
+        return _failure(u_count, i_count)
     best = int(np.argmax(np.where(feasible, objective, -np.inf)))
 
     winners, powers = assignments[best], powers[best].copy()
@@ -195,15 +169,13 @@ def solve_allocation(
         excess = float(np.sum(powers)) - p_max
     per_band = bw * np.log2(1.0 + kap_w[best] * powers)
     rates = np.bincount(winners, weights=per_band, minlength=u_count)
-    lam = 1.0 / (nu_base[best] * LN2)
-    mu = np.maximum(0.0, nu_rate[best] / nu_base[best] - 1.0)
+    if not np.all(rates >= rate_req * (1 - 1e-9) - 1e-9):
+        return _failure(u_count, i_count, tried)
     return AllocationResult(
         winners=winners.copy(),
         powers=powers,
-        auxiliaries=tight_auxiliary(winners, powers, gains),
         rates=rates,
         objective=float(np.sum(rates)),
-        feasible=bool(np.all(rates >= rate_req * (1 - 1e-9) - 1e-9)),
-        dual=DualState(float(lam), mu),
+        feasible=True,
         candidates_tried=tried,
     )

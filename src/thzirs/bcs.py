@@ -6,8 +6,8 @@ never drops between rounds because the next allocation may always keep the
 previous assignment and powers, and the phase stage never accepts a profile
 whose worst received-power slack falls below the incumbent.  ``bcs_solve``
 sweeps candidate positions over a coordinate lattice (block-coordinate
-search) and keeps the best inner solution; the reference strategies reuse the
-same inner machinery.
+search) and keeps the best inner solution; the reference strategies run the
+same sweep over a single placement or with a frozen phase profile.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +27,11 @@ from .geometry import (
 )
 from .phase_opt import PhaseProblem, effective_vector, sca_phase_optimize
 from .rng import SplitMix64
+
+# allocation/phase rounds per inner solve
+MAX_ROUNDS = 30
+# phase-stage retries when no allocation meets the rate floors
+MAX_REPAIRS = 4
 
 
 @dataclass
@@ -111,7 +116,7 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
 
 
-def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req, max_repairs: int = 4):
+def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     """Steer the profile toward the rate floors when no allocation meets them.
 
     Each pass gives every floored UE its highest-headroom free band (hardest
@@ -145,30 +150,13 @@ def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req, max_repairs
     rows = np.sqrt(p_eq) * vectors[pairs_u, pairs_i]
     targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
 
-    gains = alloc = None
-    for _ in range(max_repairs):
-        sca = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles))
-        phases = sca.phases
+    for _ in range(MAX_REPAIRS):
+        phases = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
         gains = np.abs(vectors @ phases.coefficients) ** 2
         alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
         if alloc.feasible:
             break
     return phases, gains, alloc
-
-
-def _infeasible(placement, phases, u_count, i_count, rounds) -> Solution:
-    return Solution(
-        placement=placement,
-        phases=phases,
-        winners=np.zeros(i_count, dtype=int),
-        powers=np.zeros(i_count),
-        rates=np.zeros(u_count),
-        sum_rate_bps=0.0,
-        feasible=False,
-        converged=True,
-        rounds=rounds,
-        rate_trace=[],
-    )
 
 
 def inner_solve(
@@ -178,29 +166,25 @@ def inner_solve(
     p_max: float,
     rate_requirements,
     mixing_ratio: float,
-    phases=None,
+    phases: Optional[PhaseVector] = None,
     optimize_phases: bool = True,
     tolerance: float = 1e-3,
-    max_rounds: int = 30,
 ) -> Solution:
     """Alternate allocation and phase restoration at one array position.
 
     ``tolerance`` is relative on the sum rate between consecutive rounds.
     With ``optimize_phases`` off the allocation is already exact for the
-    given profile and a single round suffices.
+    given profile and a single round suffices.  An infeasible point comes
+    back as the allocation's all-zero verdict after one round.
     """
-    u_count = scene.ue_count
-    i_count = len(sub_bands)
     rate_req = np.broadcast_to(
-        np.asarray(rate_requirements, dtype=float), (u_count,)
+        np.asarray(rate_requirements, dtype=float), (scene.ue_count,)
     ).copy()
     absorb = absorption_coefficient([b.center_hz for b in sub_bands], mixing_ratio)
     vectors = effective_vector(sub_bands, placement, scene, absorb)
 
     if phases is None:
         phases = _initial_phases(scene, placement, sub_bands, rate_req)
-    elif not isinstance(phases, PhaseVector):
-        phases = PhaseVector(phases)
 
     gains = np.abs(vectors @ phases.coefficients) ** 2
     alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
@@ -208,56 +192,28 @@ def inner_solve(
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off
         phases, gains, alloc = _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req)
-    if not alloc.feasible:
-        return _infeasible(placement, phases, u_count, i_count, 1)
-    trace = [alloc.objective]
-
-    if not optimize_phases or not np.any(alloc.powers > 0):
-        return Solution(
-            placement=placement,
-            phases=phases,
-            winners=alloc.winners,
-            powers=alloc.powers,
-            rates=alloc.rates,
-            sum_rate_bps=alloc.objective,
-            feasible=True,
-            converged=True,
-            rounds=1,
-            rate_trace=trace,
-        )
-
-    prev_rate = alloc.objective
-    converged = False
-    rounds = 1
-    for rounds in range(2, max_rounds + 1):
+    trace = [alloc.objective] if alloc.feasible else []
+    converged = not (alloc.feasible and optimize_phases)
+    while not converged and len(trace) < MAX_ROUNDS:
         active = np.flatnonzero(alloc.powers > 0)
         if active.size == 0:
             converged = True
-            rounds -= 1
             break
-        held_phases, held_alloc = phases, alloc
-
         rows = np.sqrt(alloc.powers[active])[:, None] * vectors[alloc.winners[active], active]
         targets = alloc.powers[active] * gains[alloc.winners[active], active]
-        sca = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles))
-        phases = sca.phases
-
-        gains = np.abs(vectors @ phases.coefficients) ** 2
-        alloc = solve_allocation(
-            gains, sub_bands, p_max, rate_req, warm_winners=held_alloc.winners
+        restored = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        restored_gains = np.abs(vectors @ restored.coefficients) ** 2
+        following = solve_allocation(
+            restored_gains, sub_bands, p_max, rate_req, warm_winners=alloc.winners
         )
-        if not alloc.feasible:
+        if not following.feasible:
             # cannot happen when the slack chain holds; keep the last
             # consistent state rather than propagate a numerical glitch
-            phases, alloc = held_phases, held_alloc
             converged = True
-            rounds -= 1
             break
+        phases, gains, alloc = restored, restored_gains, following
         trace.append(alloc.objective)
-        if abs(alloc.objective - prev_rate) <= tolerance * max(prev_rate, 1.0):
-            converged = True
-            break
-        prev_rate = alloc.objective
+        converged = abs(trace[-1] - trace[-2]) <= tolerance * max(trace[-2], 1.0)
 
     return Solution(
         placement=placement,
@@ -266,9 +222,9 @@ def inner_solve(
         powers=alloc.powers,
         rates=alloc.rates,
         sum_rate_bps=alloc.objective,
-        feasible=True,
+        feasible=alloc.feasible,
         converged=converged,
-        rounds=rounds,
+        rounds=max(len(trace), 1),
         rate_trace=trace,
     )
 
@@ -299,11 +255,37 @@ def candidate_grid(
     return [(float(x), float(y)) for x in xs for y in ys]
 
 
+def _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y):
+    return [IrsPlacement(x, y, element_count, spacing_m)
+            for x, y in candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)]
+
+
 def _better(candidate: Solution, incumbent: Solution) -> bool:
     # feasible beats infeasible, then strictly larger sum rate
     if candidate.feasible != incumbent.feasible:
         return candidate.feasible
     return candidate.sum_rate_bps > incumbent.sum_rate_bps
+
+
+def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio, tolerance,
+           phases=None, best=None):
+    """Inner-solve each placement in order and keep the first strict best.
+
+    A given ``phases`` profile is frozen at every placement; a given
+    ``best`` is the incumbent to beat.  Returns the best solution and the
+    running best sum rate, one entry per placement, led by the incumbent's
+    when there is one.
+    """
+    trace = [] if best is None else [best.sum_rate_bps]
+    for placement in placements:
+        candidate = inner_solve(
+            scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
+            phases=phases, optimize_phases=phases is None, tolerance=tolerance,
+        )
+        if best is None or _better(candidate, best):
+            best = candidate
+        trace.append(best.sum_rate_bps)
+    return best, trace
 
 
 def bcs_solve(
@@ -328,30 +310,11 @@ def bcs_solve(
         scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
         tolerance=tolerance,
     )
-
-    best = anchor
-    trace = [best.sum_rate_bps if best.feasible else 0.0]
-    points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
-    for x, y in points:
-        candidate = inner_solve(
-            scene,
-            IrsPlacement(x, y, element_count, spacing_m),
-            sub_bands,
-            p_max,
-            rate_requirements,
-            mixing_ratio,
-            tolerance=tolerance,
-        )
-        if _better(candidate, best):
-            best = candidate
-        trace.append(best.sum_rate_bps if best.feasible else 0.0)
-
-    return SearchResult(
-        solution=best,
-        best_trace=trace,
-        points_evaluated=len(points),
-        anchor=anchor,
-    )
+    points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+    best, trace = _sweep(scene, points, sub_bands, p_max, rate_requirements, mixing_ratio,
+                         tolerance, best=anchor)
+    return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points),
+                        anchor=anchor)
 
 
 def baseline_mini_dis(
@@ -367,15 +330,9 @@ def baseline_mini_dis(
     """Array at the minimum-total-distance point, full inner optimization."""
     y_hi = admissible_y_span(scene, element_count, spacing_m)
     x, y = solve_min_total_distance(scene, y_max=y_hi)
-    return inner_solve(
-        scene,
-        IrsPlacement(x, y, element_count, spacing_m),
-        sub_bands,
-        p_max,
-        rate_requirements,
-        mixing_ratio,
-        tolerance=tolerance,
-    )
+    placement = IrsPlacement(x, y, element_count, spacing_m)
+    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio,
+                  tolerance)[0]
 
 
 def baseline_ran_loc(
@@ -393,15 +350,9 @@ def baseline_ran_loc(
     y_hi = admissible_y_span(scene, element_count, spacing_m)
     x = rng.uniform(0.0, scene.room_width_m)
     y = rng.uniform(0.0, y_hi)
-    return inner_solve(
-        scene,
-        IrsPlacement(x, y, element_count, spacing_m),
-        sub_bands,
-        p_max,
-        rate_requirements,
-        mixing_ratio,
-        tolerance=tolerance,
-    )
+    placement = IrsPlacement(x, y, element_count, spacing_m)
+    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio,
+                  tolerance)[0]
 
 
 def baseline_ran_phi(
@@ -419,26 +370,8 @@ def baseline_ran_phi(
 ) -> SearchResult:
     """Same placement sweep as the full search but one frozen random phase
     profile and no phase restoration."""
-    angles = np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)])
-    phases = PhaseVector(angles)
-
-    best = None
-    trace = []
-    points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
-    for x, y in points:
-        candidate = inner_solve(
-            scene,
-            IrsPlacement(x, y, element_count, spacing_m),
-            sub_bands,
-            p_max,
-            rate_requirements,
-            mixing_ratio,
-            phases=phases,
-            optimize_phases=False,
-            tolerance=tolerance,
-        )
-        if best is None or _better(candidate, best):
-            best = candidate
-        trace.append(best.sum_rate_bps if best.feasible else 0.0)
-
+    phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
+    points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+    best, trace = _sweep(scene, points, sub_bands, p_max, rate_requirements, mixing_ratio,
+                         tolerance, phases=phases)
     return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points))

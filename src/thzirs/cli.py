@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .channel import absorption_coefficient
-from .config import ConfigError, load_config
+from .config import _ALGORITHMS, ConfigError, load_config
 from .experiment import absorption_sweep, resolve_bands, run_experiment, run_single
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="run one algorithm on one seed")
     opt.add_argument("--config", required=True)
-    opt.add_argument("--algo", required=True, choices=["bcs", "minidis", "ranloc", "ranphi"])
+    opt.add_argument("--algo", required=True, choices=_ALGORITHMS)
     opt.add_argument("--seed", required=True, type=int)
     opt.add_argument("--ue-count", type=int, default=None)
 

@@ -277,10 +277,15 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
 
 
 def _worker_count(requested, n_jobs: int) -> int:
-    cap = os.environ.get("PLAN_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    want = requested if requested is not None else limit
-    return max(1, min(want, limit, n_jobs))
+    """Workers for ``n_jobs`` seeds: the request, capped by ``PLAN_THREADS``
+    (else the CPU count) and the job count.  A count below 1 is refused."""
+    cap = os.environ.get("PLAN_THREADS") or str(os.cpu_count() or 1)
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigError(f"PLAN_THREADS must be a positive integer, got {cap!r}")
+    if requested is not None and requested < 1:
+        raise ConfigError(f"worker count must be a positive integer, got {requested}")
+    limit = int(cap)
+    return max(1, min(requested or limit, limit, n_jobs))
 
 
 def _aggregate_rows(rows):
@@ -366,11 +371,21 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers=None) -> RunR
     return report
 
 
+def _typed(sol: dict, key: str, kind):
+    """``sol[key]`` when it, or each entry of a list, is exactly a ``kind``."""
+    value = sol[key]
+    if not all(type(v) is kind for v in (value if isinstance(value, list) else [value])):
+        raise ValueError(f"solution field {key!r} must hold {kind.__name__} values, got {value!r}")
+    return value
+
+
 def load_report(path) -> RunReport:
     """Read a report.json back and re-validate every stored solution.
 
     Each solution is reconstructed and its rates recomputed from geometry;
-    any drift beyond validation tolerance raises ValueError.
+    any drift beyond validation tolerance, a solution whose seed has no
+    draws entry, and non-integer winners or rounds or non-boolean flags
+    raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -382,19 +397,21 @@ def load_report(path) -> RunReport:
     positions_by_seed = {d["seed"]: np.asarray(d["positions_m"], dtype=float)
                          for d in report.draws}
     for sol in report.solutions:
+        if sol["seed"] not in positions_by_seed:
+            raise ValueError(f"solution field 'seed' = {sol['seed']!r} has no draws entry")
         positions = positions_by_seed[sol["seed"]][: sol["ue_count"]]
         scene = config.scene_for(positions)
         solution = Solution(
             placement=IrsPlacement(sol["placement_x_m"], sol["placement_y_m"],
                                    config.element_count, config.spacing_m),
             phases=PhaseVector(np.asarray(sol["phases_rad"], dtype=float)),
-            winners=np.asarray(sol["winners"], dtype=int),
+            winners=np.asarray(_typed(sol, "winners", int), dtype=int),
             powers=np.asarray(sol["powers_w"], dtype=float),
             rates=np.asarray(sol["rates_bps"], dtype=float),
             sum_rate_bps=sol["sum_rate_bps"],
-            feasible=sol["feasible"],
-            converged=sol["converged"],
-            rounds=sol["rounds"],
+            feasible=_typed(sol, "feasible", bool),
+            converged=_typed(sol, "converged", bool),
+            rounds=_typed(sol, "rounds", int),
             rate_trace=list(sol["rate_trace"]),
         )
         solution.validate(scene, bands, config.p_max_w, config.rate_floor_bps, mix)

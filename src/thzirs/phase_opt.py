@@ -15,6 +15,13 @@ import numpy as np
 from .channel import SPEED_OF_LIGHT, cascaded_gain
 from .geometry import PhaseVector, _two_hop
 
+# SGD and SCA stop once the profile moves less than this between iterates
+TOLERANCE = 1e-4
+# SGD steps without a better worst slack before an infeasible solve gives up
+STALL_LIMIT = 100
+# surrogate rebuilds per SCA solve
+MAX_OUTER = 50
+
 
 def effective_vector(sub_bands, placement, scene, absorption_per_m) -> np.ndarray:
     """Unit-power link rows of every (UE, sub-band) pair, shape (U, I, N).
@@ -108,9 +115,8 @@ def sgd_solve(
     surr: Surrogate,
     targets: np.ndarray,
     init_prices=None,
-    tolerance: float = 1e-4,
+    tolerance: float = TOLERANCE,
     max_iters: int = 500,
-    stall_limit: int = 100,
 ) -> SgdResult:
     """Alternate the closed-form phase update with priced subgradient steps.
 
@@ -181,7 +187,7 @@ def sgd_solve(
             converged = True
             break
         prev_coeff = coeff
-        if stall >= stall_limit and best_slack < -feas_tol:
+        if stall >= STALL_LIMIT and best_slack < -feas_tol:
             break
 
     feasible = best_slack >= -feas_tol
@@ -189,7 +195,7 @@ def sgd_solve(
         phases=PhaseVector(best_angles),
         converged=converged,
         feasible=feasible,
-        infeasible=certified_infeasible or (not feasible and stall >= stall_limit),
+        infeasible=certified_infeasible or (not feasible and stall >= STALL_LIMIT),
         iterations=it,
         min_slack=best_slack,
         prices=prices,
@@ -207,12 +213,7 @@ class ScaResult:
     slack_trace: list = field(default_factory=list)
 
 
-def sca_phase_optimize(
-    problem: PhaseProblem,
-    tolerance: float = 1e-4,
-    max_outer: int = 50,
-    sgd_max_iters: int = 500,
-) -> ScaResult:
+def sca_phase_optimize(problem: PhaseProblem) -> ScaResult:
     """Minorize-maximize loop: rebuild the surrogate at the incumbent and
     re-solve until the phases stop moving.
 
@@ -234,9 +235,9 @@ def sca_phase_optimize(
 
     converged = False
     outer = 0
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         surr = surrogate(problem.vectors, best)
-        res = sgd_solve(surr, targets, tolerance=tolerance, max_iters=sgd_max_iters)
+        res = sgd_solve(surr, targets)
         cand = res.phases.angles
         cand_slack = float(np.min(exact_values(problem.vectors, cand) - targets))
         moved = PhaseVector(cand).distance(best)
@@ -244,7 +245,7 @@ def sca_phase_optimize(
         if improvement > 0:
             best, best_slack = cand, cand_slack
         trace.append(best_slack)
-        if strict_start or moved <= tolerance or improvement <= improve_tol:
+        if strict_start or moved <= TOLERANCE or improvement <= improve_tol:
             converged = True
             break
 

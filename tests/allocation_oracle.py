@@ -9,7 +9,9 @@ water-filling itself.
 
 import numpy as np
 
-from thzirs.allocation import LN2, AllocationResult, DualState, tight_auxiliary
+from thzirs.allocation import AllocationResult
+
+LN2 = np.log(2.0)
 
 
 def _rate_level(bw, kappa, required):
@@ -210,19 +212,15 @@ def brute_force_allocation(
         return AllocationResult(
             winners=np.zeros(i_count, dtype=int),
             powers=np.zeros(i_count),
-            auxiliaries=np.zeros((u_count, i_count)),
             rates=np.zeros(u_count),
             objective=0.0,
             feasible=False,
-            dual=DualState(0.0, np.zeros(u_count)),
         )
     objective, winners, powers, rates = best
     return AllocationResult(
         winners=winners,
         powers=powers,
-        auxiliaries=tight_auxiliary(winners, powers, gains),
         rates=rates,
         objective=objective,
         feasible=True,
-        dual=DualState(0.0, np.zeros(u_count)),
     )

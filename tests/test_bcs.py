@@ -44,6 +44,15 @@ def random_scene(rng, u_count, room=(8.0, 5.0, 3.0)):
     return make_scene(xy, room)
 
 
+def assert_zero_verdict(sol):
+    """An infeasible point: nothing assigned, one round, an empty trace."""
+    assert sol.winners.dtype.kind == "i" and np.all(sol.winners == 0)
+    assert np.all(sol.powers == 0.0) and np.all(sol.rates == 0.0)
+    assert sol.converged
+    assert sol.rounds == 1
+    assert sol.rate_trace == []
+
+
 def test_single_ue_single_band_closed_form():
     scene = make_scene([(4.0, 6.0)])
     band = make_bands([300.0])[0]
@@ -98,6 +107,7 @@ def test_phase_stage_repairs_a_bad_start():
         scene, placement, [band], 1.0, floor, MU, phases=bad, optimize_phases=False
     )
     assert not frozen.feasible and frozen.sum_rate_bps == 0.0
+    assert_zero_verdict(frozen)
 
     repaired = inner_solve(scene, placement, [band], 1.0, floor, MU, phases=bad)
     assert repaired.feasible
@@ -153,6 +163,8 @@ def test_impossible_floor_returns_zero_sentinel():
     assert res.solution.sum_rate_bps == 0.0
     assert np.all(np.asarray(res.best_trace) == 0.0)
     assert res.solution.validate(scene, bands, 1.0, 1e13, MU) == 0.0
+    # these fields go into report.json as they are
+    assert_zero_verdict(res.solution)
 
 
 def test_random_baselines_are_seed_deterministic():

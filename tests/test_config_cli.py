@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -384,3 +386,70 @@ def test_cli_seed_override_narrows_the_batch(tmp_path, capsys):
     body = (out / "summary.csv").read_text().strip().split("\n")[1:]
     seeds = sorted({int(ln.split(",")[0]) for ln in body})
     assert seeds == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "threads, flags, message",
+    [
+        ("0", [], "PLAN_THREADS must be a positive integer, got '0'"),
+        ("-2", [], "PLAN_THREADS must be a positive integer, got '-2'"),
+        ("abc", [], "PLAN_THREADS must be a positive integer, got 'abc'"),
+        (None, ["--workers", "-5"], "worker count must be a positive integer, got -5"),
+        (None, ["--workers", "0"], "worker count must be a positive integer, got 0"),
+    ],
+    ids=["threads-zero", "threads-negative", "threads-text", "workers-negative", "workers-zero"],
+)
+def test_cli_monte_carlo_rejects_impossible_worker_counts(tmp_path, capsys, monkeypatch,
+                                                          threads, flags, message):
+    if threads is None:
+        monkeypatch.delenv("PLAN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PLAN_THREADS", threads)
+    cfg = write_config(tmp_path, FAST)
+    assert main(["monte-carlo", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def stored_report(tmp_path_factory):
+    """A one-seed report.json as plan monte-carlo writes it, parsed."""
+    root = tmp_path_factory.mktemp("stored")
+    payload = {**FAST, "runner": {"seeds": [1], "ue_counts": [2], "algorithms": ["minidis"]}}
+    cfg = write_config(root, payload)
+    assert main(["monte-carlo", "--config", cfg, "--out", str(root / "run")]) == 0
+    return json.loads((root / "run" / "report.json").read_text(encoding="utf-8"))
+
+
+def _fractional_winner(raw):
+    raw["solutions"][0]["winners"][0] = 0.5
+
+
+def _feasible_as_text(raw):
+    raw["solutions"][0]["feasible"] = "false"
+
+
+def _no_draws(raw):
+    raw["draws"] = []
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_fractional_winner, "solution field 'winners' must hold int values, got [0.5"),
+        (_feasible_as_text, "solution field 'feasible' must hold bool values, got 'false'"),
+        (_no_draws, "solution field 'seed' = 1 has no draws entry"),
+    ],
+    ids=["fractional-winners", "feasible-as-text", "seed-without-draws"],
+)
+def test_load_report_names_a_tampered_field(stored_report, tmp_path, tamper, message):
+    assert load_report(_dump(stored_report, tmp_path / "clean.json")).solutions
+    raw = copy.deepcopy(stored_report)
+    tamper(raw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_report(_dump(raw, tmp_path / "tampered.json"))
+
+
+def _dump(raw, path):
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
