@@ -157,7 +157,7 @@ def solve_allocation(
 
     feasible = consts.sum(axis=1) <= p_max * (1 + 1e-9)
     if not np.any(feasible):
-        return _failure(u_count, i_count)
+        return _failure(u_count, i_count, tried)
     best = int(np.argmax(np.where(feasible, objective, -np.inf)))
 
     winners, powers = assignments[best], powers[best].copy()

@@ -69,8 +69,10 @@ class Solution:
             raise ValueError("assignment points at a UE outside the scene")
 
         if not self.feasible:
-            if self.sum_rate_bps != 0.0:
-                raise ValueError("infeasible solution carries a nonzero rate")
+            # the infeasible verdict assigns nothing and spends nothing
+            if (self.sum_rate_bps != 0.0 or np.any(self.winners != 0)
+                    or np.any(self.powers != 0) or np.any(self.rates != 0)):
+                raise ValueError("infeasible solution carries a nonzero winner, power or rate")
             return 0.0
 
         absorb = absorption_coefficient([b.center_hz for b in sub_bands], mixing_ratio)
@@ -167,15 +169,15 @@ def inner_solve(
     rate_requirements,
     mixing_ratio: float,
     phases: Optional[PhaseVector] = None,
-    optimize_phases: bool = True,
     tolerance: float = 1e-3,
 ) -> Solution:
     """Alternate allocation and phase restoration at one array position.
 
     ``tolerance`` is relative on the sum rate between consecutive rounds.
-    With ``optimize_phases`` off the allocation is already exact for the
-    given profile and a single round suffices.  An infeasible point comes
-    back as the allocation's all-zero verdict after one round.
+    Without ``phases`` the solve starts from a matched profile and runs the
+    full alternation.  A given ``phases`` profile is frozen: the allocation
+    is already exact for it and a single round suffices.  An infeasible
+    point comes back as the allocation's all-zero verdict after one round.
     """
     rate_req = np.broadcast_to(
         np.asarray(rate_requirements, dtype=float), (scene.ue_count,)
@@ -183,17 +185,18 @@ def inner_solve(
     absorb = absorption_coefficient([b.center_hz for b in sub_bands], mixing_ratio)
     vectors = effective_vector(sub_bands, placement, scene, absorb)
 
-    if phases is None:
+    frozen = phases is not None
+    if not frozen:
         phases = _initial_phases(scene, placement, sub_bands, rate_req)
 
     gains = np.abs(vectors @ phases.coefficients) ** 2
     alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
-    if not alloc.feasible and optimize_phases and np.any(rate_req > 0):
+    if not alloc.feasible and not frozen and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off
         phases, gains, alloc = _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req)
     trace = [alloc.objective] if alloc.feasible else []
-    converged = not (alloc.feasible and optimize_phases)
+    converged = frozen or not alloc.feasible
     while not converged and len(trace) < MAX_ROUNDS:
         active = np.flatnonzero(alloc.powers > 0)
         if active.size == 0:
@@ -260,6 +263,12 @@ def _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y):
             for x, y in candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)]
 
 
+def _min_distance_placement(scene, element_count, spacing_m):
+    y_hi = admissible_y_span(scene, element_count, spacing_m)
+    x, y = solve_min_total_distance(scene, y_max=y_hi)
+    return IrsPlacement(x, y, element_count, spacing_m)
+
+
 def _better(candidate: Solution, incumbent: Solution) -> bool:
     # feasible beats infeasible, then strictly larger sum rate
     if candidate.feasible != incumbent.feasible:
@@ -280,7 +289,7 @@ def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio,
     for placement in placements:
         candidate = inner_solve(
             scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
-            phases=phases, optimize_phases=phases is None, tolerance=tolerance,
+            phases=phases, tolerance=tolerance,
         )
         if best is None or _better(candidate, best):
             best = candidate
@@ -328,9 +337,7 @@ def baseline_mini_dis(
     tolerance: float = 1e-3,
 ) -> Solution:
     """Array at the minimum-total-distance point, full inner optimization."""
-    y_hi = admissible_y_span(scene, element_count, spacing_m)
-    x, y = solve_min_total_distance(scene, y_max=y_hi)
-    placement = IrsPlacement(x, y, element_count, spacing_m)
+    placement = _min_distance_placement(scene, element_count, spacing_m)
     return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio,
                   tolerance)[0]
 
@@ -369,9 +376,12 @@ def baseline_ran_phi(
     tolerance: float = 1e-3,
 ) -> SearchResult:
     """Same placement sweep as the full search but one frozen random phase
-    profile and no phase restoration."""
+    profile and no phase restoration.  A lattice step wider than the room
+    leaves no lattice point; the sweep then takes the minimum-total-distance
+    point, the extra candidate of the full search."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
-    points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+    points = (_lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+              or [_min_distance_placement(scene, element_count, spacing_m)])
     best, trace = _sweep(scene, points, sub_bands, p_max, rate_requirements, mixing_ratio,
                          tolerance, phases=phases)
     return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points))

@@ -373,6 +373,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers=None) -> RunR
 
 def _typed(sol: dict, key: str, kind):
     """``sol[key]`` when it, or each entry of a list, is exactly a ``kind``."""
+    if key not in sol:
+        raise ValueError(f"solution field {key!r} is missing")
     value = sol[key]
     if not all(type(v) is kind for v in (value if isinstance(value, list) else [value])):
         raise ValueError(f"solution field {key!r} must hold {kind.__name__} values, got {value!r}")
@@ -383,9 +385,9 @@ def load_report(path) -> RunReport:
     """Read a report.json back and re-validate every stored solution.
 
     Each solution is reconstructed and its rates recomputed from geometry;
-    any drift beyond validation tolerance, a solution whose seed has no
-    draws entry, and non-integer winners or rounds or non-boolean flags
-    raise ValueError.
+    any drift beyond validation tolerance, a missing field or one of the
+    wrong type, and a solution whose seed has no draws entry or fewer drawn
+    positions than its UE count raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -397,22 +399,27 @@ def load_report(path) -> RunReport:
     positions_by_seed = {d["seed"]: np.asarray(d["positions_m"], dtype=float)
                          for d in report.draws}
     for sol in report.solutions:
-        if sol["seed"] not in positions_by_seed:
-            raise ValueError(f"solution field 'seed' = {sol['seed']!r} has no draws entry")
-        positions = positions_by_seed[sol["seed"]][: sol["ue_count"]]
-        scene = config.scene_for(positions)
+        seed, u_count = _typed(sol, "seed", int), _typed(sol, "ue_count", int)
+        if seed not in positions_by_seed:
+            raise ValueError(f"solution field 'seed' = {seed!r} has no draws entry")
+        positions = positions_by_seed[seed]
+        if u_count > positions.shape[0]:
+            raise ValueError(f"solution field 'ue_count' = {u_count} exceeds the "
+                             f"{positions.shape[0]} positions drawn for seed {seed!r}")
+        scene = config.scene_for(positions[:u_count])
         solution = Solution(
-            placement=IrsPlacement(sol["placement_x_m"], sol["placement_y_m"],
+            placement=IrsPlacement(_typed(sol, "placement_x_m", float),
+                                   _typed(sol, "placement_y_m", float),
                                    config.element_count, config.spacing_m),
-            phases=PhaseVector(np.asarray(sol["phases_rad"], dtype=float)),
+            phases=PhaseVector(np.asarray(_typed(sol, "phases_rad", float), dtype=float)),
             winners=np.asarray(_typed(sol, "winners", int), dtype=int),
-            powers=np.asarray(sol["powers_w"], dtype=float),
-            rates=np.asarray(sol["rates_bps"], dtype=float),
-            sum_rate_bps=sol["sum_rate_bps"],
+            powers=np.asarray(_typed(sol, "powers_w", float), dtype=float),
+            rates=np.asarray(_typed(sol, "rates_bps", float), dtype=float),
+            sum_rate_bps=_typed(sol, "sum_rate_bps", float),
             feasible=_typed(sol, "feasible", bool),
             converged=_typed(sol, "converged", bool),
             rounds=_typed(sol, "rounds", int),
-            rate_trace=list(sol["rate_trace"]),
+            rate_trace=list(_typed(sol, "rate_trace", float)),
         )
         solution.validate(scene, bands, config.p_max_w, config.rate_floor_bps, mix)
 

@@ -6,7 +6,7 @@ out along +y from the anchor element at (X, Y, H).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -229,19 +229,11 @@ def solve_single_ue_placement(scene: Scene, ue_index: int, tolerance: float = 1e
 
     The minimand D0 + Du is convex in (X, Y); with the optimum interior it
     matches mirroring the UE across the ceiling plane.  ``y_max`` shrinks the
-    admissible y range when the array span must fit inside the room.
+    admissible y range when the array span must fit inside the room.  This
+    is the min-total-distance placement of the scene holding only that UE.
     """
-    lo = np.array([0.0, 0.0])
-    hi = np.array([scene.room_width_m, scene.room_length_m if y_max is None else y_max])
-    if hi[1] <= 0:
-        raise ValueError("array does not fit the room along y")
-    ap = scene.ap_position_m
-    ue = scene.ue_positions_m[ue_index]
-    x0 = 0.5 * (ap[:2] + ue[:2])
-    xy = _projected_descent(
-        [ap.tolist(), ue.tolist()], [1.0, 1.0], scene.ceiling_height_m, lo, hi, x0, tolerance
-    )
-    return float(xy[0]), float(xy[1])
+    alone = replace(scene, ue_positions_m=scene.ue_positions_m[[ue_index]])
+    return solve_min_total_distance(alone, tolerance, y_max)
 
 
 def solve_min_total_distance(scene: Scene, tolerance: float = 1e-8, y_max=None):

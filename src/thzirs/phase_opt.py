@@ -8,7 +8,7 @@ with a priced (multiplier-weighted) penalty whose phase update is closed form.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,25 +104,16 @@ class SgdResult:
     phases: PhaseVector
     converged: bool
     feasible: bool
-    infeasible: bool
     iterations: int
-    min_slack: float
-    prices: np.ndarray
-    prices_collapsed: bool = False
 
 
-def sgd_solve(
-    surr: Surrogate,
-    targets: np.ndarray,
-    init_prices=None,
-    tolerance: float = TOLERANCE,
-    max_iters: int = 500,
-) -> SgdResult:
+def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> SgdResult:
     """Alternate the closed-form phase update with priced subgradient steps.
 
     Returns the iterate with the best minimum constraint slack seen (the
-    anchor itself counts as iterate zero).  Steps decay as tau0/sqrt(t) with
-    tau0 set from the largest achievable constraint level.
+    anchor itself counts as iterate zero).  Prices start at one; steps decay
+    as tau0/sqrt(t) with tau0 set from the largest achievable constraint
+    level.
 
     Each step sets phi_n = -angle(v_n) for v = 2 rho . theta, the entrywise
     maximizer of the priced surrogate, then takes a projected subgradient
@@ -136,9 +127,6 @@ def sgd_solve(
         raise ValueError(f"need one target per surrogate row ({surr.theta.shape[0]}), got {k}")
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
-    prices = np.ones(k) if init_prices is None else np.asarray(init_prices, dtype=float).copy()
-    if prices.shape != (k,) or not np.all(np.isfinite(prices)) or np.any(prices < 0):
-        raise ValueError("need one finite, non-negative price per constraint")
 
     scale = float(np.max((np.sum(np.abs(surr.vectors), axis=1)) ** 2))
     if not (math.isfinite(scale) and np.all(np.isfinite(surr.anchor))):
@@ -149,25 +137,19 @@ def sgd_solve(
     gap = 1e-15 * scale
     feas_tol = 1e-6 * max(np.max(targets), np.finfo(float).tiny)
 
-    # Hard certificate: the linear form 2 Re{theta.phi} tops out at
-    # 2 sum|theta_n|, so a larger demand can never be met.
-    upper = 2.0 * np.sum(np.abs(surr.theta), axis=1) - surr.psi
-    certified_infeasible = bool(np.any(targets > upper + feas_tol))
-
     # doubling is exact, so theta2 products equal 2.0 * (theta products)
     theta2 = 2.0 * surr.theta
     psi = surr.psi
+    prices = np.ones(k)
     best_angles = surr.anchor.copy()
     prev_coeff = np.exp(1j * best_angles)
     best_slack = float(((theta2 @ prev_coeff).real - psi - targets).min())
 
     converged = False
-    collapsed = False
     stall = 0
     it = 0
     for it in range(1, max_iters + 1):
         if not (prices > 0).any():
-            collapsed = True
             break
         v = prices @ theta2
         angles = -np.arctan2(v.imag, v.real)
@@ -183,57 +165,45 @@ def sgd_solve(
         prices = np.maximum(0.0, prices - tau0 / math.sqrt(it) * slacks)
         # np.linalg.norm's own formula for a complex vector
         d = coeff - prev_coeff
-        if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) <= tolerance:
+        if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) <= TOLERANCE:
             converged = True
             break
         prev_coeff = coeff
         if stall >= STALL_LIMIT and best_slack < -feas_tol:
             break
 
-    feasible = best_slack >= -feas_tol
     return SgdResult(
         phases=PhaseVector(best_angles),
         converged=converged,
-        feasible=feasible,
-        infeasible=certified_infeasible or (not feasible and stall >= STALL_LIMIT),
+        feasible=best_slack >= -feas_tol,
         iterations=it,
-        min_slack=best_slack,
-        prices=prices,
-        prices_collapsed=collapsed,
     )
 
 
 @dataclass
 class ScaResult:
     phases: PhaseVector
-    converged: bool
-    feasible: bool
     outer_iterations: int
-    min_slack: float
-    slack_trace: list = field(default_factory=list)
 
 
 def sca_phase_optimize(problem: PhaseProblem) -> ScaResult:
     """Minorize-maximize loop: rebuild the surrogate at the incumbent and
     re-solve until the phases stop moving.
 
-    The recorded minimum true slack min_k(|e_k . phi|^2 - t_k) never
+    The minimum true slack min_k(|e_k . phi|^2 - t_k) of the incumbent never
     decreases: the surrogate underestimates the true value everywhere and
     matches it at the anchor, and the incumbent is always kept as fallback.
     """
     targets = problem.targets
-    scale_t = max(float(np.max(targets)), np.finfo(float).tiny)
-    feas_tol = 1e-6 * scale_t
-    improve_tol = 1e-6 * scale_t
+    # 1e-6 of the largest target is both "strictly inside" and "no gain"
+    tol = 1e-6 * max(float(np.max(targets)), np.finfo(float).tiny)
 
     best = problem.anchor.copy()
     best_slack = float(np.min(exact_values(problem.vectors, best) - targets))
-    trace = [best_slack]
     # An anchor already strictly inside the feasible region needs no
     # restoration; a single pass is kept to pick up easy improvement.
-    strict_start = best_slack > feas_tol
+    strict_start = best_slack > tol
 
-    converged = False
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
         surr = surrogate(problem.vectors, best)
@@ -244,16 +214,7 @@ def sca_phase_optimize(problem: PhaseProblem) -> ScaResult:
         improvement = cand_slack - best_slack
         if improvement > 0:
             best, best_slack = cand, cand_slack
-        trace.append(best_slack)
-        if strict_start or moved <= TOLERANCE or improvement <= improve_tol:
-            converged = True
+        if strict_start or moved <= TOLERANCE or improvement <= tol:
             break
 
-    return ScaResult(
-        phases=PhaseVector(best),
-        converged=converged,
-        feasible=best_slack >= -feas_tol,
-        outer_iterations=outer,
-        min_slack=best_slack,
-        slack_trace=trace,
-    )
+    return ScaResult(phases=PhaseVector(best), outer_iterations=outer)

@@ -3,14 +3,30 @@
 ``reference_sgd_solve`` is the loop ``thzirs.phase_opt.sgd_solve`` computes,
 written step by step through ``penalized_phase_update``,
 ``surrogate_values``, ``price_update`` and ``np.linalg.norm``.  The library
-inlines the same arithmetic in the same order, so every iterate, price and
-flag must agree bit for bit.
+inlines the same arithmetic in the same order, so every iterate and every
+output the library keeps must agree bit for bit.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from thzirs.geometry import PhaseVector
-from thzirs.phase_opt import SgdResult, Surrogate, surrogate_values
+from thzirs.phase_opt import Surrogate, surrogate_values
+
+
+@dataclass
+class ReferenceSgdResult:
+    """Everything the step-by-step loop knows when it stops."""
+
+    phases: PhaseVector
+    converged: bool
+    feasible: bool
+    infeasible: bool
+    iterations: int
+    min_slack: float
+    prices: np.ndarray
+    prices_collapsed: bool
 
 
 def penalized_phase_update(surr: Surrogate, prices: np.ndarray):
@@ -41,22 +57,19 @@ def price_update(prices: np.ndarray, slacks: np.ndarray, step: float) -> np.ndar
 def reference_sgd_solve(
     surr: Surrogate,
     targets: np.ndarray,
-    init_prices=None,
     tolerance: float = 1e-4,
     max_iters: int = 500,
     stall_limit: int = 100,
-) -> SgdResult:
+) -> ReferenceSgdResult:
     """Alternate the closed-form phase update with priced subgradient steps.
 
     Returns the iterate with the best minimum constraint slack seen (the
-    anchor itself counts as iterate zero).  Steps decay as tau0/sqrt(t) with
-    tau0 set from the largest achievable constraint level.
+    anchor itself counts as iterate zero).  Prices start at one; steps decay
+    as tau0/sqrt(t) with tau0 set from the largest achievable constraint
+    level.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1)
-    k = targets.shape[0]
-    prices = np.ones(k) if init_prices is None else np.asarray(init_prices, dtype=float).copy()
-    if prices.shape != (k,) or np.any(prices < 0):
-        raise ValueError("need one non-negative price per constraint")
+    prices = np.ones(targets.shape[0])
 
     scale = float(np.max((np.sum(np.abs(surr.vectors), axis=1)) ** 2))
     if scale <= 0:
@@ -100,7 +113,7 @@ def reference_sgd_solve(
             break
 
     feasible = best_slack >= -feas_tol
-    return SgdResult(
+    return ReferenceSgdResult(
         phases=PhaseVector(best_angles),
         converged=converged,
         feasible=feasible,

@@ -116,6 +116,14 @@ def test_rate_floors_are_respected():
         assert np.all(res.rates >= floors * (1 - 1e-9) - 1e-9)
 
 
+def test_over_budget_verdict_counts_every_assignment():
+    # each floor is reachable alone, but no assignment meets both within
+    # the budget, so all 2**3 assignments are evaluated and rejected
+    res = solve_allocation(np.full((2, 3), 1e-9), make_bands([50e9] * 3), 1.0, 5.4e10)
+    assert not res.feasible
+    assert res.candidates_tried == 8
+
+
 def test_unreachable_floor_certified_infeasible():
     bands = make_bands([50e9])
     gains = np.array([[1e-15], [1e-15]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thzirs import bcs
 from thzirs.bcs import (
     Solution,
     admissible_y_span,
@@ -93,7 +94,7 @@ def test_inner_converges_and_flags_it():
     assert sol.sum_rate_bps == pytest.approx(float(np.sum(sol.rates)), rel=1e-12)
 
 
-def test_phase_stage_repairs_a_bad_start():
+def test_phase_stage_repairs_a_bad_start(monkeypatch):
     # floor needs most of the coherent gain, so a deliberately scrambled
     # profile starts infeasible and only phase restoration can save it
     scene = make_scene([(4.0, 6.0)])
@@ -103,13 +104,14 @@ def test_phase_stage_repairs_a_bad_start():
     floor = 0.8 * matched.sum_rate_bps
     bad = PhaseVector(np.linspace(0.3, 5.9, 8))
 
-    frozen = inner_solve(
-        scene, placement, [band], 1.0, floor, MU, phases=bad, optimize_phases=False
-    )
+    # a given profile is frozen, so nothing repairs it
+    frozen = inner_solve(scene, placement, [band], 1.0, floor, MU, phases=bad)
     assert not frozen.feasible and frozen.sum_rate_bps == 0.0
     assert_zero_verdict(frozen)
 
-    repaired = inner_solve(scene, placement, [band], 1.0, floor, MU, phases=bad)
+    # the same profile as the solver's own start is repaired
+    monkeypatch.setattr(bcs, "_initial_phases", lambda *args: bad)
+    repaired = inner_solve(scene, placement, [band], 1.0, floor, MU)
     assert repaired.feasible
     assert float(repaired.rates[0]) >= floor * (1 - 1e-9)
 
@@ -199,6 +201,17 @@ def test_single_element_phase_is_irrelevant():
     np.testing.assert_allclose(ranphi.solution.sum_rate_bps, best, rtol=1e-12)
 
 
+def test_ran_phi_without_lattice_points_takes_the_min_distance_point():
+    scene = make_scene([(0.5, 0.5)], room=(1.0, 1.0, 3.0))
+    bands = make_bands([300.0])
+    res = baseline_ran_phi(scene, bands, 4, 0.005, 1.0, 0.0, MU, SplitMix64(3),
+                           grid_step_x=2.0, grid_step_y=2.0)
+    mini = baseline_mini_dis(scene, bands, 4, 0.005, 1.0, 0.0, MU)
+    assert res.points_evaluated == 1
+    assert res.solution.placement == mini.placement
+    res.solution.validate(scene, bands, 1.0, 0.0, MU)
+
+
 def test_validate_catches_tampering():
     scene = make_scene([(1.0, 2.0), (4.0, 6.5)])
     bands = make_bands([225.0, 275.0])
@@ -221,6 +234,14 @@ def test_validate_catches_tampering():
     ghost = Solution(**{**sol.__dict__, "feasible": False})
     with pytest.raises(ValueError):
         ghost.validate(scene, bands, 1.0, 1e9, MU)
+
+    # an infeasible verdict assigns nothing and spends nothing
+    verdict = {**sol.__dict__, "feasible": False, "winners": np.zeros(2, dtype=int),
+               "powers": np.zeros(2), "rates": np.zeros(2), "sum_rate_bps": 0.0}
+    assert Solution(**verdict).validate(scene, bands, 1.0, 1e9, MU) == 0.0
+    spent = Solution(**{**verdict, "winners": np.array([1, 1]), "powers": np.array([0.5, 0.5])})
+    with pytest.raises(ValueError, match="infeasible solution"):
+        spent.validate(scene, bands, 1.0, 1e9, MU)
 
 
 def test_grid_rejects_bad_steps_and_oversized_array():

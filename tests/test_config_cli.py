@@ -433,14 +433,25 @@ def _no_draws(raw):
     raw["draws"] = []
 
 
+def _no_rounds(raw):
+    del raw["solutions"][0]["rounds"]
+
+
+def _more_ues_than_draws(raw):
+    raw["solutions"][0]["ue_count"] = 5
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
         (_fractional_winner, "solution field 'winners' must hold int values, got [0.5"),
         (_feasible_as_text, "solution field 'feasible' must hold bool values, got 'false'"),
         (_no_draws, "solution field 'seed' = 1 has no draws entry"),
+        (_no_rounds, "solution field 'rounds' is missing"),
+        (_more_ues_than_draws, "solution field 'ue_count' = 5 exceeds the 2 positions drawn for seed 1"),
     ],
-    ids=["fractional-winners", "feasible-as-text", "seed-without-draws"],
+    ids=["fractional-winners", "feasible-as-text", "seed-without-draws", "missing-rounds",
+         "ue-count-past-draws"],
 )
 def test_load_report_names_a_tampered_field(stored_report, tmp_path, tamper, message):
     assert load_report(_dump(stored_report, tmp_path / "clean.json")).solutions

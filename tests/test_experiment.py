@@ -1,12 +1,16 @@
-"""The seed runner: MinDis rows served from the search's anchor, worker count."""
+"""The seed runner: MinDis rows served from the search's anchor, worker count,
+and a validating answer from every algorithm on small valid plans."""
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzirs import experiment
+from thzirs.bcs import Solution
 from thzirs.config import ExperimentConfig
-from thzirs.experiment import run_experiment, run_single
+from thzirs.experiment import draw_ue_positions, resolve_bands, run_experiment, run_single
 
 # the reference study's radio setup on 2 seeds and U=1..3
 SMALL = ExperimentConfig(
@@ -76,3 +80,35 @@ def test_worker_count_leaves_the_tables_byte_identical(default_order, tmp_path, 
     run_experiment(SMALL, out_dir=str(tmp_path), workers=2)
     for name in ("summary.csv", "aggregate.csv"):
         assert (tmp_path / name).read_bytes() == (one / name).read_bytes()
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid plans: N <= 4, one or two explicit bands, U <= 3, a 2 m
+    lattice (empty in rooms under 2 m), and floors from none up to far out
+    of reach."""
+    length, width = draw(st.floats(1.0, 10.0)), draw(st.floats(1.0, 6.0))
+    height = draw(st.floats(2.5, 4.0))
+    ap = (draw(st.floats(0.0, width)), draw(st.floats(0.0, length)),
+          draw(st.floats(0.1, height - 0.1)))
+    return ExperimentConfig(
+        room_length_m=length, room_width_m=width, room_height_m=height, ap_position_m=ap,
+        ue_count=draw(st.integers(1, 3)),
+        element_count=draw(st.integers(1, 4)),
+        band_centers_ghz=tuple(draw(st.lists(st.floats(210.0, 390.0), min_size=1, max_size=2))),
+        band_width_ghz=draw(st.sampled_from([10.0, 50.0])),
+        rate_floor_bps=draw(st.sampled_from([0.0, 1e9, 2e10, 1e11, 1e13])),
+        grid_step_x_m=2.0,
+        grid_step_y_m=2.0,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=small_configs(), seed=st.integers(1, 1000))
+def test_every_algorithm_returns_a_validating_solution(config, seed):
+    scene = config.scene_for(draw_ue_positions(config, seed, config.ue_count))
+    bands = resolve_bands(config)
+    for algo in ("bcs", "minidis", "ranloc", "ranphi"):
+        sol = run_single(config, algo, seed)
+        assert isinstance(sol, Solution), algo
+        sol.validate(scene, bands, config.p_max_w, config.rate_floor_bps, config.mixing_ratio())

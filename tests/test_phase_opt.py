@@ -20,6 +20,7 @@ from thzirs.channel import (
     reflected_channel,
     water_vapor_mixing_ratio,
 )
+from thzirs import phase_opt
 from thzirs.geometry import IrsPlacement, Scene, path_length, steering_phase_profile
 from thzirs.phase_opt import (
     PhaseProblem,
@@ -226,7 +227,8 @@ def test_sgd_reaches_feasible_targets():
         surr = surrogate(vectors, witness)
         res = sgd_solve(surr, targets)
         assert res.feasible
-        assert res.min_slack >= -1e-6 * max(targets.max(), 1e-300)
+        slack = np.min(surrogate_values(surr, res.phases.angles) - targets)
+        assert slack >= -1e-6 * max(targets.max(), 1e-300)
 
 
 def test_sgd_certifies_impossible_targets():
@@ -236,8 +238,8 @@ def test_sgd_certifies_impossible_targets():
     impossible = 2.0 * np.sum(np.abs(vectors), axis=1) ** 2
     surr = surrogate(vectors, np.zeros(5))
     res = sgd_solve(surr, impossible)
-    assert res.infeasible
     assert not res.feasible
+    assert np.all(exact_values(vectors, res.phases.angles) < impossible)
 
 
 def test_sgd_keeps_best_iterate_not_last():
@@ -247,11 +249,12 @@ def test_sgd_keeps_best_iterate_not_last():
     targets = 0.9 * exact_values(vectors, witness)
     surr = surrogate(vectors, witness)
     res = sgd_solve(surr, targets, max_iters=200)
+    best = reference_sgd_solve(surr, targets, max_iters=200).min_slack
     returned = float(np.min(surrogate_values(surr, res.phases.angles) - targets))
-    np.testing.assert_allclose(returned, res.min_slack, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(returned, best, rtol=1e-12, atol=1e-15)
 
 
-def test_sca_trace_is_monotone_and_feasible():
+def test_sca_trace_is_monotone_and_feasible(monkeypatch):
     rng = np.random.default_rng(26)
     for _ in range(30):
         k = rng.integers(1, 4)
@@ -262,11 +265,17 @@ def test_sca_trace_is_monotone_and_feasible():
         anchor = rng.uniform(0, 2 * np.pi, n)
         problem = PhaseProblem(vectors=vectors, targets=targets, anchor=anchor)
         res = sca_phase_optimize(problem)
-        trace = np.asarray(res.slack_trace)
-        assert np.all(np.diff(trace) >= -1e-12 * max(1.0, abs(trace[0])))
+        # the incumbent after each outer pass is the answer of a solve
+        # capped at that many passes
+        trace = [float(np.min(exact_values(vectors, anchor) - targets))]
+        for cap in range(1, res.outer_iterations + 1):
+            monkeypatch.setattr(phase_opt, "MAX_OUTER", cap)
+            capped = sca_phase_optimize(problem).phases.angles
+            trace.append(float(np.min(exact_values(vectors, capped) - targets)))
+        monkeypatch.undo()
+        assert np.array_equal(capped, res.phases.angles)
         # never worse than the anchor it started from
-        anchor_slack = float(np.min(exact_values(vectors, anchor) - targets))
-        assert res.min_slack >= anchor_slack - 1e-12
+        assert np.all(np.diff(trace) >= -1e-12 * max(1.0, abs(trace[0])))
 
 
 def test_sca_strictly_feasible_anchor_single_pass():
@@ -276,9 +285,8 @@ def test_sca_strictly_feasible_anchor_single_pass():
     targets = 0.5 * exact_values(vectors, anchor)
     problem = PhaseProblem(vectors=vectors, targets=targets, anchor=anchor)
     res = sca_phase_optimize(problem)
-    assert res.converged
     assert res.outer_iterations == 1
-    assert res.feasible
+    assert np.min(exact_values(vectors, res.phases.angles) - targets) >= -1e-6 * targets.max()
 
 
 def test_phase_problem_validation():
@@ -300,21 +308,19 @@ def test_phase_problem_validation():
 
 
 @pytest.mark.parametrize(
-    "targets, init_prices, match",
+    "targets, match",
     [
-        ([np.nan, 0.1], None, "targets must be finite"),
-        ([0.1, np.inf], None, "targets must be finite"),
-        ([0.1, 0.1], [np.nan, 1.0], "finite, non-negative price"),
-        ([0.1, 0.1], [1.0, np.inf], "finite, non-negative price"),
-        ([], None, "one target per surrogate row"),
+        ([np.nan, 0.1], "targets must be finite"),
+        ([0.1, np.inf], "targets must be finite"),
+        ([], "one target per surrogate row"),
     ],
-    ids=["nan-target", "inf-target", "nan-price", "inf-price", "empty"],
+    ids=["nan-target", "inf-target", "empty"],
 )
-def test_sgd_rejects_non_finite_or_empty_problems(targets, init_prices, match):
+def test_sgd_rejects_non_finite_or_empty_problems(targets, match):
     rng = np.random.default_rng(28)
     surr = surrogate(random_vectors(rng, 2, 4), np.zeros(4))
     with pytest.raises(ValueError, match=match):
-        sgd_solve(surr, np.array(targets, dtype=float), init_prices=init_prices)
+        sgd_solve(surr, np.array(targets, dtype=float))
 
 
 def test_sgd_matches_reference_bit_for_bit():
@@ -322,20 +328,24 @@ def test_sgd_matches_reference_bit_for_bit():
     the same order, so every output must be exactly equal."""
     rng = np.random.default_rng(29)
     families = list(itertools.product(
-        ("none", "zeros", "random"),          # init_prices
         (1, 50, 500),                         # max_iters
-        ("feasible", "restore", "stall", "certified"),
+        ("feasible", "restore", "stall", "certified", "flat"),
         (1.0, 1e-6),                          # row scale: unit and THz-like
     ))
     seen = set()
-    for case in range(8 * len(families)):
-        init, max_iters, kind, scale = families[case % len(families)]
-        k = 1 + case % 4
-        n = 1 + (case // 4) % 20
+    for case in range(20 * len(families)):
+        max_iters, kind, scale = families[case % len(families)]
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 21))
         vectors = random_vectors(rng, k, n, scale)
         anchor = rng.uniform(0, 2 * np.pi, n)
         coherent = np.sum(np.abs(vectors), axis=1) ** 2
-        if kind == "feasible":
+        if kind == "flat":
+            # nothing to restore from a profile matched to row 0, so the
+            # first price step can zero every price and collapse the loop
+            anchor = -np.angle(vectors[0])
+            targets = np.zeros(k)
+        elif kind == "feasible":
             # the incumbent's own received powers, as the inner solve asks
             targets = exact_values(vectors, anchor)
         elif kind == "restore":
@@ -347,20 +357,13 @@ def test_sgd_matches_reference_bit_for_bit():
             targets = rng.uniform(0.5, 1.3, k) * coherent / k
         else:
             targets = 2.0 * coherent + 1.0 * scale**2
-        init_prices = {
-            "none": None,
-            "zeros": np.zeros(k),
-            "random": rng.uniform(0.0, 2.0, k),
-        }[init]
         surr = surrogate(vectors, anchor)
-        got = sgd_solve(surr, targets, init_prices=init_prices, max_iters=max_iters)
-        ref = reference_sgd_solve(surr, targets, init_prices=init_prices, max_iters=max_iters)
+        got = sgd_solve(surr, targets, max_iters=max_iters)
+        ref = reference_sgd_solve(surr, targets, max_iters=max_iters)
 
         assert np.array_equal(got.phases.angles, ref.phases.angles), case
-        assert np.array_equal(got.prices, ref.prices), case
         assert got.iterations == ref.iterations, case
-        assert got.min_slack == ref.min_slack, case
-        for flag in ("converged", "feasible", "infeasible", "prices_collapsed"):
+        for flag in ("converged", "feasible"):
             assert getattr(got, flag) == getattr(ref, flag), (case, flag)
         seen.add(
             "collapsed" if ref.prices_collapsed
@@ -369,6 +372,6 @@ def test_sgd_matches_reference_bit_for_bit():
             else "stalled"
         )
         if kind == "certified":
-            assert ref.infeasible, case
+            assert not got.feasible, case
     # every way out of the loop was exercised
     assert seen == {"collapsed", "converged", "capped", "stalled"}
