@@ -28,10 +28,14 @@ from .geometry import (
 from .phase_opt import PhaseProblem, effective_vector, sca_phase_optimize
 from .rng import SplitMix64
 
-# allocation/phase rounds per inner solve
+# allocation/phase rounds per inner solve, and the relative sum-rate change
+# between consecutive rounds that ends them
 MAX_ROUNDS = 30
+ROUND_TOLERANCE = 1e-3
 # phase-stage retries when no allocation meets the rate floors
 MAX_REPAIRS = 4
+# relative drift a stored Solution may show against its recomputed figures
+VALIDATE_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -49,12 +53,11 @@ class Solution:
     rounds: int
     rate_trace: list = field(default_factory=list)
 
-    def validate(self, scene, sub_bands, p_max, rate_requirements, mixing_ratio,
-                 tolerance: float = 1e-6) -> float:
+    def validate(self, scene, sub_bands, p_max, rate_requirements, mixing_ratio) -> float:
         """Recompute every rate from placement, phases, winners and powers.
 
-        Raises ValueError when the stored figures drift past tolerance;
-        returns the recomputed sum rate.
+        Raises ValueError when the stored figures drift past
+        ``VALIDATE_TOLERANCE``; returns the recomputed sum rate.
         """
         u_count = scene.ue_count
         rate_req = np.broadcast_to(
@@ -63,7 +66,7 @@ class Solution:
         if np.any(self.powers < 0):
             raise ValueError("negative transmit power stored")
         total = float(np.sum(self.powers))
-        if total > p_max * (1 + tolerance):
+        if total > p_max * (1 + VALIDATE_TOLERANCE):
             raise ValueError(f"power budget exceeded: {total} > {p_max}")
         if np.any(self.winners < 0) or np.any(self.winners >= u_count):
             raise ValueError("assignment points at a UE outside the scene")
@@ -86,11 +89,11 @@ class Solution:
         np.add.at(rates, self.winners, per_band)
 
         scale = max(float(np.max(rates)), 1.0)
-        if np.max(np.abs(rates - self.rates)) > tolerance * scale:
+        if np.max(np.abs(rates - self.rates)) > VALIDATE_TOLERANCE * scale:
             raise ValueError("stored per-UE rates do not match the geometry")
-        if abs(float(np.sum(rates)) - self.sum_rate_bps) > tolerance * scale:
+        if abs(float(np.sum(rates)) - self.sum_rate_bps) > VALIDATE_TOLERANCE * scale:
             raise ValueError("stored sum rate does not match the geometry")
-        if np.any(rates < rate_req * (1 - tolerance) - tolerance * scale):
+        if np.any(rates < rate_req * (1 - VALIDATE_TOLERANCE) - VALIDATE_TOLERANCE * scale):
             raise ValueError("rate floor violated by a solution marked feasible")
         return float(np.sum(rates))
 
@@ -169,15 +172,14 @@ def inner_solve(
     rate_requirements,
     mixing_ratio: float,
     phases: Optional[PhaseVector] = None,
-    tolerance: float = 1e-3,
 ) -> Solution:
     """Alternate allocation and phase restoration at one array position.
 
-    ``tolerance`` is relative on the sum rate between consecutive rounds.
-    Without ``phases`` the solve starts from a matched profile and runs the
-    full alternation.  A given ``phases`` profile is frozen: the allocation
-    is already exact for it and a single round suffices.  An infeasible
-    point comes back as the allocation's all-zero verdict after one round.
+    Without ``phases`` the solve starts from a matched profile and
+    alternates until ``ROUND_TOLERANCE`` or ``MAX_ROUNDS`` ends it.  A given
+    ``phases`` profile is frozen: the allocation is already exact for it and
+    a single round suffices.  An infeasible point comes back as the
+    allocation's all-zero verdict after one round.
     """
     rate_req = np.broadcast_to(
         np.asarray(rate_requirements, dtype=float), (scene.ue_count,)
@@ -216,7 +218,7 @@ def inner_solve(
             break
         phases, gains, alloc = restored, restored_gains, following
         trace.append(alloc.objective)
-        converged = abs(trace[-1] - trace[-2]) <= tolerance * max(trace[-2], 1.0)
+        converged = abs(trace[-1] - trace[-2]) <= ROUND_TOLERANCE * max(trace[-2], 1.0)
 
     return Solution(
         placement=placement,
@@ -244,8 +246,8 @@ def candidate_grid(
     scene: Scene,
     element_count: int,
     spacing_m: float,
-    grid_step_x: float = 0.25,
-    grid_step_y: float = 0.25,
+    grid_step_x: float,
+    grid_step_y: float,
 ):
     """Interior lattice of admissible anchor positions, x-major order."""
     if grid_step_x <= 0 or grid_step_y <= 0:
@@ -276,7 +278,7 @@ def _better(candidate: Solution, incumbent: Solution) -> bool:
     return candidate.sum_rate_bps > incumbent.sum_rate_bps
 
 
-def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio, tolerance,
+def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio,
            phases=None, best=None):
     """Inner-solve each placement in order and keep the first strict best.
 
@@ -289,7 +291,7 @@ def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio,
     for placement in placements:
         candidate = inner_solve(
             scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
-            phases=phases, tolerance=tolerance,
+            phases=phases,
         )
         if best is None or _better(candidate, best):
             best = candidate
@@ -305,9 +307,8 @@ def bcs_solve(
     p_max: float,
     rate_requirements,
     mixing_ratio: float,
-    grid_step_x: float = 0.25,
-    grid_step_y: float = 0.25,
-    tolerance: float = 1e-3,
+    grid_step_x: float,
+    grid_step_y: float,
 ) -> SearchResult:
     """Grid search over anchor positions with the full inner solver at each.
 
@@ -317,11 +318,10 @@ def bcs_solve(
     """
     anchor = baseline_mini_dis(
         scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
-        tolerance=tolerance,
     )
     points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     best, trace = _sweep(scene, points, sub_bands, p_max, rate_requirements, mixing_ratio,
-                         tolerance, best=anchor)
+                         best=anchor)
     return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points),
                         anchor=anchor)
 
@@ -334,12 +334,10 @@ def baseline_mini_dis(
     p_max: float,
     rate_requirements,
     mixing_ratio: float,
-    tolerance: float = 1e-3,
 ) -> Solution:
     """Array at the minimum-total-distance point, full inner optimization."""
     placement = _min_distance_placement(scene, element_count, spacing_m)
-    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio,
-                  tolerance)[0]
+    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio)[0]
 
 
 def baseline_ran_loc(
@@ -351,15 +349,13 @@ def baseline_ran_loc(
     rate_requirements,
     mixing_ratio: float,
     rng: SplitMix64,
-    tolerance: float = 1e-3,
 ) -> Solution:
     """Uniformly random admissible placement (x then y), full inner loop."""
     y_hi = admissible_y_span(scene, element_count, spacing_m)
     x = rng.uniform(0.0, scene.room_width_m)
     y = rng.uniform(0.0, y_hi)
     placement = IrsPlacement(x, y, element_count, spacing_m)
-    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio,
-                  tolerance)[0]
+    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio)[0]
 
 
 def baseline_ran_phi(
@@ -371,9 +367,8 @@ def baseline_ran_phi(
     rate_requirements,
     mixing_ratio: float,
     rng: SplitMix64,
-    grid_step_x: float = 0.25,
-    grid_step_y: float = 0.25,
-    tolerance: float = 1e-3,
+    grid_step_x: float,
+    grid_step_y: float,
 ) -> SearchResult:
     """Same placement sweep as the full search but one frozen random phase
     profile and no phase restoration.  A lattice step wider than the room
@@ -383,5 +378,5 @@ def baseline_ran_phi(
     points = (_lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
               or [_min_distance_placement(scene, element_count, spacing_m)])
     best, trace = _sweep(scene, points, sub_bands, p_max, rate_requirements, mixing_ratio,
-                         tolerance, phases=phases)
+                         phases=phases)
     return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points))

@@ -1,7 +1,9 @@
 """Command-line driver: `plan <subcommand>`.
 
 Exit codes: 0 success, 1 usage or configuration error (also a Monte-Carlo
-batch in which every seed aborts), 2 infeasible instance, 3 numeric failure.
+batch in which every seed aborts), 2 infeasible instance, 3 numeric failure
+(an ArithmeticError or LinAlgError).  Any other exception is a bug and
+propagates with its traceback.
 `PLAN_THREADS` caps Monte-Carlo workers.
 """
 
@@ -135,18 +137,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import Atmosphere, SubBand, water_vapor_mixing_ratio
+from .channel import VALID_F_HI, VALID_F_LO, Atmosphere, SubBand, water_vapor_mixing_ratio
 from .geometry import Scene
 
 
@@ -55,7 +55,7 @@ class ExperimentConfig:
 
     band_centers_ghz: tuple = None  # explicit plan, echoed verbatim when given
     band_width_ghz: float = 50.0
-    auto_band_range_ghz: tuple = (200.0, 400.0)  # used when no explicit list
+    auto_band_range_ghz: tuple = (VALID_F_LO / 1e9, VALID_F_HI / 1e9)  # used when no explicit list
 
     element_count: int = 20
     spacing_m: float = 0.005
@@ -66,7 +66,6 @@ class ExperimentConfig:
 
     grid_step_x_m: float = 0.25
     grid_step_y_m: float = 0.25
-    inner_tolerance: float = 1e-3
 
     seeds: tuple = tuple(range(1, 101))
     algorithms: tuple = _ALGORITHMS
@@ -143,8 +142,6 @@ class ExperimentConfig:
             raise ConfigError("rate floor must be non-negative")
         if self.grid_step_x_m <= 0 or self.grid_step_y_m <= 0:
             raise ConfigError("grid steps must be positive")
-        if self.inner_tolerance <= 0:
-            raise ConfigError("inner tolerance must be positive")
 
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds or any(s < 0 for s in seeds):
@@ -238,7 +235,6 @@ _SCHEMA = {
     "search": {
         "grid_step_x_m": "grid_step_x_m",
         "grid_step_y_m": "grid_step_y_m",
-        "inner_tolerance": "inner_tolerance",
     },
     "runner": {
         "seeds": "seeds",

@@ -22,7 +22,8 @@ from .bcs import (
     baseline_ran_phi,
     bcs_solve,
 )
-from .channel import SPEED_OF_LIGHT, SubBand, absorption_coefficient, water_vapor_mixing_ratio
+from .channel import SPEED_OF_LIGHT, VALID_F_HI, VALID_F_LO, SubBand, absorption_coefficient
+from .channel import water_vapor_mixing_ratio
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from .geometry import IrsPlacement, PhaseVector
 from .rng import (
@@ -38,10 +39,10 @@ PEAK_EXCLUSION_HZ = 10e9
 _PEAK_SCAN_STEP_HZ = 0.1e9
 
 
-def absorption_peaks(mixing_ratio: float, lo_hz: float = 200e9, hi_hz: float = 400e9,
-                     step_hz: float = _PEAK_SCAN_STEP_HZ) -> np.ndarray:
-    """Frequencies of the interior local maxima of K(f) on a uniform scan."""
-    f = np.arange(lo_hz, hi_hz + step_hz / 2, step_hz)
+def absorption_peaks(mixing_ratio: float) -> np.ndarray:
+    """Frequencies of the interior local maxima of K(f) on a uniform scan
+    of the model's validity window."""
+    f = np.arange(VALID_F_LO, VALID_F_HI + _PEAK_SCAN_STEP_HZ / 2, _PEAK_SCAN_STEP_HZ)
     k = absorption_coefficient(f, mixing_ratio)
     idx = np.flatnonzero((k[1:-1] > k[:-2]) & (k[1:-1] > k[2:])) + 1
     return f[idx]
@@ -56,8 +57,9 @@ def auto_band_plan(range_hz, width_hz: float, atmosphere, noise_psd_w_per_hz: fl
     bands tile the range contiguously.
     """
     lo, hi = (float(v) for v in range_hz)
-    if not (200e9 - 1e-3 <= lo < hi <= 400e9 + 1e-3):
-        raise ConfigError(f"band range {lo}..{hi} Hz outside the 200..400 GHz window")
+    if not (VALID_F_LO - 1e-3 <= lo < hi <= VALID_F_HI + 1e-3):
+        raise ConfigError(f"band range {lo}..{hi} Hz outside the "
+                          f"{VALID_F_LO / 1e9:g}..{VALID_F_HI / 1e9:g} GHz window")
     if width_hz <= 0:
         raise ConfigError("band width must be positive")
     if hi - lo < width_hz - 1e-3:
@@ -123,7 +125,7 @@ def absorption_sweep(config: ExperimentConfig, out_path):
     Returns (frequencies, coefficients, gain matrix) for plotting.
     """
     step = config.sweep_step_ghz * 1e9
-    f = np.arange(200e9, 400e9 + step / 2, step)
+    f = np.arange(VALID_F_LO, VALID_F_HI + step / 2, step)
     mix = config.mixing_ratio()
     k = absorption_coefficient(f, mix)
 
@@ -177,6 +179,11 @@ def draw_ue_positions(config: ExperimentConfig, seed: int, count: int) -> np.nda
     return out
 
 
+# solution fields a summary row repeats, in column order, with their types
+_ROW_FIELDS = (("seed", int), ("algo", str), ("ue_count", int), ("sum_rate_bps", float),
+               ("feasible", bool))
+
+
 def _solution_dict(seed, algo, u_count, sol: Solution, extra=None) -> dict:
     d = {
         "seed": seed,
@@ -211,17 +218,16 @@ def _solve(config: ExperimentConfig, algo: str, seed: int, scene, bands, mix):
     common = (scene, bands, config.element_count, config.spacing_m,
               config.p_max_w, config.rate_floor_bps, mix)
     grid = {"grid_step_x": config.grid_step_x_m, "grid_step_y": config.grid_step_y_m}
-    tolerance = config.inner_tolerance
     if algo == "minidis":
-        return baseline_mini_dis(*common, tolerance=tolerance), None, None
+        return baseline_mini_dis(*common), None, None
     if algo == "ranloc":
         rng = stream(seed, STREAM_RANDOM_PLACEMENT + (u_count << 8))
-        return baseline_ran_loc(*common, rng=rng, tolerance=tolerance), None, None
+        return baseline_ran_loc(*common, rng=rng), None, None
     if algo == "bcs":
-        search = bcs_solve(*common, **grid, tolerance=tolerance)
+        search = bcs_solve(*common, **grid)
     elif algo == "ranphi":
         rng = stream(seed, STREAM_RANDOM_PHASES + (u_count << 8))
-        search = baseline_ran_phi(*common, rng=rng, **grid, tolerance=tolerance)
+        search = baseline_ran_phi(*common, rng=rng, **grid)
     else:
         raise ConfigError(f"unknown algorithm {algo!r}")
     extra = {"points_evaluated": search.points_evaluated,
@@ -259,8 +265,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                     if found is not None:
                         anchor = found
                 wall = time.perf_counter() - t0
-                rows.append([seed, algo, u_count, sol.sum_rate_bps, sol.feasible])
                 solutions.append(_solution_dict(seed, algo, u_count, sol, extra))
+                rows.append([solutions[-1][key] for key, _ in _ROW_FIELDS])
                 timing.append([seed, algo, u_count, wall])
         return {
             "seed": seed,
@@ -386,8 +392,9 @@ def load_report(path) -> RunReport:
 
     Each solution is reconstructed and its rates recomputed from geometry;
     any drift beyond validation tolerance, a missing field or one of the
-    wrong type, and a solution whose seed has no draws entry or fewer drawn
-    positions than its UE count raise ValueError.
+    wrong type, a solution whose seed has no draws entry or fewer drawn
+    positions than its UE count, and a summary row that differs from its
+    solution raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -398,7 +405,10 @@ def load_report(path) -> RunReport:
 
     positions_by_seed = {d["seed"]: np.asarray(d["positions_m"], dtype=float)
                          for d in report.draws}
-    for sol in report.solutions:
+    if len(report.rows) != len(report.solutions):
+        raise ValueError(f"{len(report.rows)} summary rows for "
+                         f"{len(report.solutions)} stored solutions")
+    for i, (row, sol) in enumerate(zip(report.rows, report.solutions)):
         seed, u_count = _typed(sol, "seed", int), _typed(sol, "ue_count", int)
         if seed not in positions_by_seed:
             raise ValueError(f"solution field 'seed' = {seed!r} has no draws entry")
@@ -422,6 +432,11 @@ def load_report(path) -> RunReport:
             rate_trace=list(_typed(sol, "rate_trace", float)),
         )
         solution.validate(scene, bands, config.p_max_w, config.rate_floor_bps, mix)
+        for (key, kind), value in zip(_ROW_FIELDS, row, strict=True):
+            want = _typed(sol, key, kind)
+            if type(value) is not kind or value != want:
+                raise ValueError(f"summary row {i} field {key!r} = {value!r} does not "
+                                 f"match its solution's {want!r}")
 
     recomputed = _aggregate_rows(report.rows)
     stored = [list(row) for row in report.aggregate]

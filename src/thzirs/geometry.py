@@ -12,6 +12,11 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 
+# the placement descent stops once the projected gradient is this short, or
+# after this many steps
+DESCENT_TOLERANCE = 1e-8
+DESCENT_MAX_ITERS = 800
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -66,21 +71,9 @@ class IrsPlacement:
             raise ValueError("placement coordinates must be finite")
 
     @property
-    def span_m(self) -> float:
-        """Extent of the array along y."""
-        return (self.element_count - 1) * self.spacing_m
-
-    @property
     def offsets_m(self) -> np.ndarray:
         """Distance of each element from the anchor along +y."""
         return np.arange(self.element_count) * self.spacing_m
-
-    def fits_room(self, scene: Scene) -> bool:
-        return (
-            0 <= self.x_m <= scene.room_width_m
-            and 0 <= self.y_m
-            and self.y_m + self.span_m <= scene.room_length_m
-        )
 
     def anchor_position(self, scene: Scene) -> np.ndarray:
         return np.array([self.x_m, self.y_m, scene.ceiling_height_m])
@@ -178,7 +171,7 @@ def _distance_terms(xy, endpoints, weights, height):
     return f, np.array([g0, g1]), np.array([[h00, h01], [h01, h11]])
 
 
-def _projected_descent(endpoints, weights, height, lo, hi, x0, tol, max_iters=800):
+def _projected_descent(endpoints, weights, height, lo, hi, x0):
     """Projected gradient with backtracking, then guarded Newton polish.
 
     The objective (a weighted sum of point-to-plane-point distances) is convex,
@@ -187,9 +180,9 @@ def _projected_descent(endpoints, weights, height, lo, hi, x0, tol, max_iters=80
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f, g, _ = _distance_terms(x, endpoints, weights, height)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(DESCENT_MAX_ITERS):
         pg = x - np.clip(x - g, lo, hi)
-        if np.linalg.norm(pg) <= tol:
+        if np.linalg.norm(pg) <= DESCENT_TOLERANCE:
             break
         t = step
         for _ in range(60):
@@ -224,7 +217,7 @@ def _projected_descent(endpoints, weights, height, lo, hi, x0, tol, max_iters=80
     return x
 
 
-def solve_single_ue_placement(scene: Scene, ue_index: int, tolerance: float = 1e-8, y_max=None):
+def solve_single_ue_placement(scene: Scene, ue_index: int, *, y_max=None):
     """Anchor (X, Y) on the ceiling minimizing the two-hop distance to one UE.
 
     The minimand D0 + Du is convex in (X, Y); with the optimum interior it
@@ -233,10 +226,10 @@ def solve_single_ue_placement(scene: Scene, ue_index: int, tolerance: float = 1e
     is the min-total-distance placement of the scene holding only that UE.
     """
     alone = replace(scene, ue_positions_m=scene.ue_positions_m[[ue_index]])
-    return solve_min_total_distance(alone, tolerance, y_max)
+    return solve_min_total_distance(alone, y_max=y_max)
 
 
-def solve_min_total_distance(scene: Scene, tolerance: float = 1e-8, y_max=None):
+def solve_min_total_distance(scene: Scene, *, y_max=None):
     """Anchor (X, Y) minimizing the summed two-hop distance over all UEs.
 
     Each UE link shares the AP leg, so the AP endpoint carries weight U.
@@ -249,5 +242,5 @@ def solve_min_total_distance(scene: Scene, tolerance: float = 1e-8, y_max=None):
     endpoints = [scene.ap_position_m.tolist()] + scene.ue_positions_m.tolist()
     weights = [float(u)] + [1.0] * u
     x0 = np.mean([e[:2] for e in endpoints], axis=0)
-    xy = _projected_descent(endpoints, weights, scene.ceiling_height_m, lo, hi, x0, tolerance)
+    xy = _projected_descent(endpoints, weights, scene.ceiling_height_m, lo, hi, x0)
     return float(xy[0]), float(xy[1])

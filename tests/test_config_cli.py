@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thzirs import cli
 from thzirs.cli import main, parse_seed_list
 from thzirs.config import (
     ConfigError,
@@ -16,7 +17,7 @@ from thzirs.config import (
     config_to_dict,
     load_config,
 )
-from thzirs.experiment import load_report, resolve_bands
+from thzirs.experiment import _aggregate_rows, load_report, resolve_bands
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -111,7 +112,6 @@ def valid_configs(draw):
         "noise_figure_db": draw(_finite(0.0, 30.0)),
         "grid_step_x_m": draw(_finite(0.01, 2.0)),
         "grid_step_y_m": draw(_finite(0.01, 2.0)),
-        "inner_tolerance": draw(_finite(1e-9, 0.1)),
         "seeds": tuple(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=5))),
         "algorithms": tuple(draw(st.lists(st.sampled_from(["bcs", "minidis", "ranloc", "ranphi"]),
                                           min_size=1, max_size=4))),
@@ -148,6 +148,9 @@ def test_unknown_sections_and_keys_rejected():
         config_from_dict({"room": {"lengthz_m": 4.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"room": 7.0})
+    # the inner-loop stop threshold is a fixed constant, not a setting
+    with pytest.raises(ConfigError, match="unknown key search.inner_tolerance"):
+        config_from_dict({"search": {"inner_tolerance": 1e-3}})
     with pytest.raises(ConfigError):
         config_from_dict([1, 2])
 
@@ -186,14 +189,14 @@ def test_unreadable_or_malformed_config(tmp_path):
         {"p_max_w": 0.0},
         {"rate_floor_bps": -1.0},
         {"grid_step_x_m": 0.0},
-        {"inner_tolerance": 0.0},
+        {"grid_step_y_m": -0.25},
         {"seeds": ()},
         {"seeds": (-3,)},
         {"algorithms": ("bcs", "newton")},
         {"ue_counts": (0,)},
         {"sweep_step_ghz": 0.0},
         {"rate_floor_bps": float("nan")},
-        {"inner_tolerance": float("nan")},
+        {"grid_step_y_m": float("nan")},
         {"p_max_w": float("inf")},
         {"room_length_m": float("inf")},
         {"element_count": float("nan")},
@@ -285,10 +288,10 @@ def test_cli_monte_carlo_fails_when_every_seed_aborts(tmp_path, capsys):
     "text, message",
     [
         ('{"radio": {"rate_floor_bps": NaN}}', "non-finite number in rate_floor_bps"),
-        ('{"search": {"inner_tolerance": NaN}}', "non-finite number in inner_tolerance"),
+        ('{"search": {"grid_step_y_m": NaN}}', "non-finite number in grid_step_y_m"),
         ('{"radio": {"p_max_w": Infinity}}', "non-finite number in p_max_w"),
     ],
-    ids=["nan-floor", "nan-tolerance", "inf-power"],
+    ids=["nan-floor", "nan-grid-step", "inf-power"],
 )
 def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, text, message):
     # Python's json reads NaN and Infinity although they are not JSON
@@ -296,6 +299,27 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, text, message):
     cfg.write_text(text, encoding="utf-8")
     assert main(["optimize", "--config", str(cfg), "--algo", "minidis", "--seed", "1"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_lets_a_programming_error_propagate(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AttributeError("'Solution' object has no attribute 'rate'")
+
+    monkeypatch.setattr(cli, "run_single", broken)
+    cfg = write_config(tmp_path, FAST)
+    with pytest.raises(AttributeError, match="no attribute 'rate'"):
+        main(["optimize", "--config", cfg, "--algo", "minidis", "--seed", "1"])
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, np.linalg.LinAlgError])
+def test_cli_numeric_failures_exit_3(tmp_path, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("singular")
+
+    monkeypatch.setattr(cli, "run_single", broken)
+    cfg = write_config(tmp_path, FAST)
+    assert main(["optimize", "--config", cfg, "--algo", "minidis", "--seed", "1"]) == 3
+    assert "numeric failure: singular" in capsys.readouterr().err
 
 
 def test_cli_rejects_ue_positions_outside_the_room(tmp_path, capsys):
@@ -441,6 +465,22 @@ def _more_ues_than_draws(raw):
     raw["solutions"][0]["ue_count"] = 5
 
 
+# row tampers recompute the aggregate, so only the row-to-solution check can catch them
+def _doubled_row_rate(raw):
+    raw["rows"][0][3] *= 2
+    raw["aggregate"] = _aggregate_rows(raw["rows"])
+
+
+def _flipped_row_feasible(raw):
+    raw["rows"][0][4] = not raw["rows"][0][4]
+    raw["aggregate"] = _aggregate_rows(raw["rows"])
+
+
+def _missing_row(raw):
+    raw["rows"] = []
+    raw["aggregate"] = []
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -449,9 +489,12 @@ def _more_ues_than_draws(raw):
         (_no_draws, "solution field 'seed' = 1 has no draws entry"),
         (_no_rounds, "solution field 'rounds' is missing"),
         (_more_ues_than_draws, "solution field 'ue_count' = 5 exceeds the 2 positions drawn for seed 1"),
+        (_doubled_row_rate, "summary row 0 field 'sum_rate_bps' = "),
+        (_flipped_row_feasible, "summary row 0 field 'feasible' = "),
+        (_missing_row, "0 summary rows for 1 stored solutions"),
     ],
     ids=["fractional-winners", "feasible-as-text", "seed-without-draws", "missing-rounds",
-         "ue-count-past-draws"],
+         "ue-count-past-draws", "doubled-row-rate", "row-feasible-flipped", "missing-row"],
 )
 def test_load_report_names_a_tampered_field(stored_report, tmp_path, tamper, message):
     assert load_report(_dump(stored_report, tmp_path / "clean.json")).solutions
