@@ -12,6 +12,7 @@ with all-zero winners, powers and rates.  Plans with more than
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,14 @@ def _failure(u_count, i_count, candidates_tried=0) -> AllocationResult:
     )
 
 
+@lru_cache(maxsize=64)
+def _assignment_table(u_count, i_count):
+    """Every assignment as an (U ** I, I) row, lexicographic; read-only."""
+    table = np.indices((u_count,) * i_count).reshape(i_count, -1).T
+    table.flags.writeable = False
+    return table
+
+
 def _rate_levels(assignments, kappa, bw, rate_req):
     """Smallest water level per (assignment, UE) that meets the UE's floor.
 
@@ -50,20 +59,18 @@ def _rate_levels(assignments, kappa, bw, rate_req):
     true one and equals it on the segment where exactly those bands are
     active; its closed-form level therefore never undershoots, and the
     smallest one over m is the level.  (A, U); inf where the floor is out of
-    reach, 0 where there is none.
+    reach, 0 where there is none.  Runs under the caller's ``np.errstate``.
     """
-    u_count = kappa.shape[0]
-    with np.errstate(divide="ignore"):
-        order = np.argsort(1.0 / (bw * kappa), axis=1, kind="stable")
+    ues = np.arange(kappa.shape[0])[:, None]
+    order = np.argsort(1.0 / (bw * kappa), axis=1, kind="stable")
     b = bw[order]                                   # (U, I) in activation order
-    kap = np.take_along_axis(kappa, order, axis=1)
+    kap = kappa[ues, order]
     live = kap > 0
     blog = np.where(live, b * np.log2(np.where(live, b * kap, 1.0)), 0.0)
-    own = (assignments[:, order] == np.arange(u_count)[:, None]) & live  # (A, U, I)
+    own = (assignments[:, order] == ues) & live     # (A, U, I)
     bsum = np.cumsum(np.where(own, b, 0.0), axis=2)
     ssum = np.cumsum(np.where(own, blog, 0.0), axis=2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        nu = np.where(own, np.exp2((rate_req[:, None] - ssum) / bsum), np.inf)
+    nu = np.where(own, np.exp2((rate_req[:, None] - ssum) / bsum), np.inf)
     return np.where(rate_req > 0, nu.min(axis=2), 0.0)
 
 
@@ -77,12 +84,12 @@ def _budget_levels(bw, floors, min_levels, consts, p_max):
     """
     bstar = np.maximum(floors / bw, min_levels)
     order = np.argsort(bstar, axis=1, kind="stable")
+    rows = np.arange(order.shape[0])[:, None]
     b_acc = np.cumsum(bw[order], axis=1)
-    fl_acc = np.cumsum(np.take_along_axis(floors, order, axis=1), axis=1)
-    c_out = consts.sum(axis=1, keepdims=True) - np.cumsum(
-        np.take_along_axis(consts, order, axis=1), axis=1)
+    fl_acc = np.cumsum(floors[rows, order], axis=1)
+    c_out = consts.sum(axis=1, keepdims=True) - np.cumsum(consts[rows, order], axis=1)
     nu = (p_max - c_out + fl_acc) / b_acc
-    return np.where(np.isfinite(np.take_along_axis(bstar, order, axis=1)), nu, np.inf).min(axis=1)
+    return np.where(np.isfinite(bstar[rows, order]), nu, np.inf).min(axis=1)
 
 
 def solve_allocation(
@@ -111,71 +118,77 @@ def solve_allocation(
         raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
     if p_max <= 0 or not np.isfinite(p_max):
         raise ValueError(f"power budget must be positive, got {p_max}")
-    if np.any(gains < 0) or not np.all(np.isfinite(gains)):
+    if (gains < 0).any() or not np.isfinite(gains).all():
         raise ValueError("channel power gains must be finite and non-negative")
     rate_req = np.broadcast_to(np.asarray(rate_requirements, dtype=float), (u_count,)).copy()
-    if np.any(rate_req < 0):
+    if np.isnan(rate_req).any():
+        raise ValueError(f"rate requirements must be numbers, got {rate_req}")
+    if (rate_req < 0).any():
         raise ValueError("rate requirements must be non-negative")
     if u_count**i_count > ENUMERATION_CAP:
         raise ValueError(
             f"{u_count} UEs over {i_count} sub-bands give {u_count**i_count} assignments, "
             f"above the exact-allocation cap of {ENUMERATION_CAP}")
+    if warm_winners is not None:
+        warm = np.asarray(warm_winners)
+        if not np.array_equal(warm, warm.astype(int)):
+            raise ValueError(f"warm start must be integer UE indices, got {warm_winners}")
+        first = int(np.ravel_multi_index(warm.astype(int), (u_count,) * i_count))
 
     bw = np.array([b.bandwidth_hz for b in sub_bands])
     noise = np.array([b.noise_power_w for b in sub_bands])
     kappa = gains / noise  # SNR per watt
 
-    # Certificate: when a floor is out of reach even with every band at the
-    # full budget simultaneously, no assignment can meet it.
-    optimistic = np.sum(bw * np.log2(1.0 + kappa * p_max), axis=1)
-    if np.any(optimistic < rate_req):
-        return _failure(u_count, i_count)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Certificate: when a floor is out of reach even with every band at
+        # the full budget simultaneously, no assignment can meet it.
+        optimistic = (bw * np.log2(1.0 + kappa * p_max)).sum(axis=1)
+        if (optimistic < rate_req).any():
+            return _failure(u_count, i_count)
 
-    # every assignment in lexicographic order, the warm one moved to the front
-    assignments = np.indices((u_count,) * i_count).reshape(i_count, -1).T
-    if warm_winners is not None:
-        first = int(np.ravel_multi_index(np.asarray(warm_winners, dtype=int), (u_count,) * i_count))
-        assignments = np.concatenate(
-            [assignments[first:first + 1], assignments[:first], assignments[first + 1:]])
-    tried = assignments.shape[0]
+        # every assignment in lexicographic order, the warm one moved to the front
+        assignments = _assignment_table(u_count, i_count)
+        if warm_winners is not None:
+            assignments = np.concatenate(
+                [assignments[first:first + 1], assignments[:first], assignments[first + 1:]])
+        tried = assignments.shape[0]
 
-    nu_rate = _rate_levels(assignments, kappa, bw, rate_req)
-    reachable = np.all(np.isfinite(nu_rate), axis=1)
-    assignments, nu_rate = assignments[reachable], nu_rate[reachable]
+        nu_rate = _rate_levels(assignments, kappa, bw, rate_req)
+        reachable = np.isfinite(nu_rate).all(axis=1)
+        if not reachable.all():
+            assignments, nu_rate = assignments[reachable], nu_rate[reachable]
 
-    cols = np.arange(i_count)
-    kap_w = kappa[assignments, cols]                 # (A, I)
-    live = kap_w > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        floors = 1.0 / kap_w                         # inf on bands that earn nothing
-        min_levels = np.take_along_axis(nu_rate, assignments, axis=1)
+        kap_w = kappa[assignments, np.arange(i_count)]   # (A, I)
+        live = kap_w > 0
+        floors = 1.0 / kap_w                              # inf on bands that earn nothing
+        min_levels = nu_rate[np.arange(assignments.shape[0])[:, None], assignments]
         consts = np.maximum(0.0, min_levels * bw - floors)
         nu_base = _budget_levels(bw, floors, min_levels, consts, p_max)
         powers = np.where(live, np.maximum(consts, nu_base[:, None] * bw - floors), 0.0)
-    powers *= p_max / np.maximum(powers.sum(axis=1), p_max)[:, None]
-    objective = np.sum(bw * np.log2(1.0 + kap_w * powers), axis=1)
+        powers *= p_max / np.maximum(powers.sum(axis=1), p_max)[:, None]
+        objective = (bw * np.log2(1.0 + kap_w * powers)).sum(axis=1)
 
     feasible = consts.sum(axis=1) <= p_max * (1 + 1e-9)
-    if not np.any(feasible):
+    if not feasible.any():
         return _failure(u_count, i_count, tried)
-    best = int(np.argmax(np.where(feasible, objective, -np.inf)))
+    best = int(np.where(feasible, objective, -np.inf).argmax())
 
     winners, powers = assignments[best], powers[best].copy()
     # rounding can leave the sum a few ulps over budget; shave the largest
     # entry until the cap holds under exact comparison
-    excess = float(np.sum(powers)) - p_max
+    excess = float(powers.sum()) - p_max
     while excess > 0:
-        powers[int(np.argmax(powers))] -= excess
-        excess = float(np.sum(powers)) - p_max
+        powers[int(powers.argmax())] -= excess
+        excess = float(powers.sum()) - p_max
     per_band = bw * np.log2(1.0 + kap_w[best] * powers)
     rates = np.bincount(winners, weights=per_band, minlength=u_count)
-    if not np.all(rates >= rate_req * (1 - 1e-9) - 1e-9):
+    if not (rates >= rate_req * (1 - 1e-9) - 1e-9).all():
         return _failure(u_count, i_count, tried)
     return AllocationResult(
         winners=winners.copy(),
         powers=powers,
         rates=rates,
-        objective=float(np.sum(rates)),
+        objective=float(rates.sum()),
         feasible=True,
         candidates_tried=tried,
     )

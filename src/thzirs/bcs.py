@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .allocation import solve_allocation
-from .channel import absorption_coefficient
+# absorption_coefficient stays importable here for perfbench/tracer.py
+from .channel import _band_absorption, absorption_coefficient  # noqa: F401
 from .geometry import (
     IrsPlacement,
     PhaseVector,
@@ -78,7 +79,7 @@ class Solution:
                 raise ValueError("infeasible solution carries a nonzero winner, power or rate")
             return 0.0
 
-        absorb = absorption_coefficient([b.center_hz for b in sub_bands], mixing_ratio)
+        absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
         vectors = effective_vector(sub_bands, self.placement, scene, absorb)
         gains = np.abs(vectors @ self.phases.coefficients) ** 2
         cols = np.arange(len(sub_bands))
@@ -184,7 +185,7 @@ def inner_solve(
     rate_req = np.broadcast_to(
         np.asarray(rate_requirements, dtype=float), (scene.ue_count,)
     ).copy()
-    absorb = absorption_coefficient([b.center_hz for b in sub_bands], mixing_ratio)
+    absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     vectors = effective_vector(sub_bands, placement, scene, absorb)
 
     frozen = phases is not None

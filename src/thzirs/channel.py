@@ -6,6 +6,7 @@ Frequencies are Hz, distances are m, powers are W, absorption is 1/m.
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +132,14 @@ def absorption_coefficient(frequency_hz, mixing_ratio: float):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=64)
+def _band_absorption(centers_hz: tuple, mixing_ratio: float) -> np.ndarray:
+    """K(f) at a band plan's centers, computed once per plan; read-only."""
+    k = absorption_coefficient(list(centers_hz), mixing_ratio)
+    k.flags.writeable = False
+    return k
+
+
 def cascaded_gain(frequency_hz, path_length_m, absorption_per_m):
     """Complex gain of the two-hop reflected path, Friis spreading over the
     total length times molecular attenuation, with the propagation phase.
@@ -141,11 +150,11 @@ def cascaded_gain(frequency_hz, path_length_m, absorption_per_m):
     f = np.asarray(frequency_hz, dtype=float)
     d = np.asarray(path_length_m, dtype=float)
     k = np.asarray(absorption_per_m, dtype=float)
-    if not np.all(np.isfinite(d) & (d > 0)):
+    if not (np.isfinite(d) & (d > 0)).all():
         raise ValueError(f"path length must be positive, got {path_length_m}")
-    if not np.all(np.isfinite(f) & (f > 0)):
+    if not (np.isfinite(f) & (f > 0)).all():
         raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    if not np.all(np.isfinite(k) & (k >= 0)):
+    if not (np.isfinite(k) & (k >= 0)).all():
         raise ValueError(f"absorption must be non-negative, got {absorption_per_m}")
     amplitude = SPEED_OF_LIGHT / (4.0 * np.pi * f * d)
     amplitude = amplitude * np.exp(-0.5 * k * d)

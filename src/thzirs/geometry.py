@@ -115,10 +115,10 @@ def _two_hop(placement: IrsPlacement, scene: Scene):
     # vecdot is the 1-D dot np.linalg.norm takes, so lengths match it bit for bit
     n0 = np.sqrt(np.vecdot(r0, r0))
     nu = np.sqrt(np.vecdot(ru, ru))
-    if n0 == 0 or np.any(nu == 0):
+    if n0 == 0 or (nu == 0).any():
         raise ValueError("AP or UE coincides with the array anchor")
     lengths = n0 + nu
-    if not np.all(np.isfinite(lengths)):
+    if not np.isfinite(lengths).all():
         raise ValueError(f"two-hop path lengths must be finite, got {lengths}")
     ap_y, ue_y = scene.ap_position_m[1], scene.ue_positions_m[:, 1]
     slope = (placement.y_m - ap_y) / n0 + (ue_y - placement.y_m) / nu

@@ -4,12 +4,16 @@
 that ``solve_allocation`` computes for every assignment at once; walking it
 over all assignments gives an independent exact optimum.
 ``brute_force_allocation`` grids the power split instead and so checks the
-water-filling itself.
+water-filling itself.  ``reference_solve_allocation`` is ``solve_allocation``
+as it stood before its per-call bookkeeping was trimmed (a fresh assignment
+table per call, ``np.take_along_axis`` gathers, the reachable-row filter on
+every call); the library does the same arithmetic in the same order, so
+every field of every result must agree bit for bit.
 """
 
 import numpy as np
 
-from thzirs.allocation import AllocationResult
+from thzirs.allocation import ENUMERATION_CAP, AllocationResult, _failure
 
 LN2 = np.log(2.0)
 
@@ -223,4 +227,146 @@ def brute_force_allocation(
         rates=rates,
         objective=objective,
         feasible=True,
+    )
+
+
+# -- reference form of solve_allocation --------------------------------------
+
+def _rate_levels(assignments, kappa, bw, rate_req):
+    """Smallest water level per (assignment, UE) that meets the UE's floor.
+
+    A UE's rate sum_k bw_k log2(max(1, nu bw_k kappa_k)) is log-linear in nu
+    between band activations.  Counting only the first m of its bands in
+    activation order, with no max(1, .), gives a rate that never exceeds the
+    true one and equals it on the segment where exactly those bands are
+    active; its closed-form level therefore never undershoots, and the
+    smallest one over m is the level.  (A, U); inf where the floor is out of
+    reach, 0 where there is none.
+    """
+    u_count = kappa.shape[0]
+    with np.errstate(divide="ignore"):
+        order = np.argsort(1.0 / (bw * kappa), axis=1, kind="stable")
+    b = bw[order]                                   # (U, I) in activation order
+    kap = np.take_along_axis(kappa, order, axis=1)
+    live = kap > 0
+    blog = np.where(live, b * np.log2(np.where(live, b * kap, 1.0)), 0.0)
+    own = (assignments[:, order] == np.arange(u_count)[:, None]) & live  # (A, U, I)
+    bsum = np.cumsum(np.where(own, b, 0.0), axis=2)
+    ssum = np.cumsum(np.where(own, blog, 0.0), axis=2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nu = np.where(own, np.exp2((rate_req[:, None] - ssum) / bsum), np.inf)
+    return np.where(rate_req > 0, nu.min(axis=2), 0.0)
+
+
+def _budget_levels(bw, floors, min_levels, consts, p_max):
+    """Common water level per assignment that spends exactly p_max.
+
+    Band i takes max(consts_i, nu bw_i - floors_i), convex piecewise linear
+    in nu with its breakpoint at max(floors_i / bw_i, min_levels_i).  Taking
+    the first m breakpoints in order as passed under-counts the spend, so its
+    closed-form level never undershoots and the smallest one is the level.
+    """
+    bstar = np.maximum(floors / bw, min_levels)
+    order = np.argsort(bstar, axis=1, kind="stable")
+    b_acc = np.cumsum(bw[order], axis=1)
+    fl_acc = np.cumsum(np.take_along_axis(floors, order, axis=1), axis=1)
+    c_out = consts.sum(axis=1, keepdims=True) - np.cumsum(
+        np.take_along_axis(consts, order, axis=1), axis=1)
+    nu = (p_max - c_out + fl_acc) / b_acc
+    return np.where(np.isfinite(np.take_along_axis(bstar, order, axis=1)), nu, np.inf).min(axis=1)
+
+
+def reference_solve_allocation(
+    channel_power_gains,
+    sub_bands,
+    p_max: float,
+    rate_requirements,
+    warm_winners=None,
+) -> AllocationResult:
+    """``solve_allocation`` as first written: every assignment, exactly.
+
+    Args:
+        channel_power_gains: (U, I) array of |h|^2.
+        sub_bands: list of SubBand (bandwidth and noise density are used).
+        p_max: total transmit power budget, W.
+        rate_requirements: scalar or (U,) per-UE rate floors, bit/s.
+        warm_winners: optional assignment evaluated first, so it wins exact
+            ties; other ties go to the lexicographically smallest assignment.
+
+    Raises ValueError on invalid inputs and when U ** I exceeds
+    ``ENUMERATION_CAP``.
+    """
+    gains = np.atleast_2d(np.asarray(channel_power_gains, dtype=float))
+    u_count, i_count = gains.shape
+    if len(sub_bands) != i_count:
+        raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
+    if p_max <= 0 or not np.isfinite(p_max):
+        raise ValueError(f"power budget must be positive, got {p_max}")
+    if np.any(gains < 0) or not np.all(np.isfinite(gains)):
+        raise ValueError("channel power gains must be finite and non-negative")
+    rate_req = np.broadcast_to(np.asarray(rate_requirements, dtype=float), (u_count,)).copy()
+    if np.any(rate_req < 0):
+        raise ValueError("rate requirements must be non-negative")
+    if u_count**i_count > ENUMERATION_CAP:
+        raise ValueError(
+            f"{u_count} UEs over {i_count} sub-bands give {u_count**i_count} assignments, "
+            f"above the exact-allocation cap of {ENUMERATION_CAP}")
+
+    bw = np.array([b.bandwidth_hz for b in sub_bands])
+    noise = np.array([b.noise_power_w for b in sub_bands])
+    kappa = gains / noise  # SNR per watt
+
+    # Certificate: when a floor is out of reach even with every band at the
+    # full budget simultaneously, no assignment can meet it.
+    optimistic = np.sum(bw * np.log2(1.0 + kappa * p_max), axis=1)
+    if np.any(optimistic < rate_req):
+        return _failure(u_count, i_count)
+
+    # every assignment in lexicographic order, the warm one moved to the front
+    assignments = np.indices((u_count,) * i_count).reshape(i_count, -1).T
+    if warm_winners is not None:
+        first = int(np.ravel_multi_index(np.asarray(warm_winners, dtype=int), (u_count,) * i_count))
+        assignments = np.concatenate(
+            [assignments[first:first + 1], assignments[:first], assignments[first + 1:]])
+    tried = assignments.shape[0]
+
+    nu_rate = _rate_levels(assignments, kappa, bw, rate_req)
+    reachable = np.all(np.isfinite(nu_rate), axis=1)
+    assignments, nu_rate = assignments[reachable], nu_rate[reachable]
+
+    cols = np.arange(i_count)
+    kap_w = kappa[assignments, cols]                 # (A, I)
+    live = kap_w > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floors = 1.0 / kap_w                         # inf on bands that earn nothing
+        min_levels = np.take_along_axis(nu_rate, assignments, axis=1)
+        consts = np.maximum(0.0, min_levels * bw - floors)
+        nu_base = _budget_levels(bw, floors, min_levels, consts, p_max)
+        powers = np.where(live, np.maximum(consts, nu_base[:, None] * bw - floors), 0.0)
+    powers *= p_max / np.maximum(powers.sum(axis=1), p_max)[:, None]
+    objective = np.sum(bw * np.log2(1.0 + kap_w * powers), axis=1)
+
+    feasible = consts.sum(axis=1) <= p_max * (1 + 1e-9)
+    if not np.any(feasible):
+        return _failure(u_count, i_count, tried)
+    best = int(np.argmax(np.where(feasible, objective, -np.inf)))
+
+    winners, powers = assignments[best], powers[best].copy()
+    # rounding can leave the sum a few ulps over budget; shave the largest
+    # entry until the cap holds under exact comparison
+    excess = float(np.sum(powers)) - p_max
+    while excess > 0:
+        powers[int(np.argmax(powers))] -= excess
+        excess = float(np.sum(powers)) - p_max
+    per_band = bw * np.log2(1.0 + kap_w[best] * powers)
+    rates = np.bincount(winners, weights=per_band, minlength=u_count)
+    if not np.all(rates >= rate_req * (1 - 1e-9) - 1e-9):
+        return _failure(u_count, i_count, tried)
+    return AllocationResult(
+        winners=winners.copy(),
+        powers=powers,
+        rates=rates,
+        objective=float(np.sum(rates)),
+        feasible=True,
+        candidates_tried=tried,
     )

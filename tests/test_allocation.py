@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocation_oracle import LN2, best_exact_solve, brute_force_allocation, exact_solve_at
-from thzirs.allocation import ENUMERATION_CAP, solve_allocation
+from allocation_oracle import (
+    LN2,
+    best_exact_solve,
+    brute_force_allocation,
+    exact_solve_at,
+    reference_solve_allocation,
+)
+from thzirs.allocation import ENUMERATION_CAP, _assignment_table, solve_allocation
 from thzirs.channel import SubBand
 
 
@@ -127,10 +133,12 @@ def test_over_budget_verdict_counts_every_assignment():
 def test_unreachable_floor_certified_infeasible():
     bands = make_bands([50e9])
     gains = np.array([[1e-15], [1e-15]])
-    res = solve_allocation(gains, bands, 1.0, 1e12)
-    assert not res.feasible
-    assert res.objective == 0.0
-    assert np.all(res.powers == 0.0)
+    for floor in (1e12, float("inf")):
+        res = solve_allocation(gains, bands, 1.0, floor)
+        assert not res.feasible
+        assert res.objective == 0.0
+        assert np.all(res.powers == 0.0)
+        assert res.candidates_tried == 0
 
 
 def test_warm_start_wins_exact_ties():
@@ -171,6 +179,14 @@ def test_input_validation():
         solve_allocation(np.ones((1, 2)) * 1e-9, bands, 1.0, -5.0)
     with pytest.raises(ValueError):
         solve_allocation(np.array([[1e-9, -1e-9]]), bands, 1.0, 0.0)
+    gains = np.full((2, 2), 1e-9)
+    for floors in (float("nan"), [1e9, float("nan")]):
+        with pytest.raises(ValueError, match="rate requirements must be numbers"):
+            solve_allocation(gains, bands, 1.0, floors)
+    with pytest.raises(ValueError, match="warm start must be integer UE indices"):
+        solve_allocation(gains, bands, 1.0, 0.0, warm_winners=[0.5, 1])
+    # integral values of any dtype still name an assignment
+    assert solve_allocation(gains, bands, 1.0, 0.0, warm_winners=np.array([1.0, 0.0])).feasible
 
 
 def floored_instance(rng, u, i):
@@ -236,3 +252,73 @@ def test_result_meets_the_allocation_contract(instance):
         assert np.all(res.powers == 0.0)
         assert np.all(res.rates == 0.0)
         assert res.objective == 0.0
+
+
+def _assert_bitwise_equal(got, ref, case):
+    for name in ("winners", "powers", "rates"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (case, name)
+    assert type(got.objective) is type(ref.objective), case
+    assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes(), case
+    assert (got.feasible, got.candidates_tried) == (ref.feasible, ref.candidates_tried), case
+
+
+def _oracle_instances(rng, u, i, p_max):
+    """Instances of each floor kind, with and without a dead gain column."""
+    gains, bands, witness_floors = floored_instance(rng, u, i)
+    dead = gains.copy()
+    dead[:, rng.integers(i)] = 0.0
+    bw = np.array([b.bandwidth_hz for b in bands])
+    noise = np.array([b.noise_power_w for b in bands])
+    for label, g in (("", gains), ("-dead-column", dead)):
+        floors = {
+            "zero": np.zeros(u),
+            "reachable": witness_floors,
+            "unreachable": np.full(u, 1e13),
+            # each UE meets its floor holding every band alone, never all at once
+            "over-budget": 0.9 * (bw * np.log2(1.0 + g / noise * p_max)).sum(axis=1),
+        }
+        for kind, floor in floors.items():
+            yield kind + label, g, bands, floor
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 4])
+def test_allocation_matches_reference_bit_for_bit(u):
+    # every plan size within the cap.  At the unit budget: a cold start and
+    # every warm start up to 256 assignments, a seeded sample of 16 beyond.
+    # Irregular budgets (cold only) reach the over-budget shave.
+    for i in range(1, 7):
+        rng = np.random.default_rng(900 + 10 * u + i)
+        count = u**i
+        rows = range(count) if count <= 256 else rng.choice(count, 16, replace=False)
+        warm_starts = [None] + [np.array(np.unravel_index(r, (u,) * i)) for r in rows]
+        for p_max in (1.0, *rng.uniform(0.1, 6.0, 4)):
+            for kind, gains, bands, floors in _oracle_instances(rng, u, i, p_max):
+                for warm in warm_starts if p_max == 1.0 else [None]:
+                    case = (u, i, p_max, kind, None if warm is None else warm.tolist())
+                    got = solve_allocation(gains, bands, p_max, floors, warm_winners=warm)
+                    ref = reference_solve_allocation(gains, bands, p_max, floors,
+                                                     warm_winners=warm)
+                    _assert_bitwise_equal(got, ref, case)
+
+
+def test_assignment_table_is_cached_read_only():
+    table = _assignment_table(3, 4)
+    assert table is _assignment_table(3, 4)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    np.testing.assert_array_equal(table, np.indices((3,) * 4).reshape(4, -1).T)
+
+
+def test_returned_winners_are_a_private_writable_copy():
+    rng = np.random.default_rng(37)
+    gains, bands, floors = floored_instance(rng, 2, 3)
+    first = solve_allocation(gains, bands, 1.0, floors)
+    kept = first.winners.copy()
+    assert first.winners.flags.writeable
+    assert not np.shares_memory(first.winners, _assignment_table(2, 3))
+    first.winners[:] = 1 - first.winners
+    again = solve_allocation(gains, bands, 1.0, floors)
+    np.testing.assert_array_equal(again.winners, kept)
+    assert again.objective == first.objective

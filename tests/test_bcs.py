@@ -252,3 +252,32 @@ def test_grid_rejects_bad_steps_and_oversized_array():
         candidate_grid(scene, 8, 0.005, 0.25, -1.0)
     with pytest.raises(ValueError):
         admissible_y_span(scene, 20000, 0.005)
+
+
+def test_every_search_inner_solves_each_position_once(monkeypatch):
+    # the benchmark counts positions as inner solves, so no search may batch,
+    # skip or repeat one
+    scene = make_scene([(1.0, 2.0), (4.0, 6.5)])
+    bands = make_bands([225.0, 275.0])
+    args = (scene, bands, 8, 0.005, 1.0, 1e9, MU)
+    lattice = len(candidate_grid(scene, 8, 0.005, 2.0, 2.0))
+    calls = []
+    original = bcs.inner_solve
+
+    def counted(*a, **kw):
+        calls.append(a[1])
+        return original(*a, **kw)
+
+    monkeypatch.setattr(bcs, "inner_solve", counted)
+    searches = {
+        "bcs": (lambda: bcs_solve(*args, grid_step_x=2.0, grid_step_y=2.0), lattice + 1),
+        "minidis": (lambda: baseline_mini_dis(*args), 1),
+        "ranloc": (lambda: baseline_ran_loc(*args, rng=SplitMix64(4)), 1),
+        "ranphi": (lambda: baseline_ran_phi(*args, rng=SplitMix64(4),
+                                            grid_step_x=2.0, grid_step_y=2.0), lattice),
+    }
+    for name, (search, positions) in searches.items():
+        calls.clear()
+        search()
+        assert len(calls) == positions, name
+        assert len(set(calls)) == positions, name

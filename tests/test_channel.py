@@ -8,6 +8,7 @@ from thzirs.channel import (
     Atmosphere,
     SubBand,
     ValidityWarning,
+    _band_absorption,
     absorption_coefficient,
     cascaded_gain,
     reflected_channel,
@@ -112,6 +113,17 @@ def test_absorption_warns_outside_fit_window():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         absorption_coefficient(300e9, mu)
+
+
+def test_band_plan_absorption_is_memoized_read_only():
+    mu = default_mu()
+    centers = (225e9, 275e9, 305e9)
+    k = _band_absorption(centers, mu)
+    assert k is _band_absorption(centers, mu)
+    assert not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0] = 0.0
+    assert k.tobytes() == absorption_coefficient(list(centers), mu).tobytes()
 
 
 def test_absorption_rejects_bad_inputs():

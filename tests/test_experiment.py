@@ -112,3 +112,12 @@ def test_every_algorithm_returns_a_validating_solution(config, seed):
         sol = run_single(config, algo, seed)
         assert isinstance(sol, Solution), algo
         sol.validate(scene, bands, config.p_max_w, config.rate_floor_bps, config.mixing_ratio())
+
+
+def test_default_ranphi_answer_is_pinned():
+    # the frozen-profile sweep's counterpart of the default bcs answer at
+    # seed 7 (524.437 Gbit/s at (1.75, 1.25))
+    sol = run_single(ExperimentConfig(), "ranphi", 7)
+    assert (sol.placement.x_m, sol.placement.y_m) == (0.5, 1.0)
+    assert sol.winners.tolist() == [1, 0, 0]
+    assert sol.sum_rate_bps == 292870837528.98883
