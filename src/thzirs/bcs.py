@@ -6,8 +6,11 @@ never drops between rounds because the next allocation may always keep the
 previous assignment and powers, and the phase stage never accepts a profile
 whose worst received-power slack falls below the incumbent.  ``bcs_solve``
 sweeps candidate positions over a coordinate lattice (block-coordinate
-search) and keeps the best inner solution; the reference strategies run the
-same sweep over a single placement or with a frozen phase profile.
+search) best first: a coherent-ceiling allocation bounds every lattice
+point's answer from above, points are inner-solved in decreasing bound order,
+and the search stops at the first bound below the incumbent.  The reference
+strategies inner-solve every placement of a single-point or lattice sweep,
+the latter with a frozen phase profile.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +40,9 @@ ROUND_TOLERANCE = 1e-3
 MAX_REPAIRS = 4
 # relative drift a stored Solution may show against its recomputed figures
 VALIDATE_TOLERANCE = 1e-6
+# relative inflation of the coherent-ceiling gains, so that rounding in either
+# allocation never lets a point's bound fall below its inner-solved sum rate
+BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -101,7 +107,12 @@ class Solution:
 
 @dataclass
 class SearchResult:
-    """Best solution of a placement sweep plus the search trajectory."""
+    """Best solution of a placement search plus its trajectory.
+
+    ``points_evaluated`` counts the lattice points inner-solved (``bcs``
+    leaves out those its bound rules out); ``best_trace`` is the running best
+    sum rate in visit order, led by the anchor's when there is one.
+    """
 
     solution: Solution
     best_trace: list
@@ -122,6 +133,11 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
 
 
+def _ceiling_gains(vectors):
+    """(U, I) power gains no unit-modulus profile can exceed: (sum_n |e_uin|)^2."""
+    return np.sum(np.abs(vectors), axis=2) ** 2
+
+
 def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     """Steer the profile toward the rate floors when no allocation meets them.
 
@@ -138,7 +154,7 @@ def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     # received power needed to hit each floor on each band, and the coherent
     # ceiling an even split could ever deliver there
     need = noise * (np.exp2(np.minimum(rate_req[:, None] / bw, 1023.0)) - 1.0)
-    ceiling = p_eq * np.sum(np.abs(vectors), axis=2) ** 2
+    ceiling = p_eq * _ceiling_gains(vectors)
 
     floored = np.flatnonzero(rate_req > 0)
     headroom = ceiling[floored] / need[floored]
@@ -280,15 +296,13 @@ def _better(candidate: Solution, incumbent: Solution) -> bool:
 
 
 def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio,
-           phases=None, best=None):
+           phases=None):
     """Inner-solve each placement in order and keep the first strict best.
 
-    A given ``phases`` profile is frozen at every placement; a given
-    ``best`` is the incumbent to beat.  Returns the best solution and the
-    running best sum rate, one entry per placement, led by the incumbent's
-    when there is one.
+    A given ``phases`` profile is frozen at every placement.  Returns the
+    best solution and the running best sum rate, one entry per placement.
     """
-    trace = [] if best is None else [best.sum_rate_bps]
+    best, trace = None, []
     for placement in placements:
         candidate = inner_solve(
             scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
@@ -298,6 +312,21 @@ def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio,
             best = candidate
         trace.append(best.sum_rate_bps)
     return best, trace
+
+
+def _ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb):
+    """Upper bound on ``inner_solve``'s sum rate at one placement, or None.
+
+    No unit-modulus profile lifts a link's power gain above the coherent
+    ceiling, and the exact allocation's optimum only rises with the gains,
+    so the allocation of the (slightly inflated) ceiling gains bounds every
+    answer the inner solve can reach there.  None when even the ceiling
+    misses a rate floor: no profile makes the point feasible.
+    """
+    vectors = effective_vector(sub_bands, placement, scene, absorb)
+    gains = _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN)
+    alloc = solve_allocation(gains, sub_bands, p_max, rate_requirements)
+    return alloc.objective if alloc.feasible else None
 
 
 def bcs_solve(
@@ -311,19 +340,44 @@ def bcs_solve(
     grid_step_x: float,
     grid_step_y: float,
 ) -> SearchResult:
-    """Grid search over anchor positions with the full inner solver at each.
+    """Best-first search over anchor positions with the full inner solver.
 
-    The minimum-total-distance point is evaluated first as an extra
-    candidate (outside the lattice counter), so the search never returns
-    less than the distance heuristic it refines.
+    The minimum-total-distance point is solved first as an extra candidate
+    (outside the lattice counter), so the search never returns less than
+    the distance heuristic it refines.  Every lattice point then gets its
+    coherent-ceiling bound (``_ceiling_bound``); points whose ceiling misses
+    a floor are skipped, the rest are inner-solved in decreasing bound
+    order (ties in lattice order) until a bound falls below the incumbent's
+    sum rate.  The best is kept by (feasible, sum rate, earliest in lattice
+    order, anchor first), so the answer is the one a full sweep of the
+    anchor and then the lattice keeps.  ``points_evaluated`` counts the
+    lattice points inner-solved.
     """
     anchor = baseline_mini_dis(
         scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
     )
     points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
-    best, trace = _sweep(scene, points, sub_bands, p_max, rate_requirements, mixing_ratio,
-                         best=anchor)
-    return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points),
+    absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
+    bounds = [_ceiling_bound(scene, p, sub_bands, p_max, rate_requirements, absorb)
+              for p in points]
+    order = sorted((i for i, b in enumerate(bounds) if b is not None),
+                   key=bounds.__getitem__, reverse=True)
+
+    best = anchor
+    # the anchor stands before every lattice point
+    best_key = (anchor.feasible, anchor.sum_rate_bps, 1)
+    trace = [anchor.sum_rate_bps]
+    for i in order:
+        # an infeasible incumbent's 0.0 never ends the search
+        if bounds[i] < best.sum_rate_bps:
+            break
+        candidate = inner_solve(scene, points[i], sub_bands, p_max, rate_requirements,
+                                mixing_ratio)
+        key = (candidate.feasible, candidate.sum_rate_bps, -i)
+        if key > best_key:
+            best, best_key = candidate, key
+        trace.append(best.sum_rate_bps)
+    return SearchResult(solution=best, best_trace=trace, points_evaluated=len(trace) - 1,
                         anchor=anchor)
 
 

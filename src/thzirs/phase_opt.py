@@ -76,13 +76,20 @@ class Surrogate:
     vectors: np.ndarray   # (K, N) kept for exact-value checks
 
 
+def _complex_rows(vectors) -> np.ndarray:
+    """``vectors`` as a 2-D complex array, passed through when it is one."""
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.dtype == complex:
+        return vectors
+    return np.atleast_2d(np.asarray(vectors, dtype=complex))
+
+
 def surrogate(vectors: np.ndarray, anchor_angles: np.ndarray) -> Surrogate:
     """Build the minorant 2 Re{theta . phi} - psi <= |e . phi|^2 at the anchor."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    vectors = _complex_rows(vectors)
     anchor_angles = np.asarray(anchor_angles, dtype=float).reshape(-1)
     phi_hat = np.exp(1j * anchor_angles)
     w = vectors @ phi_hat
-    theta = np.conj(w)[:, None] * vectors
+    theta = w.conj()[:, None] * vectors
     psi = np.abs(w) ** 2
     return Surrogate(theta=theta, psi=psi, anchor=anchor_angles.copy(), vectors=vectors)
 
@@ -90,13 +97,13 @@ def surrogate(vectors: np.ndarray, anchor_angles: np.ndarray) -> Surrogate:
 def surrogate_values(surr: Surrogate, angles: np.ndarray) -> np.ndarray:
     """2 Re{theta . phi} - psi per constraint at the given phases."""
     phi = np.exp(1j * np.asarray(angles, dtype=float))
-    return 2.0 * np.real(surr.theta @ phi) - surr.psi
+    return 2.0 * (surr.theta @ phi).real - surr.psi
 
 
 def exact_values(vectors: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """|e . phi|^2 per constraint at the given phases."""
     phi = np.exp(1j * np.asarray(angles, dtype=float))
-    return np.abs(np.atleast_2d(vectors) @ phi) ** 2
+    return np.abs(_complex_rows(vectors) @ phi) ** 2
 
 
 @dataclass

@@ -15,6 +15,7 @@ import tempfile
 import time
 
 import numpy as np
+import pytest
 
 from conftest import ACCEPTANCE_VERDICTS
 
@@ -232,11 +233,22 @@ def test_inner_rate_trace_never_decreases():
 
 
 _STUDY_RUNS: dict = {}
+_STUDY_ROOT: list = []
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _study_outputs():
+    """Keep the study outputs in one temporary directory removed with this module."""
+    with tempfile.TemporaryDirectory(prefix="study_") as root:
+        _STUDY_ROOT.append(root)
+        yield
+        _STUDY_ROOT.clear()
+        _STUDY_RUNS.clear()
 
 
 def _study_run(label: str):
     if label not in _STUDY_RUNS:
-        out = os.path.join(tempfile.mkdtemp(prefix=f"study_{label}_"), "out")
+        out = os.path.join(_STUDY_ROOT[0], label)
         config = ExperimentConfig(**STUDY)
         _STUDY_RUNS[label] = (run_experiment(config, out_dir=out, workers=1), out)
     return _STUDY_RUNS[label]

@@ -12,9 +12,11 @@ from thzirs.bcs import (
     candidate_grid,
     inner_solve,
 )
-from thzirs.channel import SubBand, absorption_coefficient, cascaded_gain
+from thzirs.channel import SubBand, _band_absorption, absorption_coefficient, cascaded_gain
 from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length
 from thzirs.rng import SplitMix64
+
+from search_oracle import full_sweep_bcs
 
 MU = 0.013869106058060476  # 23 C, 1013.25 hPa, 50 % RH
 
@@ -136,12 +138,14 @@ def test_bcs_reports_grid_work_and_dominates_minidis():
         res = bcs_solve(scene, bands, 8, 0.005, 1.0, 1e9, MU,
                         grid_step_x=1.0, grid_step_y=1.0)
         mini = baseline_mini_dis(scene, bands, 8, 0.005, 1.0, 1e9, MU)
-        assert res.points_evaluated == len(candidate_grid(scene, 8, 0.005, 1.0, 1.0))
+        # only the lattice points the bound leaves open are inner-solved; the
+        # full sweep's answer is checked against tests/search_oracle.py below
+        assert res.points_evaluated <= len(candidate_grid(scene, 8, 0.005, 1.0, 1.0))
         assert len(res.best_trace) == res.points_evaluated + 1
         if mini.feasible:
             assert res.solution.feasible
             assert res.solution.sum_rate_bps >= mini.sum_rate_bps * (1 - 1e-9)
-        # the cumulative best never decreases along the sweep
+        # the cumulative best never decreases along the visit order
         trace = np.asarray(res.best_trace)
         assert np.all(np.diff(trace) >= 0)
 
@@ -255,8 +259,8 @@ def test_grid_rejects_bad_steps_and_oversized_array():
 
 
 def test_every_search_inner_solves_each_position_once(monkeypatch):
-    # the benchmark counts positions as inner solves, so no search may batch,
-    # skip or repeat one
+    # the benchmark counts positions as inner solves, so no search may batch
+    # or repeat one; bcs counts only the lattice points it inner-solves
     scene = make_scene([(1.0, 2.0), (4.0, 6.5)])
     bands = make_bands([225.0, 275.0])
     args = (scene, bands, 8, 0.005, 1.0, 1e9, MU)
@@ -270,14 +274,129 @@ def test_every_search_inner_solves_each_position_once(monkeypatch):
 
     monkeypatch.setattr(bcs, "inner_solve", counted)
     searches = {
-        "bcs": (lambda: bcs_solve(*args, grid_step_x=2.0, grid_step_y=2.0), lattice + 1),
-        "minidis": (lambda: baseline_mini_dis(*args), 1),
-        "ranloc": (lambda: baseline_ran_loc(*args, rng=SplitMix64(4)), 1),
+        "bcs": (lambda: bcs_solve(*args, grid_step_x=2.0, grid_step_y=2.0),
+                lambda res: res.points_evaluated + 1),
+        "minidis": (lambda: baseline_mini_dis(*args), lambda res: 1),
+        "ranloc": (lambda: baseline_ran_loc(*args, rng=SplitMix64(4)), lambda res: 1),
         "ranphi": (lambda: baseline_ran_phi(*args, rng=SplitMix64(4),
-                                            grid_step_x=2.0, grid_step_y=2.0), lattice),
+                                            grid_step_x=2.0, grid_step_y=2.0),
+                   lambda res: lattice),
     }
-    for name, (search, positions) in searches.items():
+    for name, (search, expected) in searches.items():
         calls.clear()
-        search()
+        positions = expected(search())
         assert len(calls) == positions, name
         assert len(set(calls)) == positions, name
+
+
+def assert_same_bits(got, want):
+    """Two solutions agree bit for bit in every field a report stores."""
+    assert got.placement == want.placement
+    for name in ("winners", "powers", "rates"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.phases.angles.tobytes() == want.phases.angles.tobytes()
+    assert got.sum_rate_bps.hex() == want.sum_rate_bps.hex()
+    assert (got.feasible, got.converged, got.rounds) == (want.feasible, want.converged,
+                                                         want.rounds)
+    assert [r.hex() for r in got.rate_trace] == [r.hex() for r in want.rate_trace]
+
+
+SMALL_BANDS = make_bands([225.0, 275.0, 305.0])
+
+
+def small_case(seed):
+    """Random 4 m x 3 m room with U = 1..4 UEs and N in {1, 4, 8} elements.
+
+    Its floor is drawn log-uniformly across the range where lattice points
+    start to miss it, so some seeds mix feasible and infeasible points.
+    """
+    rng = np.random.default_rng(seed)
+    u_count = int(rng.integers(1, 5))
+    n = int((1, 4, 8)[rng.integers(0, 3)])
+    floor = float(10 ** rng.uniform(9.5, 11.7))
+    ues = [(float(rng.uniform(0.25, 2.75)), float(rng.uniform(0.25, 3.75)), 1.0)
+           for _ in range(u_count)]
+    return Scene(4.0, 3.0, 3.0, (0.0, 0.0, 2.0), ues), n, floor
+
+
+# seeds 68, 70, 248, 310, 375 and 384 mix lattice points the ceiling rules
+# out with open ones; at 70 the anchor misses the floor and a lattice point wins
+@pytest.mark.parametrize("seed, floor", [
+    *[(seed, 0.0) for seed in range(6)],
+    *[(seed, None) for seed in (6, 7, 68, 70, 248, 310, 375, 384)],
+    *[(seed, 1e13) for seed in range(2)],
+])
+def test_best_first_search_matches_the_full_sweep(seed, floor):
+    scene, n, drawn = small_case(seed)
+    args = (scene, SMALL_BANDS, n, 0.005, 1.0, drawn if floor is None else floor, MU, 1.0, 1.0)
+    want = full_sweep_bcs(*args)
+    res = bcs_solve(*args)
+    assert_same_bits(res.solution, want.solution)
+    assert_same_bits(res.anchor, want.anchor)
+    assert res.points_evaluated <= want.points_evaluated
+    assert len(res.best_trace) == res.points_evaluated + 1
+    assert res.best_trace[0] == want.best_trace[0]
+    assert res.best_trace[-1] == want.best_trace[-1]
+    assert np.all(np.diff(res.best_trace) >= 0)
+
+
+@pytest.mark.parametrize("ue_ys, floor", [((2.0,), 0.0), ((1.0, 3.0), 1e9)])
+def test_mirror_twins_tie_exactly_and_the_earlier_one_wins(ue_ys, floor):
+    # AP and UEs on the room's axis x = 2.25, so lattice columns x = 1.5 and
+    # x = 3.0 are mirror images with bit-identical sum rates
+    scene = Scene(4.0, 3.0, 3.0, (2.25, 0.0, 2.0), [(2.25, y, 1.0) for y in ue_ys])
+    args = (scene, SMALL_BANDS[:2], 4, 0.005, 1.0, floor, MU, 1.5, 1.0)
+    want = full_sweep_bcs(*args)
+    won = want.solution.placement
+    twin = inner_solve(scene, IrsPlacement(4.5 - won.x_m, won.y_m, 4, 0.005),
+                       SMALL_BANDS[:2], 1.0, floor, MU)
+    assert won.x_m == 1.5 and twin.sum_rate_bps == want.solution.sum_rate_bps
+    assert_same_bits(bcs_solve(*args).solution, want.solution)
+
+
+@pytest.mark.parametrize("anchor_rate, winner", [(1.0, "anchor"), (0.5, 0)])
+def test_ties_go_to_the_anchor_then_the_earliest_lattice_point(monkeypatch, anchor_rate,
+                                                               winner):
+    # bounds that visit the lattice back to front, and a flat sum rate: only
+    # the tie rule can bring the search back to the full sweep's answer
+    scene = make_scene([(2.0, 3.0)])
+    bands = make_bands([275.0])
+    points = bcs._lattice(scene, 4, 0.005, 2.0, 2.0)
+    anchor = bcs._min_distance_placement(scene, 4, 0.005)
+
+    def flat(scene, placement, *args, **kwargs):
+        rate = anchor_rate if placement == anchor else 1.0
+        return Solution(placement, PhaseVector(np.zeros(4)), np.zeros(1, dtype=int),
+                        np.ones(1), np.array([rate]), rate, True, True, 1, [rate])
+
+    monkeypatch.setattr(bcs, "inner_solve", flat)
+    monkeypatch.setattr(bcs, "_ceiling_bound",
+                        lambda scene, placement, *args: 2.0 + points.index(placement))
+    res = bcs_solve(scene, bands, 4, 0.005, 1.0, 0.0, MU, grid_step_x=2.0, grid_step_y=2.0)
+    assert res.points_evaluated == len(points) > 1
+    assert res.solution.placement == (anchor if winner == "anchor" else points[winner])
+
+
+@pytest.mark.parametrize("u_count, n, floor", [
+    (1, 1, 0.0), (1, 8, 5e10), (2, 4, 0.0), (2, 8, 1e11),
+    (3, 4, 2e10), (3, 8, 0.0), (4, 1, 1e9), (4, 8, 2e10),
+])
+def test_ceiling_bound_caps_the_inner_solve(u_count, n, floor):
+    # relies on bcs.BOUND_MARGIN = 1e-9 relative on the ceiling gains; with
+    # N = 1 the phase cannot move the gains, the ceiling is exact and only
+    # that margin keeps the bound above the rounded inner-solve answer
+    assert bcs.BOUND_MARGIN == 1e-9
+    rng = np.random.default_rng(1000 * u_count + n)
+    scene = random_scene(rng, u_count)
+    bands = SMALL_BANDS
+    absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
+    points = bcs._lattice(scene, n, 0.005, 1.0, 1.0)
+    for k in rng.choice(len(points), size=4, replace=False):
+        placement = points[k]
+        bound = bcs._ceiling_bound(scene, placement, bands, 1.0, floor, absorb)
+        sol = inner_solve(scene, placement, bands, 1.0, floor, MU)
+        if bound is None:
+            assert not sol.feasible
+        else:
+            assert sol.sum_rate_bps <= bound
