@@ -8,7 +8,10 @@ meet each rate floor, and a common base level spends the rest of the budget.
 with sorts and cumulative sums along the band axis, and keeps the best
 feasible one, so the search is exact.  An infeasible verdict always comes
 with all-zero winners, powers and rates.  Plans with more than
-``ENUMERATION_CAP`` assignments are refused.
+``ENUMERATION_CAP`` assignments are refused.  ``score_allocations`` runs the
+same rows for P plans of one shape in one pass (an allocation row per point
+and assignment) and returns each plan's feasibility and sum rate;
+``solve_allocation`` is its single-plan case.
 """
 
 from dataclasses import dataclass
@@ -51,45 +54,152 @@ def _assignment_table(u_count, i_count):
 
 
 def _rate_levels(assignments, kappa, bw, rate_req):
-    """Smallest water level per (assignment, UE) that meets the UE's floor.
+    """Smallest water level per (assignment, point, UE) that meets the UE's floor.
 
     A UE's rate sum_k bw_k log2(max(1, nu bw_k kappa_k)) is log-linear in nu
     between band activations.  Counting only the first m of its bands in
     activation order, with no max(1, .), gives a rate that never exceeds the
     true one and equals it on the segment where exactly those bands are
     active; its closed-form level therefore never undershoots, and the
-    smallest one over m is the level.  (A, U); inf where the floor is out of
-    reach, 0 where there is none.  Runs under the caller's ``np.errstate``.
+    smallest one over m is the level.  ``kappa`` is (P, U, I); the result is
+    (A, P, U), inf where the floor is out of reach, 0 where there is none.
+    Runs under the caller's ``np.errstate``.
     """
-    ues = np.arange(kappa.shape[0])[:, None]
-    order = np.argsort(1.0 / (bw * kappa), axis=1, kind="stable")
-    b = bw[order]                                   # (U, I) in activation order
-    kap = kappa[ues, order]
+    # the array method and ufunc forms of argsort and cumsum skip the Python
+    # wrappers of np.argsort and np.cumsum, a fixed cost on every call
+    ues = np.arange(kappa.shape[1])[:, None]
+    order = (1.0 / (bw * kappa)).argsort(axis=2, kind="stable")
+    b = bw[order]                                   # (P, U, I) in activation order
+    kap = kappa[np.arange(kappa.shape[0])[:, None, None], ues, order]
     live = kap > 0
-    blog = np.where(live, b * np.log2(np.where(live, b * kap, 1.0)), 0.0)
-    own = (assignments[:, order] == ues) & live     # (A, U, I)
-    bsum = np.cumsum(np.where(own, b, 0.0), axis=2)
-    ssum = np.cumsum(np.where(own, blog, 0.0), axis=2)
+    blog = np.where(live, b * np.log2(b * kap), 0.0)
+    own = (assignments[:, order] == ues) & live     # (A, P, U, I)
+    bsum = np.add.accumulate(np.where(own, b, 0.0), axis=3)
+    ssum = np.add.accumulate(np.where(own, blog, 0.0), axis=3)
     nu = np.where(own, np.exp2((rate_req[:, None] - ssum) / bsum), np.inf)
-    return np.where(rate_req > 0, nu.min(axis=2), 0.0)
+    return np.where(rate_req > 0, nu.min(axis=3), 0.0)
 
 
-def _budget_levels(bw, floors, min_levels, consts, p_max):
-    """Common water level per assignment that spends exactly p_max.
+def _budget_levels(bw, floors, min_levels, consts, spend, p_max):
+    """Common water level per assignment row that spends exactly p_max.
 
     Band i takes max(consts_i, nu bw_i - floors_i), convex piecewise linear
     in nu with its breakpoint at max(floors_i / bw_i, min_levels_i).  Taking
     the first m breakpoints in order as passed under-counts the spend, so its
     closed-form level never undershoots and the smallest one is the level.
+    ``spend`` is each row's sum of ``consts``.
     """
     bstar = np.maximum(floors / bw, min_levels)
-    order = np.argsort(bstar, axis=1, kind="stable")
+    order = bstar.argsort(axis=1, kind="stable")
     rows = np.arange(order.shape[0])[:, None]
-    b_acc = np.cumsum(bw[order], axis=1)
-    fl_acc = np.cumsum(floors[rows, order], axis=1)
-    c_out = consts.sum(axis=1, keepdims=True) - np.cumsum(consts[rows, order], axis=1)
+    b_acc = np.add.accumulate(bw[order], axis=1)
+    fl_acc = np.add.accumulate(floors[rows, order], axis=1)
+    c_out = spend[:, None] - np.add.accumulate(consts[rows, order], axis=1)
     nu = (p_max - c_out + fl_acc) / b_acc
     return np.where(np.isfinite(bstar[rows, order]), nu, np.inf).min(axis=1)
+
+
+def _none_feasible(u_count, i_count):
+    """No feasible point: empty indices, winners, powers and rates."""
+    return (np.zeros(0, dtype=int), np.zeros((0, i_count), dtype=int), np.zeros((0, i_count)),
+            np.zeros((0, u_count)))
+
+
+def _allocate(kappa, bw, p_max, rate_req, assignments):
+    """Best assignment and power split at each of P points, all at once.
+
+    ``kappa`` is (P, U, I) SNR per watt and ``assignments`` the (A, I) rows in
+    tie order: the first best row wins.  A point is tried only when its
+    ``certified`` flag holds: some floor out of reach even with every band at
+    the full budget simultaneously rules out every assignment at once.
+    Returns ``certified`` (P,), the indices of the feasible points, and their
+    winners (F, I), powers (F, I) and rates (F, U).
+    """
+    u_count, i_count = kappa.shape[1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        optimistic = (bw * np.log2(1.0 + kappa * p_max)).sum(axis=2)
+        certified = (optimistic >= rate_req).all(axis=1)
+        tried = certified.nonzero()[0]
+        p_count = tried.size
+        if not p_count:
+            return certified, *_none_feasible(u_count, i_count)
+        if p_count < certified.size:
+            kappa = kappa[tried]
+
+        # the points share one table: drop the assignments none of them can use
+        nu_rate = _rate_levels(assignments, kappa, bw, rate_req).swapaxes(0, 1)
+        open_rows = np.isfinite(nu_rate).all(axis=2)       # (P, A)
+        used = open_rows.any(axis=0)
+        if not used.all():
+            assignments, nu_rate, open_rows = assignments[used], nu_rate[:, used], open_rows[:, used]
+        a_count = assignments.shape[0]
+
+        # one allocation row per (point, assignment), point-major
+        kap_w = kappa[:, assignments, np.arange(i_count)].reshape(-1, i_count)
+        live = kap_w > 0
+        floors = 1.0 / kap_w                               # inf on bands that earn nothing
+        min_levels = nu_rate[:, np.arange(a_count)[:, None], assignments].reshape(-1, i_count)
+        consts = np.maximum(0.0, min_levels * bw - floors)
+        spend = consts.sum(axis=1)
+        nu_base = _budget_levels(bw, floors, min_levels, consts, spend, p_max)
+        split = np.where(live, np.maximum(consts, nu_base[:, None] * bw - floors), 0.0)
+        split *= p_max / np.maximum(split.sum(axis=1), p_max)[:, None]
+        objective = (bw * np.log2(1.0 + kap_w * split)).sum(axis=1)
+
+    # each point keeps its first best row among those whose floors fit the budget
+    fits = (spend <= p_max * (1 + 1e-9)).reshape(p_count, a_count) & open_rows
+    points = fits.any(axis=1).nonzero()[0]
+    if not points.size:
+        return certified, *_none_feasible(u_count, i_count)
+    score = np.where(fits, objective.reshape(p_count, a_count), -np.inf)
+    first = score[points].argmax(axis=1)
+    best = points * a_count + first
+
+    winners, powers = assignments[first], split[best]
+    # rounding can leave a sum a few ulps over budget; shave each row's
+    # largest entry until its cap holds under exact comparison
+    excess = powers.sum(axis=1) - p_max
+    over = (excess > 0).nonzero()[0]
+    while over.size:
+        powers[over, powers[over].argmax(axis=1)] -= excess[over]
+        excess = powers.sum(axis=1) - p_max
+        over = (excess > 0).nonzero()[0]
+    per_band = bw * np.log2(1.0 + kap_w[best] * powers)
+    rates = np.zeros((points.size, u_count))
+    np.add.at(rates, (np.arange(points.size)[:, None], winners), per_band)
+    met = (rates >= rate_req * (1 - 1e-9) - 1e-9).all(axis=1)
+    if not met.all():
+        points, winners, powers, rates = points[met], winners[met], powers[met], rates[met]
+    return certified, tried[points], winners, powers, rates
+
+
+def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
+    """(rate floors, bandwidths, SNR per watt) of valid inputs; raises otherwise.
+
+    ``gains`` is (..., U, I); the floors come back as a fresh (U,) array.
+    """
+    u_count, i_count = gains.shape[-2:]
+    if len(sub_bands) != i_count:
+        raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
+    if p_max <= 0 or not np.isfinite(p_max):
+        raise ValueError(f"power budget must be positive, got {p_max}")
+    if (gains < 0).any() or not np.isfinite(gains).all():
+        raise ValueError("channel power gains must be finite and non-negative")
+    rate_req = np.asarray(rate_requirements, dtype=float)
+    if rate_req.shape not in ((), (1,), (u_count,)):
+        raise ValueError(f"need one rate requirement or one per UE, got shape {rate_req.shape}")
+    rate_req = np.full(u_count, rate_req)
+    if not (rate_req >= 0).all():
+        if np.isnan(rate_req).any():
+            raise ValueError(f"rate requirements must be numbers, got {rate_req}")
+        raise ValueError("rate requirements must be non-negative")
+    if u_count**i_count > ENUMERATION_CAP:
+        raise ValueError(
+            f"{u_count} UEs over {i_count} sub-bands give {u_count**i_count} assignments, "
+            f"above the exact-allocation cap of {ENUMERATION_CAP}")
+    bw = np.array([b.bandwidth_hz for b in sub_bands])
+    noise = np.array([b.noise_power_w for b in sub_bands])
+    return rate_req, bw, gains / noise
 
 
 def solve_allocation(
@@ -113,82 +223,48 @@ def solve_allocation(
     ``ENUMERATION_CAP``.
     """
     gains = np.atleast_2d(np.asarray(channel_power_gains, dtype=float))
+    rate_req, bw, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
     u_count, i_count = gains.shape
-    if len(sub_bands) != i_count:
-        raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
-    if p_max <= 0 or not np.isfinite(p_max):
-        raise ValueError(f"power budget must be positive, got {p_max}")
-    if (gains < 0).any() or not np.isfinite(gains).all():
-        raise ValueError("channel power gains must be finite and non-negative")
-    rate_req = np.broadcast_to(np.asarray(rate_requirements, dtype=float), (u_count,)).copy()
-    if np.isnan(rate_req).any():
-        raise ValueError(f"rate requirements must be numbers, got {rate_req}")
-    if (rate_req < 0).any():
-        raise ValueError("rate requirements must be non-negative")
-    if u_count**i_count > ENUMERATION_CAP:
-        raise ValueError(
-            f"{u_count} UEs over {i_count} sub-bands give {u_count**i_count} assignments, "
-            f"above the exact-allocation cap of {ENUMERATION_CAP}")
+    # every assignment in lexicographic order, the warm one moved to the front
+    assignments = _assignment_table(u_count, i_count)
     if warm_winners is not None:
         warm = np.asarray(warm_winners)
         if not np.array_equal(warm, warm.astype(int)):
             raise ValueError(f"warm start must be integer UE indices, got {warm_winners}")
         first = int(np.ravel_multi_index(warm.astype(int), (u_count,) * i_count))
+        assignments = np.concatenate(
+            [assignments[first:first + 1], assignments[:first], assignments[first + 1:]])
 
-    bw = np.array([b.bandwidth_hz for b in sub_bands])
-    noise = np.array([b.noise_power_w for b in sub_bands])
-    kappa = gains / noise  # SNR per watt
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Certificate: when a floor is out of reach even with every band at
-        # the full budget simultaneously, no assignment can meet it.
-        optimistic = (bw * np.log2(1.0 + kappa * p_max)).sum(axis=1)
-        if (optimistic < rate_req).any():
-            return _failure(u_count, i_count)
-
-        # every assignment in lexicographic order, the warm one moved to the front
-        assignments = _assignment_table(u_count, i_count)
-        if warm_winners is not None:
-            assignments = np.concatenate(
-                [assignments[first:first + 1], assignments[:first], assignments[first + 1:]])
-        tried = assignments.shape[0]
-
-        nu_rate = _rate_levels(assignments, kappa, bw, rate_req)
-        reachable = np.isfinite(nu_rate).all(axis=1)
-        if not reachable.all():
-            assignments, nu_rate = assignments[reachable], nu_rate[reachable]
-
-        kap_w = kappa[assignments, np.arange(i_count)]   # (A, I)
-        live = kap_w > 0
-        floors = 1.0 / kap_w                              # inf on bands that earn nothing
-        min_levels = nu_rate[np.arange(assignments.shape[0])[:, None], assignments]
-        consts = np.maximum(0.0, min_levels * bw - floors)
-        nu_base = _budget_levels(bw, floors, min_levels, consts, p_max)
-        powers = np.where(live, np.maximum(consts, nu_base[:, None] * bw - floors), 0.0)
-        powers *= p_max / np.maximum(powers.sum(axis=1), p_max)[:, None]
-        objective = (bw * np.log2(1.0 + kap_w * powers)).sum(axis=1)
-
-    feasible = consts.sum(axis=1) <= p_max * (1 + 1e-9)
-    if not feasible.any():
-        return _failure(u_count, i_count, tried)
-    best = int(np.where(feasible, objective, -np.inf).argmax())
-
-    winners, powers = assignments[best], powers[best].copy()
-    # rounding can leave the sum a few ulps over budget; shave the largest
-    # entry until the cap holds under exact comparison
-    excess = float(powers.sum()) - p_max
-    while excess > 0:
-        powers[int(powers.argmax())] -= excess
-        excess = float(powers.sum()) - p_max
-    per_band = bw * np.log2(1.0 + kap_w[best] * powers)
-    rates = np.bincount(winners, weights=per_band, minlength=u_count)
-    if not (rates >= rate_req * (1 - 1e-9) - 1e-9).all():
+    certified, feasible, winners, powers, rates = _allocate(
+        kappa[None], bw, p_max, rate_req, assignments)
+    tried = assignments.shape[0] if certified[0] else 0
+    if not feasible.size:
         return _failure(u_count, i_count, tried)
     return AllocationResult(
-        winners=winners.copy(),
-        powers=powers,
-        rates=rates,
-        objective=float(rates.sum()),
+        winners=winners[0],
+        powers=powers[0],
+        rates=rates[0],
+        objective=float(rates[0].sum()),
         feasible=True,
         candidates_tried=tried,
     )
+
+
+def score_allocations(channel_power_gains, sub_bands, p_max: float, rate_requirements):
+    """Feasibility and optimal sum rate of P separate plans in one pass.
+
+    ``channel_power_gains`` is (P, U, I).  Point p's (feasible, sum rate) is
+    bit for bit the ``feasible`` and ``objective`` that ``solve_allocation``
+    returns for its (U, I) gains: the same rows, the same first-best tie
+    rule, budget shave and final floor check.  Returns two (P,) arrays, the
+    sum rate 0.0 where infeasible.  Raises as ``solve_allocation`` does.
+    """
+    gains = np.asarray(channel_power_gains, dtype=float)
+    rate_req, bw, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
+    assignments = _assignment_table(*gains.shape[1:])
+    _, points, _, _, rates = _allocate(kappa, bw, p_max, rate_req, assignments)
+    feasible = np.zeros(len(gains), dtype=bool)
+    sum_rates = np.zeros(len(gains))
+    feasible[points] = True
+    sum_rates[points] = rates.sum(axis=1)
+    return feasible, sum_rates

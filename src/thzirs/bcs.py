@@ -9,8 +9,14 @@ sweeps candidate positions over a coordinate lattice (block-coordinate
 search) best first: a coherent-ceiling allocation bounds every lattice
 point's answer from above, points are inner-solved in decreasing bound order,
 and the search stops at the first bound below the incumbent.  The reference
-strategies inner-solve every placement of a single-point or lattice sweep,
-the latter with a frozen phase profile.
+strategies inner-solve one placement: MinDis and RanLoc their own, RanPhi
+the lattice point that scores best under its frozen phase profile.
+
+Both lattice passes, the ceiling bounds and RanPhi's frozen-profile scores,
+build link rows and run the exact allocation for a whole block of lattice
+points at once (``_lattice_scores``); a block holds at most ``BLOCK_ROWS``
+allocation rows (points times assignments), so memory stays flat at any plan
+size the allocation accepts.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import solve_allocation
+from .allocation import score_allocations, solve_allocation
 # absorption_coefficient stays importable here for perfbench/tracer.py
 from .channel import _band_absorption, absorption_coefficient  # noqa: F401
 from .geometry import (
@@ -43,6 +49,9 @@ VALIDATE_TOLERANCE = 1e-6
 # relative inflation of the coherent-ceiling gains, so that rounding in either
 # allocation never lets a point's bound fall below its inner-solved sum rate
 BOUND_MARGIN = 1e-9
+# allocation rows (lattice points x assignments) scored in one batched pass;
+# a block holds one point at least
+BLOCK_ROWS = 512
 
 
 @dataclass
@@ -109,9 +118,11 @@ class Solution:
 class SearchResult:
     """Best solution of a placement search plus its trajectory.
 
-    ``points_evaluated`` counts the lattice points inner-solved (``bcs``
-    leaves out those its bound rules out); ``best_trace`` is the running best
-    sum rate in visit order, led by the anchor's when there is one.
+    ``points_evaluated`` counts the lattice points inner-solved: those its
+    bound leaves open for ``bcs``, the winning point alone for ``ranphi``.
+    ``best_trace`` is the running best sum rate, in visit order led by the
+    anchor's for ``bcs`` and in lattice order, one entry per point, from the
+    batched scores for ``ranphi``.
     """
 
     solution: Solution
@@ -134,8 +145,8 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
 
 
 def _ceiling_gains(vectors):
-    """(U, I) power gains no unit-modulus profile can exceed: (sum_n |e_uin|)^2."""
-    return np.sum(np.abs(vectors), axis=2) ** 2
+    """(..., U, I) power gains no unit-modulus profile can exceed: (sum_n |e_uin|)^2."""
+    return np.sum(np.abs(vectors), axis=-1) ** 2
 
 
 def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
@@ -288,34 +299,28 @@ def _min_distance_placement(scene, element_count, spacing_m):
     return IrsPlacement(x, y, element_count, spacing_m)
 
 
-def _better(candidate: Solution, incumbent: Solution) -> bool:
-    # feasible beats infeasible, then strictly larger sum rate
-    if candidate.feasible != incumbent.feasible:
-        return candidate.feasible
-    return candidate.sum_rate_bps > incumbent.sum_rate_bps
+def _lattice_scores(scene, points, sub_bands, p_max, rate_requirements, absorb, gains_of):
+    """Feasibility and exact-allocation sum rate at every placement of ``points``.
 
-
-def _sweep(scene, placements, sub_bands, p_max, rate_requirements, mixing_ratio,
-           phases=None):
-    """Inner-solve each placement in order and keep the first strict best.
-
-    A given ``phases`` profile is frozen at every placement.  Returns the
-    best solution and the running best sum rate, one entry per placement.
+    ``gains_of`` turns a block's (P, U, I, N) link rows into its (P, U, I)
+    power gains.  Blocks hold at most ``BLOCK_ROWS`` allocation rows (points
+    times assignments), one point at least.  Each point's pair is bit for bit
+    the ``feasible`` and ``objective`` of ``solve_allocation`` on its own
+    gains.  Returns two (P,) arrays, the sum rate 0.0 where infeasible.
     """
-    best, trace = None, []
-    for placement in placements:
-        candidate = inner_solve(
-            scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
-            phases=phases,
-        )
-        if best is None or _better(candidate, best):
-            best = candidate
-        trace.append(best.sum_rate_bps)
-    return best, trace
+    per_block = max(1, BLOCK_ROWS // scene.ue_count ** len(sub_bands))
+    feasible = np.zeros(len(points), dtype=bool)
+    rates = np.zeros(len(points))
+    for start in range(0, len(points), per_block):
+        block = slice(start, start + per_block)
+        vectors = effective_vector(sub_bands, points[block], scene, absorb)
+        feasible[block], rates[block] = score_allocations(
+            gains_of(vectors), sub_bands, p_max, rate_requirements)
+    return feasible, rates
 
 
-def _ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb):
-    """Upper bound on ``inner_solve``'s sum rate at one placement, or None.
+def _ceiling_bounds(scene, points, sub_bands, p_max, rate_requirements, absorb):
+    """Upper bound on ``inner_solve``'s sum rate at each placement, or None.
 
     No unit-modulus profile lifts a link's power gain above the coherent
     ceiling, and the exact allocation's optimum only rises with the gains,
@@ -323,10 +328,10 @@ def _ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb
     answer the inner solve can reach there.  None when even the ceiling
     misses a rate floor: no profile makes the point feasible.
     """
-    vectors = effective_vector(sub_bands, placement, scene, absorb)
-    gains = _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN)
-    alloc = solve_allocation(gains, sub_bands, p_max, rate_requirements)
-    return alloc.objective if alloc.feasible else None
+    feasible, rates = _lattice_scores(
+        scene, points, sub_bands, p_max, rate_requirements, absorb,
+        lambda vectors: _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN))
+    return [rate if ok else None for ok, rate in zip(feasible.tolist(), rates.tolist())]
 
 
 def bcs_solve(
@@ -345,21 +350,20 @@ def bcs_solve(
     The minimum-total-distance point is solved first as an extra candidate
     (outside the lattice counter), so the search never returns less than
     the distance heuristic it refines.  Every lattice point then gets its
-    coherent-ceiling bound (``_ceiling_bound``); points whose ceiling misses
-    a floor are skipped, the rest are inner-solved in decreasing bound
-    order (ties in lattice order) until a bound falls below the incumbent's
-    sum rate.  The best is kept by (feasible, sum rate, earliest in lattice
-    order, anchor first), so the answer is the one a full sweep of the
-    anchor and then the lattice keeps.  ``points_evaluated`` counts the
-    lattice points inner-solved.
+    coherent-ceiling bound, all in one batched pass (``_ceiling_bounds``);
+    points whose ceiling misses a floor are skipped, the rest are
+    inner-solved in decreasing bound order (ties in lattice order) until a
+    bound falls below the incumbent's sum rate.  The best is kept by
+    (feasible, sum rate, earliest in lattice order, anchor first), so the
+    answer is the one a full sweep of the anchor and then the lattice keeps.
+    ``points_evaluated`` counts the lattice points inner-solved.
     """
     anchor = baseline_mini_dis(
         scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
     )
     points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
-    bounds = [_ceiling_bound(scene, p, sub_bands, p_max, rate_requirements, absorb)
-              for p in points]
+    bounds = _ceiling_bounds(scene, points, sub_bands, p_max, rate_requirements, absorb)
     order = sorted((i for i, b in enumerate(bounds) if b is not None),
                    key=bounds.__getitem__, reverse=True)
 
@@ -392,7 +396,7 @@ def baseline_mini_dis(
 ) -> Solution:
     """Array at the minimum-total-distance point, full inner optimization."""
     placement = _min_distance_placement(scene, element_count, spacing_m)
-    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio)[0]
+    return inner_solve(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio)
 
 
 def baseline_ran_loc(
@@ -410,7 +414,7 @@ def baseline_ran_loc(
     x = rng.uniform(0.0, scene.room_width_m)
     y = rng.uniform(0.0, y_hi)
     placement = IrsPlacement(x, y, element_count, spacing_m)
-    return _sweep(scene, [placement], sub_bands, p_max, rate_requirements, mixing_ratio)[0]
+    return inner_solve(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio)
 
 
 def baseline_ran_phi(
@@ -425,13 +429,26 @@ def baseline_ran_phi(
     grid_step_x: float,
     grid_step_y: float,
 ) -> SearchResult:
-    """Same placement sweep as the full search but one frozen random phase
-    profile and no phase restoration.  A lattice step wider than the room
-    leaves no lattice point; the sweep then takes the minimum-total-distance
-    point, the extra candidate of the full search."""
+    """Same lattice as the full search but one frozen random phase profile
+    and no phase restoration.  Every point is scored in the batched pass;
+    the first strict best (feasible beats infeasible, then a larger sum rate)
+    is then inner-solved with the frozen profile.  A lattice step wider than
+    the room leaves no lattice point; the sweep then takes the
+    minimum-total-distance point, the extra candidate of the full search."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
     points = (_lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
               or [_min_distance_placement(scene, element_count, spacing_m)])
-    best, trace = _sweep(scene, points, sub_bands, p_max, rate_requirements, mixing_ratio,
-                         phases=phases)
-    return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points))
+    absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
+    coefficients = phases.coefficients
+    feasible, rates = _lattice_scores(
+        scene, points, sub_bands, p_max, rate_requirements, absorb,
+        lambda vectors: np.abs(vectors @ coefficients) ** 2)
+    scores = list(zip(feasible.tolist(), rates.tolist()))
+    best, trace = 0, []
+    for i, score in enumerate(scores):
+        if score > scores[best]:
+            best = i
+        trace.append(scores[best][1])
+    solution = inner_solve(scene, points[best], sub_bands, p_max, rate_requirements,
+                           mixing_ratio, phases=phases)
+    return SearchResult(solution=solution, best_trace=trace, points_evaluated=1)

@@ -101,27 +101,32 @@ class PhaseVector:
         return float(np.linalg.norm(self.coefficients - np.exp(1j * o)))
 
 
-def _two_hop(placement: IrsPlacement, scene: Scene):
-    """Two-hop length AP -> anchor -> UE and steering slope of every UE, each (U,).
+def _two_hop(placement, scene: Scene):
+    """Two-hop length AP -> anchor -> UE and steering slope of every UE.
 
-    Element n (1-based) of the array sits (n-1) spacings along +y from the
-    anchor.  Its incident plus departure steering phase at wavenumber k is
-    k * slope * (n-1) * spacing: the projection of that offset onto the AP
-    and UE directions.
+    ``placement`` is one IrsPlacement, giving two (U,) arrays, or a sequence
+    of P placements, giving two (P, U) arrays.  Element n (1-based) of the
+    array sits (n-1) spacings along +y from the anchor.  Its incident plus
+    departure steering phase at wavenumber k is k * slope * (n-1) * spacing:
+    the projection of that offset onto the AP and UE directions.
     """
-    anchor = placement.anchor_position(scene)
+    if isinstance(placement, IrsPlacement):
+        anchor = placement.anchor_position(scene)
+    else:
+        anchor = np.array([p.anchor_position(scene) for p in placement]).reshape(-1, 3)
     r0 = anchor - scene.ap_position_m
-    ru = scene.ue_positions_m - anchor
+    ru = scene.ue_positions_m - anchor[..., None, :]
     # vecdot is the 1-D dot np.linalg.norm takes, so lengths match it bit for bit
-    n0 = np.sqrt(np.vecdot(r0, r0))
+    n0 = np.sqrt(np.vecdot(r0, r0))[..., None]
     nu = np.sqrt(np.vecdot(ru, ru))
-    if n0 == 0 or (nu == 0).any():
+    if (n0 == 0).any() or (nu == 0).any():
         raise ValueError("AP or UE coincides with the array anchor")
     lengths = n0 + nu
     if not np.isfinite(lengths).all():
         raise ValueError(f"two-hop path lengths must be finite, got {lengths}")
+    y = anchor[..., 1:2]
     ap_y, ue_y = scene.ap_position_m[1], scene.ue_positions_m[:, 1]
-    slope = (placement.y_m - ap_y) / n0 + (ue_y - placement.y_m) / nu
+    slope = (y - ap_y) / n0 + (ue_y - y) / nu
     return lengths, slope
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT, cascaded_gain
-from .geometry import PhaseVector, _two_hop
+from .geometry import IrsPlacement, PhaseVector, _two_hop
 
 # SGD and SCA stop once the profile moves less than this between iterates
 TOLERANCE = 1e-4
@@ -30,14 +30,22 @@ def effective_vector(sub_bands, placement, scene, absorption_per_m) -> np.ndarra
     band i at unit transmit power.  Entry n carries g exp(-j(theta_n +
     vartheta_n)); the first entry has zero steering phase.
     ``absorption_per_m`` is K(f) at the band centers, one value per band or
-    one for all.
+    one for all.  A sequence of P placements of one array layout, in place
+    of a single ``placement``, gives the rows of each, shape (P, U, I, N).
     """
+    if isinstance(placement, IrsPlacement):
+        layout = placement
+    else:
+        layout = placement[0]
+        if any((p.element_count, p.spacing_m) != (layout.element_count, layout.spacing_m)
+               for p in placement):
+            raise ValueError("placements of one batch must share one array layout")
     f = np.array([b.center_hz for b in sub_bands], dtype=float)
     lengths, slope = _two_hop(placement, scene)
     k = 2.0 * np.pi * f / SPEED_OF_LIGHT
-    beta = (k * slope[:, None])[:, :, None] * placement.offsets_m
-    g = cascaded_gain(f, lengths[:, None], absorption_per_m)
-    return g[:, :, None] * np.exp(-1j * beta)
+    beta = (k * slope[..., None])[..., None] * layout.offsets_m
+    g = cascaded_gain(f, lengths[..., None], absorption_per_m)
+    return g[..., None] * np.exp(-1j * beta)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,12 @@ from allocation_oracle import (
     exact_solve_at,
     reference_solve_allocation,
 )
-from thzirs.allocation import ENUMERATION_CAP, _assignment_table, solve_allocation
+from thzirs.allocation import (
+    ENUMERATION_CAP,
+    _assignment_table,
+    score_allocations,
+    solve_allocation,
+)
 from thzirs.channel import SubBand
 
 
@@ -183,6 +190,9 @@ def test_input_validation():
     for floors in (float("nan"), [1e9, float("nan")]):
         with pytest.raises(ValueError, match="rate requirements must be numbers"):
             solve_allocation(gains, bands, 1.0, floors)
+    for floors in ([1e9, 1e9, 1e9], [[1e9, 1e9]], [[1e9], [1e9]]):
+        with pytest.raises(ValueError, match="one rate requirement or one per UE"):
+            solve_allocation(gains, bands, 1.0, floors)
     with pytest.raises(ValueError, match="warm start must be integer UE indices"):
         solve_allocation(gains, bands, 1.0, 0.0, warm_winners=[0.5, 1])
     # integral values of any dtype still name an assignment
@@ -322,3 +332,51 @@ def test_returned_winners_are_a_private_writable_copy():
     again = solve_allocation(gains, bands, 1.0, floors)
     np.testing.assert_array_equal(again.winners, kept)
     assert again.objective == first.objective
+
+
+def _verdicts(gains, bands, p_max, floors):
+    """Feasibility from the single-plan solve and from the batched scorer."""
+    single = solve_allocation(gains, bands, p_max, floors)
+    feasible, rates = score_allocations(gains[None], bands, p_max, floors)
+    assert (bool(feasible[0]), float(rates[0])) == (single.feasible, single.objective)
+    return single.feasible
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("excess", [1.5e-9, 5e-9, 5e-8])
+def test_floor_power_just_over_the_budget_is_infeasible(seed, excess):
+    # U = I with a floor on every UE, so each UE holds exactly one band; the
+    # cheapest assignment's floor power overshoots the budget by `excess`,
+    # between the 1e-9 slack and 1e-6.  High-SNR floors (about 10 bit/Hz)
+    # keep the final floor check from catching the overshoot on its own.
+    rng = np.random.default_rng(seed)
+    u = 2 + seed % 2
+    bands = make_bands([50e9] * u)
+    noise = np.array([b.noise_power_w for b in bands])
+    gains = 10.0 ** rng.uniform(-9.0, -8.0, (u, u))
+    floors = rng.uniform(4e11, 6e11, u)
+    spend = min(sum((2.0 ** (floors[k] / 50e9) - 1.0) * noise[perm[k]] / gains[k, perm[k]]
+                    for k in range(u))
+                for perm in itertools.permutations(range(u)))
+    assert not _verdicts(gains, bands, spend / (1.0 + excess), floors)
+    assert _verdicts(gains, bands, spend * (1.0 + 1e-7), floors)
+
+
+def test_floor_shortfall_just_past_the_final_check_is_infeasible():
+    # UE 0's floor needs an SNR near 1e-8 on band 0, where its floor-level
+    # power is the difference of two nearly equal numbers.  The best
+    # assignment (UE 0 on band 0, the floor-free UE 1 on band 1) meets the
+    # budget, but rounding leaves UE 0 short of its floor by a relative
+    # 3.3e-9, between the final check's 1e-9 slack and 1e-6, so the verdict
+    # is infeasible, although UE 0 holding both bands would meet its floor.
+    rng = np.random.default_rng(4)
+    bands = make_bands([50e9, 50e9])
+    gains = np.array([[10 ** rng.uniform(-18, -16), 10 ** rng.uniform(-18, -16)],
+                      [10 ** rng.uniform(-18, -16), 10 ** rng.uniform(-9, -8)]])
+    snr = gains[0, 0] / bands[0].noise_power_w * rng.uniform(0.2, 0.6)
+    floors = np.array([50e9 * np.log2(1.0 + snr), 0.0])
+    _, best_rates, _, _ = exact_solve_at(np.array([0, 1]), gains, bands, 1.0, floors)
+    assert 1e-9 < 1.0 - best_rates[0] / floors[0] < 1e-6
+    _, alone_rates, _, _ = exact_solve_at(np.array([0, 0]), gains, bands, 1.0, floors)
+    assert alone_rates[0] > floors[0]
+    assert not _verdicts(gains, bands, 1.0, floors)

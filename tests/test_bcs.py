@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzirs import bcs
 from thzirs.bcs import (
@@ -16,7 +18,7 @@ from thzirs.channel import SubBand, _band_absorption, absorption_coefficient, ca
 from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length
 from thzirs.rng import SplitMix64
 
-from search_oracle import full_sweep_bcs
+from search_oracle import ceiling_bound, frozen_sweep_ran_phi, full_sweep_bcs
 
 MU = 0.013869106058060476  # 23 C, 1013.25 hPa, 50 % RH
 
@@ -259,12 +261,13 @@ def test_grid_rejects_bad_steps_and_oversized_array():
 
 
 def test_every_search_inner_solves_each_position_once(monkeypatch):
-    # the benchmark counts positions as inner solves, so no search may batch
-    # or repeat one; bcs counts only the lattice points it inner-solves
+    # the benchmark counts positions as inner solves, so no search may repeat
+    # one or inner-solve a point it does not count; bcs counts the lattice
+    # points it inner-solves, ranphi scores the lattice in one batched pass
+    # and inner-solves only its winner
     scene = make_scene([(1.0, 2.0), (4.0, 6.5)])
     bands = make_bands([225.0, 275.0])
     args = (scene, bands, 8, 0.005, 1.0, 1e9, MU)
-    lattice = len(candidate_grid(scene, 8, 0.005, 2.0, 2.0))
     calls = []
     original = bcs.inner_solve
 
@@ -280,13 +283,15 @@ def test_every_search_inner_solves_each_position_once(monkeypatch):
         "ranloc": (lambda: baseline_ran_loc(*args, rng=SplitMix64(4)), lambda res: 1),
         "ranphi": (lambda: baseline_ran_phi(*args, rng=SplitMix64(4),
                                             grid_step_x=2.0, grid_step_y=2.0),
-                   lambda res: lattice),
+                   lambda res: res.points_evaluated),
     }
     for name, (search, expected) in searches.items():
         calls.clear()
         positions = expected(search())
         assert len(calls) == positions, name
         assert len(set(calls)) == positions, name
+        if name == "ranphi":
+            assert positions == 1
 
 
 def assert_same_bits(got, want):
@@ -371,8 +376,9 @@ def test_ties_go_to_the_anchor_then_the_earliest_lattice_point(monkeypatch, anch
                         np.ones(1), np.array([rate]), rate, True, True, 1, [rate])
 
     monkeypatch.setattr(bcs, "inner_solve", flat)
-    monkeypatch.setattr(bcs, "_ceiling_bound",
-                        lambda scene, placement, *args: 2.0 + points.index(placement))
+    monkeypatch.setattr(bcs, "_ceiling_bounds",
+                        lambda scene, placements, *args: [2.0 + points.index(p)
+                                                          for p in placements])
     res = bcs_solve(scene, bands, 4, 0.005, 1.0, 0.0, MU, grid_step_x=2.0, grid_step_y=2.0)
     assert res.points_evaluated == len(points) > 1
     assert res.solution.placement == (anchor if winner == "anchor" else points[winner])
@@ -392,11 +398,106 @@ def test_ceiling_bound_caps_the_inner_solve(u_count, n, floor):
     bands = SMALL_BANDS
     absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
     points = bcs._lattice(scene, n, 0.005, 1.0, 1.0)
-    for k in rng.choice(len(points), size=4, replace=False):
-        placement = points[k]
-        bound = bcs._ceiling_bound(scene, placement, bands, 1.0, floor, absorb)
+    chosen = [points[k] for k in rng.choice(len(points), size=4, replace=False)]
+    bounds = bcs._ceiling_bounds(scene, chosen, bands, 1.0, floor, absorb)
+    for placement, bound in zip(chosen, bounds):
         sol = inner_solve(scene, placement, bands, 1.0, floor, MU)
         if bound is None:
             assert not sol.feasible
         else:
             assert sol.sum_rate_bps <= bound
+
+
+LATTICE_BANDS = make_bands([225.0, 275.0, 305.0, 355.0])
+LATTICE_SIZES = ("one", "block", "block+1", "several", "none")
+
+
+@st.composite
+def frozen_lattices(draw, size):
+    """A 3 m x 4 m room whose lattice is one row of points along x, sized
+    against a block of 1-3 points: one point, exactly one block, one block
+    and one point, several blocks with a partial last one, or none.  The
+    drawn seed sets U, I, N, the block and the UE positions; the floor is
+    zero, drawn log-uniformly or out of reach."""
+    floor_kind = draw(st.sampled_from(["zero", "drawn", "impossible"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    u_count, i_count = (int(k) for k in rng.integers(1, 5, size=2))
+    n = int(rng.choice([1, 4, 8, 20]))
+    per_block = int(rng.integers(1, 4))
+    count = dict(zip(LATTICE_SIZES, (1, per_block, per_block + 1, 3 * per_block + 1, 0)))[size]
+    floor = {"zero": 0.0, "drawn": float(10 ** rng.uniform(9.0, 11.0)), "impossible": 1e13}[
+        floor_kind]
+    ues = [(float(rng.uniform(0.25, 2.75)), float(rng.uniform(0.25, 3.75)), 1.0)
+           for _ in range(u_count)]
+    scene = Scene(4.0, 3.0, 3.0, (0.0, 0.0, 2.0), ues)
+    # one lattice row (a y step of 3/4 of the span) holding `count` points
+    # along x; a step wider than the room leaves none
+    step_x = 3.0 / count if count else 4.0
+    step_y = 0.75 * admissible_y_span(scene, n, 0.005)
+    return (scene, LATTICE_BANDS[:i_count], n, floor, step_x, step_y, count,
+            per_block * u_count**i_count, int(rng.integers(0, 2**32)))
+
+
+def _lattice_answers(scene, bands, n, floor, step_x, step_y, seed):
+    """ranphi's search result and the ceiling bounds of the same lattice."""
+    absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
+    points = bcs._lattice(scene, n, 0.005, step_x, step_y)
+    return (baseline_ran_phi(scene, bands, n, 0.005, 1.0, floor, MU, SplitMix64(seed),
+                             step_x, step_y),
+            bcs._ceiling_bounds(scene, points, bands, 1.0, floor, absorb))
+
+
+@pytest.mark.parametrize("size", LATTICE_SIZES)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_lattice_passes_match_the_per_point_oracles(size, data):
+    # ranphi and the ceiling bounds score the lattice in blocks of points;
+    # each point must come out as the per-point inner solve and allocation
+    scene, bands, n, floor, step_x, step_y, count, block_rows, seed = data.draw(
+        frozen_lattices(size))
+    points = bcs._lattice(scene, n, 0.005, step_x, step_y)
+    assert len(points) == count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bcs, "BLOCK_ROWS", block_rows)
+        got, bounds = _lattice_answers(scene, bands, n, floor, step_x, step_y, seed)
+    want = frozen_sweep_ran_phi(scene, bands, n, 0.005, 1.0, floor, MU, SplitMix64(seed),
+                                step_x, step_y)
+    assert_same_bits(got.solution, want.solution)
+    assert [r.hex() for r in got.best_trace] == [r.hex() for r in want.best_trace]
+    assert got.points_evaluated == 1
+    absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
+    oracle = [ceiling_bound(scene, p, bands, 1.0, floor, absorb) for p in points]
+    assert [b is None for b in bounds] == [b is None for b in oracle]
+    assert [b.hex() for b in bounds if b is not None] == [b.hex() for b in oracle if b is not None]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_block_size_leaves_every_answer_unchanged(monkeypatch, block_rows):
+    # U = 1 plans have one assignment, so 7 rows make 7-point blocks; the
+    # U >= 2 plans of small_case drop to one point per block
+    cases = [(make_scene([(2.0, 3.0)], room=(4.0, 3.0, 3.0)), 4, 1e10)]
+    cases += [small_case(seed) for seed in (6, 68, 70)]
+    want = [_lattice_answers(scene, SMALL_BANDS, n, floor, 0.5, 0.5, 3)
+            for scene, n, floor in cases]
+    blocks = []
+    original = bcs.score_allocations
+
+    def recorded(gains, *args):
+        blocks.append(gains.shape)
+        return original(gains, *args)
+
+    monkeypatch.setattr(bcs, "score_allocations", recorded)
+    monkeypatch.setattr(bcs, "BLOCK_ROWS", block_rows)
+    for (scene, n, floor), (ranphi, bounds) in zip(cases, want):
+        blocks.clear()
+        got_ranphi, got_bounds = _lattice_answers(scene, SMALL_BANDS, n, floor, 0.5, 0.5, 3)
+        assert_same_bits(got_ranphi.solution, ranphi.solution)
+        assert got_ranphi.best_trace == ranphi.best_trace
+        assert got_bounds == bounds
+        # each pass covers the lattice in full blocks of the allowed size and
+        # one shorter tail
+        size = max(1, block_rows // scene.ue_count ** len(SMALL_BANDS))
+        lattice = len(bounds)
+        for pass_blocks in (blocks[:len(blocks) // 2], blocks[len(blocks) // 2:]):
+            assert [shape[0] for shape in pass_blocks] == (
+                [size] * (lattice // size) + [lattice % size] * (lattice % size > 0))

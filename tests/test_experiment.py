@@ -2,6 +2,8 @@
 and a validating answer from every algorithm on small valid plans."""
 
 import dataclasses
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,25 @@ def test_every_algorithm_returns_a_validating_solution(config, seed):
         sol = run_single(config, algo, seed)
         assert isinstance(sol, Solution), algo
         sol.validate(scene, bands, config.p_max_w, config.rate_floor_bps, config.mixing_ratio())
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(config=small_configs(), first_seed=st.integers(1, 1000))
+def test_worker_count_never_changes_a_small_study(config, first_seed):
+    # two seeds, U = 1..3 and all four algorithms (ranphi's batched lattice
+    # pass included), run in this process and in two worker processes
+    config = dataclasses.replace(config, seeds=(first_seed, first_seed + 1),
+                                 ue_counts=(1, 2, 3))
+    with tempfile.TemporaryDirectory() as one, tempfile.TemporaryDirectory() as two, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PLAN_THREADS", "2")
+        serial = run_experiment(config, out_dir=one, workers=1)
+        pooled = run_experiment(config, out_dir=two, workers=2)
+        for name in ("summary.csv", "aggregate.csv"):
+            with open(os.path.join(one, name), "rb") as a, open(os.path.join(two, name), "rb") as b:
+                assert a.read() == b.read(), name
+    assert pooled.solutions == serial.solutions
+    assert pooled.failures == serial.failures
 
 
 def test_default_ranphi_answer_is_pinned():

@@ -157,6 +157,24 @@ def test_link_rows_match_scalar_reference_bit_for_bit():
             assert abs(h - reference_reflected_channel(band, placement, angles, scene, u, k)) <= bound
 
 
+def test_batched_link_rows_match_each_placement_bit_for_bit():
+    rng = np.random.default_rng(405)
+    for case in range(200):
+        u_count, i_count, n = 1 + case % 4, 1 + (case // 4) % 5, 1 + (case // 20) % 20
+        scene, placement, bands, absorb = random_link_case(rng, u_count, i_count, n)
+        points = [placement] + [
+            IrsPlacement(rng.uniform(0, scene.room_width_m), rng.uniform(0, scene.room_length_m),
+                         n, placement.spacing_m)
+            for _ in range(int(rng.integers(0, 5)))]
+        rows = effective_vector(bands, points, scene, absorb)
+        assert rows.shape == (len(points), u_count, i_count, n)
+        for p, point in enumerate(points):
+            assert rows[p].tobytes() == effective_vector(bands, point, scene, absorb).tobytes()
+    mixed = [placement, IrsPlacement(1.0, 1.0, n + 1, placement.spacing_m)]
+    with pytest.raises(ValueError, match="one array layout"):
+        effective_vector(bands, mixed, scene, absorb)
+
+
 def test_cascaded_gain_broadcasts_like_the_scalar_form():
     f = np.array([210e9, 300e9, 390e9])
     d = np.array([[2.0], [7.5]])
