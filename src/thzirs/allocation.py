@@ -112,8 +112,10 @@ def _allocate(kappa, bw, p_max, rate_req, assignments):
     tie order: the first best row wins.  A point is tried only when its
     ``certified`` flag holds: some floor out of reach even with every band at
     the full budget simultaneously rules out every assignment at once.
-    Returns ``certified`` (P,), the indices of the feasible points, and their
-    winners (F, I), powers (F, I) and rates (F, U).
+    A best row that fails the final floor check gives way to the point's
+    next best row.  Returns ``certified`` (P,), the indices of the feasible
+    points (in no set order), and their winners (F, I), powers (F, I) and
+    rates (F, U).
     """
     u_count, i_count = kappa.shape[1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -146,30 +148,43 @@ def _allocate(kappa, bw, p_max, rate_req, assignments):
         split *= p_max / np.maximum(split.sum(axis=1), p_max)[:, None]
         objective = (bw * np.log2(1.0 + kap_w * split)).sum(axis=1)
 
-    # each point keeps its first best row among those whose floors fit the budget
+    # each point keeps its first best row among those whose floors fit the
+    # budget and whose rounded rates pass the final floor check
     fits = (spend <= p_max * (1 + 1e-9)).reshape(p_count, a_count) & open_rows
-    points = fits.any(axis=1).nonzero()[0]
-    if not points.size:
-        return certified, *_none_feasible(u_count, i_count)
     score = np.where(fits, objective.reshape(p_count, a_count), -np.inf)
-    first = score[points].argmax(axis=1)
-    best = points * a_count + first
-
-    winners, powers = assignments[first], split[best]
-    # rounding can leave a sum a few ulps over budget; shave each row's
-    # largest entry until its cap holds under exact comparison
-    excess = powers.sum(axis=1) - p_max
-    over = (excess > 0).nonzero()[0]
-    while over.size:
-        powers[over, powers[over].argmax(axis=1)] -= excess[over]
+    pending = fits.any(axis=1).nonzero()[0]
+    kept = []
+    while pending.size:
+        first = score[pending].argmax(axis=1)
+        best = pending * a_count + first
+        winners, powers = assignments[first], split[best]
+        # rounding can leave a sum a few ulps over budget; shave each row's
+        # largest entry until its cap holds under exact comparison
         excess = powers.sum(axis=1) - p_max
         over = (excess > 0).nonzero()[0]
-    per_band = bw * np.log2(1.0 + kap_w[best] * powers)
-    rates = np.zeros((points.size, u_count))
-    np.add.at(rates, (np.arange(points.size)[:, None], winners), per_band)
-    met = (rates >= rate_req * (1 - 1e-9) - 1e-9).all(axis=1)
-    if not met.all():
-        points, winners, powers, rates = points[met], winners[met], powers[met], rates[met]
+        while over.size:
+            powers[over, powers[over].argmax(axis=1)] -= excess[over]
+            excess = powers.sum(axis=1) - p_max
+            over = (excess > 0).nonzero()[0]
+        per_band = bw * np.log2(1.0 + kap_w[best] * powers)
+        rates = np.zeros((pending.size, u_count))
+        np.add.at(rates, (np.arange(pending.size)[:, None], winners), per_band)
+        met = (rates >= rate_req * (1 - 1e-9) - 1e-9).all(axis=1)
+        if met.all():
+            kept.append((pending, winners, powers, rates))
+            break
+        kept.append((pending[met], winners[met], powers[met], rates[met]))
+        # a floor that needs a very low SNR puts its floor-level power at the
+        # difference of two nearly equal numbers, and the rounded rate can
+        # fall a few 1e-9 short; such a point falls back to its next best row
+        pending, first = pending[~met], first[~met]
+        fits[pending, first] = False
+        score[pending, first] = -np.inf
+        pending = pending[fits[pending].any(axis=1)]
+    if not kept:
+        return certified, *_none_feasible(u_count, i_count)
+    points, winners, powers, rates = (
+        kept[0] if len(kept) == 1 else (np.concatenate(part) for part in zip(*kept)))
     return certified, tried[points], winners, powers, rates
 
 

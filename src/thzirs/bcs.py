@@ -144,18 +144,24 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
 
 
+def _same_bits(a: PhaseVector, b: PhaseVector) -> bool:
+    """Whether two profiles hold the same angles bit for bit."""
+    return a.angles.tobytes() == b.angles.tobytes()
+
+
 def _ceiling_gains(vectors):
     """(..., U, I) power gains no unit-modulus profile can exceed: (sum_n |e_uin|)^2."""
     return np.sum(np.abs(vectors), axis=-1) ** 2
 
 
-def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
+def _repair_feasibility(vectors, phases, gains, alloc, sub_bands, p_max, rate_req):
     """Steer the profile toward the rate floors when no allocation meets them.
 
-    Each pass gives every floored UE its highest-headroom free band (hardest
-    UE first), asks the phase stage for the received powers those floors
-    need at an even budget split, and retries the exact allocation.  Returns
-    the last (phases, gains, allocation) triple; the allocation may still be
+    ``gains`` and ``alloc`` are the cold allocation at ``phases``.  Each pass
+    gives every floored UE its highest-headroom free band (hardest UE
+    first), asks the phase stage for the received powers those floors need
+    at an even budget split, and retries the exact allocation.  Returns the
+    last (phases, gains, allocation) triple; the allocation may still be
     infeasible when the floors are out of reach.
     """
     u_count, i_count, _ = vectors.shape
@@ -184,7 +190,14 @@ def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
 
     for _ in range(MAX_REPAIRS):
-        phases = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        restored = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        if _same_bits(restored, phases):
+            # the phase stage is a deterministic function of the rows, the
+            # targets and the anchor, all fixed here, so every later pass
+            # would repeat this one, and the gains and allocation at hand
+            # are those it would compute
+            break
+        phases = restored
         gains = np.abs(vectors @ phases.coefficients) ** 2
         alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
         if alloc.feasible:
@@ -224,7 +237,8 @@ def inner_solve(
     if not alloc.feasible and not frozen and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off
-        phases, gains, alloc = _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req)
+        phases, gains, alloc = _repair_feasibility(vectors, phases, gains, alloc, sub_bands,
+                                                   p_max, rate_req)
     trace = [alloc.objective] if alloc.feasible else []
     converged = frozen or not alloc.feasible
     while not converged and len(trace) < MAX_ROUNDS:
@@ -235,6 +249,13 @@ def inner_solve(
         rows = np.sqrt(alloc.powers[active])[:, None] * vectors[alloc.winners[active], active]
         targets = alloc.powers[active] * gains[alloc.winners[active], active]
         restored = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        if _same_bits(restored, phases):
+            # unchanged gains: the warm-started allocation would return this
+            # round's own allocation, the warm row winning every tie, and
+            # the repeated sum rate would end the rounds
+            trace.append(alloc.objective)
+            converged = True
+            break
         restored_gains = np.abs(vectors @ restored.coefficients) ** 2
         following = solve_allocation(
             restored_gains, sub_bands, p_max, rate_req, warm_winners=alloc.winners

@@ -10,7 +10,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,6 +321,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers=None) -> RunR
     seeds = config.seeds
     n_workers = _worker_count(workers, len(seeds))
     if n_workers > 1:
+        # imported here: the pool brings in multiprocessing, which a
+        # single-worker run would load for nothing on every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             by_seed = {r["seed"]: r for r in pool.map(_run_seed, [config] * len(seeds), seeds)}
         results = [by_seed[s] for s in seeds]

@@ -176,22 +176,29 @@ def _distance_terms(xy, endpoints, weights, height):
     return f, np.array([g0, g1]), np.array([[h00, h01], [h01, h11]])
 
 
+def _clip(a, lo, hi):
+    """``np.clip(a, lo, hi)`` bit for bit, without the wrapper's fixed cost."""
+    return np.minimum(np.maximum(a, lo), hi)
+
+
 def _projected_descent(endpoints, weights, height, lo, hi, x0):
     """Projected gradient with backtracking, then guarded Newton polish.
 
     The objective (a weighted sum of point-to-plane-point distances) is convex,
-    so the stationary point inside the box is the global minimum.
+    so the stationary point inside the box is the global minimum.  Norms are
+    ``math.sqrt(a.dot(a))``, the formula ``np.linalg.norm`` uses on a real
+    vector.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    x = _clip(np.asarray(x0, dtype=float), lo, hi)
     f, g, _ = _distance_terms(x, endpoints, weights, height)
     step = 1.0
     for _ in range(DESCENT_MAX_ITERS):
-        pg = x - np.clip(x - g, lo, hi)
-        if np.linalg.norm(pg) <= DESCENT_TOLERANCE:
+        pg = x - _clip(x - g, lo, hi)
+        if math.sqrt(pg.dot(pg)) <= DESCENT_TOLERANCE:
             break
         t = step
         for _ in range(60):
-            cand = np.clip(x - t * g, lo, hi)
+            cand = _clip(x - t * g, lo, hi)
             fc, gc, _ = _distance_terms(cand, endpoints, weights, height)
             if fc <= f - 1e-4 * float(g @ (x - cand)):
                 break
@@ -212,12 +219,12 @@ def _projected_descent(endpoints, weights, height, lo, hi, x0):
         d = np.array(
             [h[1, 1] * g[0] - h[0, 1] * g[1], -h[1, 0] * g[0] + h[0, 0] * g[1]]
         ) / det
-        cand = np.clip(x - d, lo, hi)
+        cand = _clip(x - d, lo, hi)
         fc, _, _ = _distance_terms(cand, endpoints, weights, height)
         if fc > f + 1e-15:
             break
         x, f = cand, fc
-        if np.linalg.norm(d) < 1e-14:
+        if math.sqrt(d.dot(d)) < 1e-14:
             break
     return x
 

@@ -156,6 +156,7 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     theta2 = 2.0 * surr.theta
     psi = surr.psi
     prices = np.ones(k)
+    slacks = np.empty(k)
     best_angles = surr.anchor.copy()
     prev_coeff = np.exp(1j * best_angles)
     best_slack = float(((theta2 @ prev_coeff).real - psi - targets).min())
@@ -163,21 +164,32 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     converged = False
     stall = 0
     it = 0
+    some_price_positive = True
     for it in range(1, max_iters + 1):
-        if not (prices > 0).any():
+        if not (some_price_positive or (prices > 0).any()):
             break
         v = prices @ theta2
+        # a fresh array every step: best_angles may keep it
         angles = -np.arctan2(v.imag, v.real)
         coeff = np.exp(1j * angles)
-        slacks = (theta2 @ coeff).real - psi - targets
-        worst = float(slacks.min())
+        np.subtract((theta2 @ coeff).real, psi, out=slacks)
+        slacks -= targets
+        worst = float(np.minimum.reduce(slacks))
         if worst > best_slack + gap:
             best_slack = worst
             best_angles = angles
             stall = 0
         else:
             stall += 1
-        prices = np.maximum(0.0, prices - tau0 / math.sqrt(it) * slacks)
+        # prices = max(0, prices - step * slacks), one IEEE operation at a time
+        step = tau0 / math.sqrt(it)
+        slacks *= step
+        np.subtract(prices, slacks, out=prices)
+        np.maximum(0.0, prices, out=prices)
+        # step * worst is bit for bit the worst row's product above; when it
+        # is negative that row's price p - x, with p >= 0 and x < 0, rounds
+        # to a positive number, so the next collapse test can be skipped
+        some_price_positive = step * worst < 0.0
         # np.linalg.norm's own formula for a complex vector
         d = coeff - prev_coeff
         if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) <= TOLERANCE:

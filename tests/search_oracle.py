@@ -11,6 +11,14 @@ stood before the batched scorer: one ``inner_solve`` with the frozen profile,
 or one ``solve_allocation`` on the coherent-ceiling gains, per lattice point.
 The batched ``baseline_ran_phi`` and ``_ceiling_bounds`` must agree with them
 bit for bit.
+
+``reference_repair_feasibility`` and ``reference_inner_solve`` are the
+feasibility repair and the inner alternation as they stood before they
+learned to skip repeated work: the repair runs every one of ``MAX_REPAIRS``
+passes until an allocation meets the floors, and every round re-solves the
+allocation, even when the phase stage handed back its anchor unchanged.
+``bcs._repair_feasibility`` and ``bcs.inner_solve`` must return the same
+answers bit for bit.
 """
 
 import numpy as np
@@ -18,15 +26,21 @@ import numpy as np
 from thzirs.allocation import solve_allocation
 from thzirs.bcs import (
     BOUND_MARGIN,
+    MAX_REPAIRS,
+    MAX_ROUNDS,
+    ROUND_TOLERANCE,
     SearchResult,
+    Solution,
     _ceiling_gains,
+    _initial_phases,
     _lattice,
     _min_distance_placement,
     baseline_mini_dis,
     inner_solve,
 )
+from thzirs.channel import _band_absorption
 from thzirs.geometry import PhaseVector
-from thzirs.phase_opt import effective_vector
+from thzirs.phase_opt import PhaseProblem, effective_vector, sca_phase_optimize
 
 
 def _first_strict_best(solutions):
@@ -75,3 +89,88 @@ def ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb)
     gains = _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN)
     alloc = solve_allocation(gains, sub_bands, p_max, rate_requirements)
     return alloc.objective if alloc.feasible else None
+
+
+def reference_repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
+    """Every repair pass, until an allocation meets the floors or the passes
+    run out; returns the last (phases, gains, allocation) triple."""
+    u_count, i_count, _ = vectors.shape
+    bw = np.array([b.bandwidth_hz for b in sub_bands])
+    noise = np.array([b.noise_power_w for b in sub_bands])
+    p_eq = p_max / i_count
+    need = noise * (np.exp2(np.minimum(rate_req[:, None] / bw, 1023.0)) - 1.0)
+    ceiling = p_eq * _ceiling_gains(vectors)
+
+    floored = np.flatnonzero(rate_req > 0)
+    headroom = ceiling[floored] / need[floored]
+    order = floored[np.argsort(np.max(headroom, axis=1), kind="stable")]
+    pairs_u, pairs_i = [], []
+    taken = np.zeros(i_count, dtype=bool)
+    for u in order:
+        open_bands = np.flatnonzero(~taken)
+        if open_bands.size == 0:
+            break
+        pick = int(open_bands[np.argmax(ceiling[u, open_bands] / need[u, open_bands])])
+        pairs_u.append(int(u))
+        pairs_i.append(pick)
+        taken[pick] = True
+    rows = np.sqrt(p_eq) * vectors[pairs_u, pairs_i]
+    targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
+
+    for _ in range(MAX_REPAIRS):
+        phases = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        gains = np.abs(vectors @ phases.coefficients) ** 2
+        alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
+        if alloc.feasible:
+            break
+    return phases, gains, alloc
+
+
+def reference_inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
+                          mixing_ratio) -> Solution:
+    """Alternate allocation and phase restoration, re-solving every round."""
+    rate_req = np.broadcast_to(
+        np.asarray(rate_requirements, dtype=float), (scene.ue_count,)
+    ).copy()
+    absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
+    vectors = effective_vector(sub_bands, placement, scene, absorb)
+    phases = _initial_phases(scene, placement, sub_bands, rate_req)
+
+    gains = np.abs(vectors @ phases.coefficients) ** 2
+    alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
+    if not alloc.feasible and np.any(rate_req > 0):
+        phases, gains, alloc = reference_repair_feasibility(vectors, phases, sub_bands, p_max,
+                                                            rate_req)
+    trace = [alloc.objective] if alloc.feasible else []
+    converged = not alloc.feasible
+    while not converged and len(trace) < MAX_ROUNDS:
+        active = np.flatnonzero(alloc.powers > 0)
+        if active.size == 0:
+            converged = True
+            break
+        rows = np.sqrt(alloc.powers[active])[:, None] * vectors[alloc.winners[active], active]
+        targets = alloc.powers[active] * gains[alloc.winners[active], active]
+        restored = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        restored_gains = np.abs(vectors @ restored.coefficients) ** 2
+        following = solve_allocation(
+            restored_gains, sub_bands, p_max, rate_req, warm_winners=alloc.winners
+        )
+        if not following.feasible:
+            converged = True
+            break
+        phases, gains, alloc = restored, restored_gains, following
+        trace.append(alloc.objective)
+        converged = abs(trace[-1] - trace[-2]) <= ROUND_TOLERANCE * max(trace[-2], 1.0)
+
+    return Solution(
+        placement=placement,
+        phases=phases,
+        winners=alloc.winners,
+        powers=alloc.powers,
+        rates=alloc.rates,
+        sum_rate_bps=alloc.objective,
+        feasible=alloc.feasible,
+        converged=converged,
+        rounds=max(len(trace), 1),
+        rate_trace=trace,
+    )

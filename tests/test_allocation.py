@@ -362,21 +362,80 @@ def test_floor_power_just_over_the_budget_is_infeasible(seed, excess):
     assert _verdicts(gains, bands, spend * (1.0 + 1e-7), floors)
 
 
-def test_floor_shortfall_just_past_the_final_check_is_infeasible():
-    # UE 0's floor needs an SNR near 1e-8 on band 0, where its floor-level
-    # power is the difference of two nearly equal numbers.  The best
-    # assignment (UE 0 on band 0, the floor-free UE 1 on band 1) meets the
-    # budget, but rounding leaves UE 0 short of its floor by a relative
-    # 3.3e-9, between the final check's 1e-9 slack and 1e-6, so the verdict
-    # is infeasible, although UE 0 holding both bands would meet its floor.
-    rng = np.random.default_rng(4)
+def _low_snr_floor_plan(seed):
+    """Two UEs on two 50 GHz bands: UE 0's floor needs an SNR near 1e-8 on
+    band 0, where its floor-level power is the difference of two nearly equal
+    numbers; UE 1 is floor-free on a strong band 1."""
+    rng = np.random.default_rng(seed)
     bands = make_bands([50e9, 50e9])
     gains = np.array([[10 ** rng.uniform(-18, -16), 10 ** rng.uniform(-18, -16)],
                       [10 ** rng.uniform(-18, -16), 10 ** rng.uniform(-9, -8)]])
     snr = gains[0, 0] / bands[0].noise_power_w * rng.uniform(0.2, 0.6)
-    floors = np.array([50e9 * np.log2(1.0 + snr), 0.0])
+    return gains, bands, np.array([50e9 * np.log2(1.0 + snr), 0.0])
+
+
+def test_floor_shortfall_just_past_the_final_check_falls_back_to_the_next_row():
+    # The best assignment (UE 0 on band 0, UE 1 on band 1) meets the budget,
+    # but rounding leaves UE 0 short of its floor by a relative 3.3e-9,
+    # between the final check's 1e-9 slack and 1e-6.  The check rejects that
+    # row and the plan falls back to its next best: UE 0 holds both bands.
+    gains, bands, floors = _low_snr_floor_plan(4)
     _, best_rates, _, _ = exact_solve_at(np.array([0, 1]), gains, bands, 1.0, floors)
     assert 1e-9 < 1.0 - best_rates[0] / floors[0] < 1e-6
-    _, alone_rates, _, _ = exact_solve_at(np.array([0, 0]), gains, bands, 1.0, floors)
-    assert alone_rates[0] > floors[0]
-    assert not _verdicts(gains, bands, 1.0, floors)
+    assert _verdicts(gains, bands, 1.0, floors)
+    res = solve_allocation(gains, bands, 1.0, floors)
+    assert res.winners.tolist() == [0, 0]
+    assert res.rates[0] > floors[0]
+    assert float(np.sum(res.powers)) <= 1.0
+
+
+def test_every_low_snr_floor_plan_is_feasible():
+    # UE 0 holding both bands meets its floor in every one of these 200
+    # plans; in 84 of them the best row fails the final floor check and the
+    # plan takes a later row that passes it
+    fallbacks = 0
+    for seed in range(200):
+        gains, bands, floors = _low_snr_floor_plan(seed)
+        _, best_rates, _, _ = exact_solve_at(np.array([0, 1]), gains, bands, 1.0, floors)
+        _, alone_rates, _, _ = exact_solve_at(np.array([0, 0]), gains, bands, 1.0, floors)
+        assert alone_rates[0] > floors[0], seed
+        assert _verdicts(gains, bands, 1.0, floors), seed
+        res = solve_allocation(gains, bands, 1.0, floors)
+        assert np.all(res.rates >= floors * (1 - 1e-9) - 1e-9), seed
+        assert float(np.sum(res.powers)) <= 1.0, seed
+        if best_rates[0] < floors[0] * (1 - 1e-9) - 1e-9:
+            fallbacks += 1
+            assert res.winners.tolist() != [0, 1], seed
+    assert fallbacks == 84
+
+
+def _warm_start_instances(rng, u, i):
+    """Plans with zero, drawn and impossible floors, some with a dead column."""
+    gains = 10.0 ** rng.uniform(-10.0, -7.5, (u, i))
+    if rng.random() < 0.3:
+        gains[:, rng.integers(i)] = 0.0
+    bands = make_bands(rng.choice([25e9, 50e9], size=i),
+                       noise=10.0 ** rng.uniform(-20.5, -19.5))
+    kappa = gains / np.array([b.noise_power_w for b in bands])
+    full = (np.array([b.bandwidth_hz for b in bands]) * np.log2(1.0 + kappa)).sum(axis=1)
+    for floors in (np.zeros(u), rng.uniform(0.0, 0.6, u) * full / u, np.full(u, 1e13)):
+        yield gains, bands, floors
+
+
+def test_warm_start_from_an_answer_returns_that_answer_bit_for_bit():
+    # inner_solve ends its rounds on this: a warm-started allocation on
+    # unchanged gains, warmed with its own answer's winners, returns it
+    rng = np.random.default_rng(1313)
+    cases = feasible = 0
+    for u in range(1, 5):
+        for i in range(1, 5):
+            for _ in range(6):
+                for gains, bands, floors in _warm_start_instances(rng, u, i):
+                    for warm in (None, rng.integers(0, u, i)):
+                        first = solve_allocation(gains, bands, 1.0, floors, warm_winners=warm)
+                        again = solve_allocation(gains, bands, 1.0, floors,
+                                                 warm_winners=first.winners)
+                        _assert_bitwise_equal(again, first, (u, i, floors.tolist()))
+                        cases += 1
+                        feasible += first.feasible
+    assert cases == 16 * 6 * 3 * 2 and 0 < feasible < cases

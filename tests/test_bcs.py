@@ -14,11 +14,20 @@ from thzirs.bcs import (
     candidate_grid,
     inner_solve,
 )
+from thzirs.allocation import solve_allocation
 from thzirs.channel import SubBand, _band_absorption, absorption_coefficient, cascaded_gain
 from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length
+from thzirs.phase_opt import effective_vector
 from thzirs.rng import SplitMix64
 
-from search_oracle import ceiling_bound, frozen_sweep_ran_phi, full_sweep_bcs
+import search_oracle
+from search_oracle import (
+    ceiling_bound,
+    frozen_sweep_ran_phi,
+    full_sweep_bcs,
+    reference_inner_solve,
+    reference_repair_feasibility,
+)
 
 MU = 0.013869106058060476  # 23 C, 1013.25 hPa, 50 % RH
 
@@ -323,6 +332,64 @@ def small_case(seed):
     ues = [(float(rng.uniform(0.25, 2.75)), float(rng.uniform(0.25, 3.75)), 1.0)
            for _ in range(u_count)]
     return Scene(4.0, 3.0, 3.0, (0.0, 0.0, 2.0), ues), n, floor
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``name`` from the library search and from its oracle."""
+    calls = {"library": 0, "reference": 0}
+    for module, key in ((bcs, "library"), (search_oracle, "reference")):
+        def counted(*args, _original=getattr(module, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_repair_stops_at_a_fixed_point_with_the_same_answer(monkeypatch):
+    # every pass after one whose phase stage returns its own anchor would
+    # repeat it, so the repair stops there; the reference runs every pass
+    calls = _count_calls(monkeypatch, "sca_phase_optimize")
+    absorb = _band_absorption(tuple(b.center_hz for b in SMALL_BANDS), MU)
+    repaired = fewer = 0
+    for seed in range(60):
+        scene, n, floor = small_case(seed)
+        placement = bcs._lattice(scene, n, 0.005, 1.0, 1.0)[0]
+        rate_req = np.full(scene.ue_count, floor)
+        vectors = effective_vector(SMALL_BANDS, placement, scene, absorb)
+        phases = bcs._initial_phases(scene, placement, SMALL_BANDS, rate_req)
+        gains = np.abs(vectors @ phases.coefficients) ** 2
+        alloc = solve_allocation(gains, SMALL_BANDS, 1.0, rate_req)
+        if alloc.feasible:
+            continue
+        calls.update(library=0, reference=0)
+        got = bcs._repair_feasibility(vectors, phases, gains, alloc, SMALL_BANDS, 1.0, rate_req)
+        want = reference_repair_feasibility(vectors, phases, SMALL_BANDS, 1.0, rate_req)
+        assert got[0].angles.tobytes() == want[0].angles.tobytes(), seed
+        assert got[1].tobytes() == want[1].tobytes(), seed
+        for name in ("winners", "powers", "rates"):
+            assert getattr(got[2], name).tobytes() == getattr(want[2], name).tobytes(), seed
+        assert (got[2].objective, got[2].feasible, got[2].candidates_tried) == (
+            want[2].objective, want[2].feasible, want[2].candidates_tried), seed
+        assert calls["library"] <= calls["reference"], seed
+        repaired += got[2].feasible
+        fewer += calls["library"] < calls["reference"]
+    assert repaired > 0 and fewer > 10
+
+
+def test_inner_solve_skips_only_work_that_repeats(monkeypatch):
+    # rounds whose phase stage hands back its anchor reuse their allocation,
+    # and the repair stops at a fixed point; the reference re-solves all of it
+    calls = _count_calls(monkeypatch, "solve_allocation")
+    solved = 0
+    for seed in range(24):
+        scene, n, floor = small_case(seed)
+        for placement in bcs._lattice(scene, n, 0.005, 1.5, 1.5)[:2]:
+            args = (scene, placement, SMALL_BANDS, 1.0, floor, MU)
+            assert_same_bits(inner_solve(*args), reference_inner_solve(*args))
+            solved += 1
+    assert solved == 48
+    # 96 of the reference's 193 allocations on these cases
+    assert calls["library"] < 0.6 * calls["reference"]
 
 
 # seeds 68, 70, 248, 310, 375 and 384 mix lattice points the ceiling rules

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 from channel_oracle import departure_steering_phase, incident_steering_phase
-from geometry_oracle import reference_distance_terms
+from geometry_oracle import reference_distance_terms, reference_projected_descent
 
 from thzirs import geometry
 from thzirs.geometry import (
@@ -192,6 +192,8 @@ def test_distance_terms_and_placement_solvers_follow_the_oracle_bit_for_bit(monk
     # bits.  The descent is a deterministic function of those values, so
     # driven by the oracle it visits the same iterates and returns the same
     # anchor; every 20th scene also runs that oracle-driven descent outright.
+    # Every scene's anchor must also match the reference descent, which
+    # projects with np.clip and measures with np.linalg.norm.
     library = geometry._distance_terms
     evaluations = 0
 
@@ -213,6 +215,9 @@ def test_distance_terms_and_placement_solvers_follow_the_oracle_bit_for_bit(monk
         else:
             solve = partial(solve_single_ue_placement, scene, case % ue_count, y_max=y_max)
         anchor = solve()
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_projected_descent", reference_projected_descent)
+            assert struct.pack("2d", *solve()) == struct.pack("2d", *anchor)
         if case % 20 == 0:
             with monkeypatch.context() as patch:
                 patch.setattr(geometry, "_distance_terms", reference_distance_terms)
