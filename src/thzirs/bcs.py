@@ -244,6 +244,8 @@ def inner_solve(
     while not converged and len(trace) < MAX_ROUNDS:
         active = np.flatnonzero(alloc.powers > 0)
         if active.size == 0:
+            # a feasible allocation spends nothing when no band earns
+            # anything for the budget, so there is no link to restore
             converged = True
             break
         rows = np.sqrt(alloc.powers[active])[:, None] * vectors[alloc.winners[active], active]

@@ -91,12 +91,24 @@ def _complex_rows(vectors) -> np.ndarray:
     return np.atleast_2d(np.asarray(vectors, dtype=complex))
 
 
+def _product(terms):
+    """The product function with ``@``'s bits for sums of ``terms`` terms.
+
+    On contiguous operands np.dot calls the BLAS product that ``@`` calls,
+    at about half a microsecond less per call, and it writes into a given
+    buffer.  A length-1 operand is a scalar to np.dot, which then rounds
+    each complex product once in a fused multiply-add where ``@``'s own
+    loop rounds it twice, so one-term products keep np.matmul.
+    """
+    return np.dot if terms > 1 else np.matmul
+
+
 def surrogate(vectors: np.ndarray, anchor_angles: np.ndarray) -> Surrogate:
     """Build the minorant 2 Re{theta . phi} - psi <= |e . phi|^2 at the anchor."""
     vectors = _complex_rows(vectors)
     anchor_angles = np.asarray(anchor_angles, dtype=float).reshape(-1)
     phi_hat = np.exp(1j * anchor_angles)
-    w = vectors @ phi_hat
+    w = _product(phi_hat.size)(vectors, phi_hat)
     theta = w.conj()[:, None] * vectors
     psi = np.abs(w) ** 2
     return Surrogate(theta=theta, psi=psi, anchor=anchor_angles.copy(), vectors=vectors)
@@ -105,13 +117,15 @@ def surrogate(vectors: np.ndarray, anchor_angles: np.ndarray) -> Surrogate:
 def surrogate_values(surr: Surrogate, angles: np.ndarray) -> np.ndarray:
     """2 Re{theta . phi} - psi per constraint at the given phases."""
     phi = np.exp(1j * np.asarray(angles, dtype=float))
-    return 2.0 * (surr.theta @ phi).real - surr.psi
+    # x + x is 2.0 * x bit for bit, without a Python scalar to convert
+    re = _product(phi.size)(surr.theta, phi).real
+    return (re + re) - surr.psi
 
 
 def exact_values(vectors: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """|e . phi|^2 per constraint at the given phases."""
     phi = np.exp(1j * np.asarray(angles, dtype=float))
-    return np.abs(_complex_rows(vectors) @ phi) ** 2
+    return np.abs(_product(phi.size)(_complex_rows(vectors), phi)) ** 2
 
 
 @dataclass
@@ -133,8 +147,32 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     Each step sets phi_n = -angle(v_n) for v = 2 rho . theta, the entrywise
     maximizer of the priced surrogate, then takes a projected subgradient
     step on the prices; all prices at zero leave the penalty flat and end
-    the loop.  The loop is kept bit-identical to the step-by-step form in
-    ``tests/phase_oracle.py``.
+    the loop.
+
+    The loop is bit for bit the step-by-step form in ``tests/phase_oracle.py``
+    and makes no array per step beyond the copy an improving iterate keeps.
+    Each rewrite keeps the oracle's IEEE operations in their order:
+
+    - ``theta2 = 2.0 * theta`` once: doubling is exact, so its products are
+      the doubled products of ``theta``.
+    - The prices live in the real part of a complex buffer whose imaginary
+      part stays +0.0: the operands to which the mixed-type
+      ``prices @ theta2`` casts.  Both products write into fixed buffers
+      through ``_product``, np.dot wherever it has ``@``'s bits
+      (``tests/test_phase_opt.py`` guards that on the host's BLAS).
+    - The exponent of ``exp(1j * -a)``, a = atan2(v), is written as
+      ``0.0 - a`` into the imaginary part of a buffer whose real part stays
+      +0.0.  The imaginary part is the product's 0 + (-a) bit for bit; the
+      real part may differ in the sign of a zero, and exp(+0) = exp(-0) = 1.
+      Only an improving iterate is negated into ``best_angles``.
+    - Slacks, the worst slack and the price step run on Python floats: the
+      same subtractions and multiply as the array form.  ``x if x > 0.0
+      else 0.0`` is ``np.maximum(0.0, x)`` for every finite x but -0.0, and
+      a price difference p - x is -0.0 only for p = -0.0, which neither
+      form ever stores.  All prices at zero is ``not any``.
+    - The movement test subtracts into a fixed buffer and sums the squares
+      of its real and imaginary views, ``np.linalg.norm``'s own formula; the
+      current and previous coefficient buffers swap roles each step.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1)
     k = targets.shape[0]
@@ -152,50 +190,60 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     gap = 1e-15 * scale
     feas_tol = 1e-6 * max(np.max(targets), np.finfo(float).tiny)
 
-    # doubling is exact, so theta2 products equal 2.0 * (theta products)
     theta2 = 2.0 * surr.theta
-    psi = surr.psi
-    prices = np.ones(k)
-    slacks = np.empty(k)
+    n = theta2.shape[1]
+    mix_rows, apply_rows = _product(k), _product(n)
+    levels = list(zip(np.broadcast_to(surr.psi, (k,)).tolist(), targets.tolist()))
+    cprices = np.ones(k, dtype=complex)
+    prices_re = cprices.real
+    prices = [1.0] * k
+    v = np.empty(n, dtype=complex)
+    v_re, v_im = v.real, v.imag
+    a = np.empty(n)
+    w = np.empty(k, dtype=complex)
+    w_re = w.real
+    # exp's argument: real part +0.0 throughout, imaginary part 0.0 - a
+    zeros = np.zeros(n)
+    z = np.zeros(n, dtype=complex)
+    z_im = z.imag
+    coeff = np.empty(n, dtype=complex)
+    d = np.empty(n, dtype=complex)
+    d_re, d_im = d.real, d.imag
+
     best_angles = surr.anchor.copy()
-    prev_coeff = np.exp(1j * best_angles)
-    best_slack = float(((theta2 @ prev_coeff).real - psi - targets).min())
+    prev = np.exp(1j * best_angles)
+    apply_rows(theta2, prev, out=w)
+    best_slack = min([(x - p) - t for x, (p, t) in zip(w_re.tolist(), levels)])
 
     converged = False
+    collapsed = False
     stall = 0
     it = 0
-    some_price_positive = True
     for it in range(1, max_iters + 1):
-        if not (some_price_positive or (prices > 0).any()):
+        if collapsed:
             break
-        v = prices @ theta2
-        # a fresh array every step: best_angles may keep it
-        angles = -np.arctan2(v.imag, v.real)
-        coeff = np.exp(1j * angles)
-        np.subtract((theta2 @ coeff).real, psi, out=slacks)
-        slacks -= targets
-        worst = float(np.minimum.reduce(slacks))
+        mix_rows(cprices, theta2, out=v)
+        np.arctan2(v_im, v_re, out=a)
+        np.subtract(zeros, a, out=z_im)
+        np.exp(z, out=coeff)
+        apply_rows(theta2, coeff, out=w)
+        slacks = [(x - p) - t for x, (p, t) in zip(w_re.tolist(), levels)]
+        worst = min(slacks)
         if worst > best_slack + gap:
             best_slack = worst
-            best_angles = angles
+            best_angles = -a
             stall = 0
         else:
             stall += 1
-        # prices = max(0, prices - step * slacks), one IEEE operation at a time
         step = tau0 / math.sqrt(it)
-        slacks *= step
-        np.subtract(prices, slacks, out=prices)
-        np.maximum(0.0, prices, out=prices)
-        # step * worst is bit for bit the worst row's product above; when it
-        # is negative that row's price p - x, with p >= 0 and x < 0, rounds
-        # to a positive number, so the next collapse test can be skipped
-        some_price_positive = step * worst < 0.0
-        # np.linalg.norm's own formula for a complex vector
-        d = coeff - prev_coeff
-        if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) <= TOLERANCE:
+        prices = [x if (x := p - step * s) > 0.0 else 0.0 for p, s in zip(prices, slacks)]
+        prices_re[:] = prices
+        collapsed = not any(prices)
+        np.subtract(coeff, prev, out=d)
+        if math.sqrt(d_re.dot(d_re) + d_im.dot(d_im)) <= TOLERANCE:
             converged = True
             break
-        prev_coeff = coeff
+        coeff, prev = prev, coeff
         if stall >= STALL_LIMIT and best_slack < -feas_tol:
             break
 

@@ -1,10 +1,14 @@
-"""Reference form of the priced subgradient phase restoration.
+"""Reference forms of the phase stage's surrogate helpers and its priced
+subgradient phase restoration.
 
-``reference_sgd_solve`` is the loop ``thzirs.phase_opt.sgd_solve`` computes,
-written step by step through ``penalized_phase_update``,
-``surrogate_values``, ``price_update`` and ``np.linalg.norm``.  The library
-inlines the same arithmetic in the same order, so every iterate and every
-output the library keeps must agree bit for bit.
+``reference_surrogate``, ``reference_surrogate_values`` and
+``reference_exact_values`` are the helpers of ``thzirs.phase_opt`` written
+with ``@`` and fresh arrays.  ``reference_sgd_solve`` is the loop
+``thzirs.phase_opt.sgd_solve`` computes, written step by step through
+``penalized_phase_update``, ``reference_surrogate_values``,
+``price_update`` and ``np.linalg.norm``.  The library computes the same
+arithmetic in the same order with ``np.dot`` and reused buffers, so every
+value and every output the library keeps must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from thzirs.geometry import PhaseVector
-from thzirs.phase_opt import Surrogate, surrogate_values
+from thzirs.phase_opt import Surrogate
 
 
 @dataclass
@@ -27,6 +31,28 @@ class ReferenceSgdResult:
     min_slack: float
     prices: np.ndarray
     prices_collapsed: bool
+
+
+def reference_surrogate(vectors, anchor_angles) -> Surrogate:
+    """Minorant 2 Re{theta . phi} - psi <= |e . phi|^2 at the anchor."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    anchor_angles = np.asarray(anchor_angles, dtype=float).reshape(-1)
+    w = vectors @ np.exp(1j * anchor_angles)
+    theta = w.conj()[:, None] * vectors
+    psi = np.abs(w) ** 2
+    return Surrogate(theta=theta, psi=psi, anchor=anchor_angles.copy(), vectors=vectors)
+
+
+def reference_surrogate_values(surr: Surrogate, angles) -> np.ndarray:
+    """2 Re{theta . phi} - psi per constraint at the given phases."""
+    phi = np.exp(1j * np.asarray(angles, dtype=float))
+    return 2.0 * (surr.theta @ phi).real - surr.psi
+
+
+def reference_exact_values(vectors, angles) -> np.ndarray:
+    """|e . phi|^2 per constraint at the given phases."""
+    phi = np.exp(1j * np.asarray(angles, dtype=float))
+    return np.abs(np.atleast_2d(np.asarray(vectors, dtype=complex)) @ phi) ** 2
 
 
 def penalized_phase_update(surr: Surrogate, prices: np.ndarray):
@@ -83,7 +109,7 @@ def reference_sgd_solve(
     certified_infeasible = bool(np.any(targets > upper + feas_tol))
 
     best_angles = surr.anchor.copy()
-    best_slack = float(np.min(surrogate_values(surr, best_angles) - targets))
+    best_slack = float(np.min(reference_surrogate_values(surr, best_angles) - targets))
     prev_coeff = np.exp(1j * best_angles)
 
     converged = False
@@ -95,7 +121,7 @@ def reference_sgd_solve(
         if flat:
             collapsed = True
             break
-        slacks = surrogate_values(surr, angles) - targets
+        slacks = reference_surrogate_values(surr, angles) - targets
         worst = float(np.min(slacks))
         if worst > best_slack + 1e-15 * scale:
             best_slack = worst

@@ -107,6 +107,30 @@ def test_inner_converges_and_flags_it():
     assert sol.sum_rate_bps == pytest.approx(float(np.sum(sol.rates)), rel=1e-12)
 
 
+def test_inner_solve_ends_on_an_allocation_with_no_power(monkeypatch):
+    # UEs tens of km down a humid hall, on bands beside the 380 GHz water
+    # line: 1/kappa is past 1e200 W, so the whole 1 W budget rounds away
+    # against it (or the gain underflows to zero).  With no rate floors the
+    # exact allocation is then feasible with every power at zero, which
+    # leaves the phase stage no link to restore: its rows would be empty.
+    def no_phase_stage(problem):
+        raise AssertionError("phase stage called with nothing to restore")
+
+    monkeypatch.setattr(bcs, "sca_phase_optimize", no_phase_stage)
+    rng = np.random.default_rng(14)
+    bands = make_bands([375.0, 385.0], width_ghz=10.0)
+    for _ in range(4):
+        hall = float(rng.uniform(2e4, 6e4))
+        ues = [(float(rng.uniform(0.5, 4.5)), hall - float(rng.uniform(1.0, 10.0)))
+               for _ in range(int(rng.integers(1, 3)))]
+        scene = make_scene(ues, room=(hall, 5.0, 3.0))
+        sol = inner_solve(scene, IrsPlacement(2.0, 3.0, 4, 0.005), bands, 1.0, 0.0, MU)
+        assert sol.feasible and sol.converged
+        assert np.all(sol.powers == 0.0) and np.all(sol.rates == 0.0)
+        assert sol.rounds == 1 and sol.rate_trace == [0.0]
+        assert sol.validate(scene, bands, 1.0, 0.0, MU) == 0.0
+
+
 def test_phase_stage_repairs_a_bad_start(monkeypatch):
     # floor needs most of the coherent gain, so a deliberately scrambled
     # profile starts infeasible and only phase restoration can save it

@@ -10,7 +10,14 @@ from channel_oracle import (
     reference_reflected_channel,
     reference_steering_phase_profile,
 )
-from phase_oracle import penalized_phase_update, price_update, reference_sgd_solve
+from phase_oracle import (
+    penalized_phase_update,
+    price_update,
+    reference_exact_values,
+    reference_sgd_solve,
+    reference_surrogate,
+    reference_surrogate_values,
+)
 
 from thzirs.channel import (
     Atmosphere,
@@ -393,3 +400,112 @@ def test_sgd_matches_reference_bit_for_bit():
             assert not got.feasible, case
     # every way out of the loop was exercised
     assert seen == {"collapsed", "converged", "capped", "stalled"}
+
+
+def test_np_dot_matches_matmul_on_phase_stage_shapes():
+    """The phase stage swaps ``@`` for ``np.dot`` on the grounds that both
+    run the same product.  Check that ground on this host's BLAS, at every
+    shape the stage uses, so that a BLAS build breaking it fails here and
+    not deep inside the oracle comparison."""
+    rng = np.random.default_rng(31)
+    for k, n, scale in itertools.product(range(1, 5), range(1, 21), (1.0, 1e-6)):
+        v = np.empty(n, dtype=complex)
+        w = np.empty(k, dtype=complex)
+        for _ in range(25):
+            theta2 = 2.0 * random_vectors(rng, k, n, scale)
+            # prices as the loop keeps them: real, some at zero, imaginary +0.0
+            prices = rng.uniform(0.0, 2.0, k) * (rng.uniform(size=k) < 0.8)
+            cprices = np.ones(k, dtype=complex)
+            cprices.real[:] = prices.tolist()
+            assert not np.signbit(cprices.imag).any()
+            ref = (prices @ theta2).tobytes()
+            if k > 1:
+                assert np.dot(cprices, theta2).tobytes() == ref, (k, n, scale)
+            phase_opt._product(k)(cprices, theta2, out=v)
+            assert v.tobytes() == ref, (k, n, scale)
+
+            coeff = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+            ref = (theta2 @ coeff).tobytes()
+            if n > 1:
+                assert np.dot(theta2, coeff).tobytes() == ref, (k, n, scale)
+            # a length-1 operand is a scalar to np.dot, so _product keeps @ there
+            phase_opt._product(n)(theta2, coeff, out=w)
+            assert w.tobytes() == ref, (k, n, scale)
+
+
+def test_sca_helpers_match_reference_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for case in range(2000):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 21))
+        vectors = random_vectors(rng, k, n, (1.0, 1e-6)[case % 2])
+        anchor = rng.uniform(-7.0, 7.0, n)
+        probe = rng.uniform(-7.0, 7.0, n)
+        if case % 5 == 0:
+            anchor[0], probe[-1] = 0.0, -0.0
+        surr, ref = surrogate(vectors, anchor), reference_surrogate(vectors, anchor)
+        for field in ("theta", "psi", "anchor", "vectors"):
+            assert getattr(surr, field).tobytes() == getattr(ref, field).tobytes(), (case, field)
+        for angles in (anchor, probe):
+            assert surrogate_values(surr, angles).tobytes() == \
+                reference_surrogate_values(ref, angles).tobytes(), case
+            assert exact_values(vectors, angles).tobytes() == \
+                reference_exact_values(vectors, angles).tobytes(), case
+
+
+class _OutRecorder:
+    """Stands in for numpy inside ``phase_opt`` and keeps every ``out=`` array."""
+
+    def __init__(self):
+        self.outs = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            if kwargs.get("out") is not None:
+                self.outs.append(kwargs["out"])
+            return attr(*args, **kwargs)
+        return call
+
+
+def test_phase_stage_leaves_inputs_untouched_and_returns_fresh_phases(monkeypatch):
+    rng = np.random.default_rng(33)
+    for case in range(40):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 21))
+        vectors = random_vectors(rng, k, n, 1e-6)
+        anchor = rng.uniform(0, 2 * np.pi, n)
+        if case % 4 == 3:
+            # a matched profile nothing improves on, so SCA keeps its anchor
+            anchor = -np.angle(vectors[0])
+            targets = exact_values(vectors, anchor)
+        else:
+            targets = (0.5, 0.9, 1.5)[case % 4] * exact_values(vectors, rng.uniform(0, 2 * np.pi, n))
+        surr = surrogate(vectors, anchor)
+        assert not np.shares_memory(surr.anchor, anchor)
+        problem = PhaseProblem(vectors=vectors, targets=targets, anchor=anchor)
+        inputs = {"surr.theta": surr.theta, "surr.psi": surr.psi, "surr.anchor": surr.anchor,
+                  "surr.vectors": surr.vectors, "targets": targets,
+                  "problem.vectors": problem.vectors, "problem.targets": problem.targets,
+                  "problem.anchor": problem.anchor, "anchor": anchor, "vectors": vectors}
+        before = {name: arr.tobytes() for name, arr in inputs.items()}
+
+        recorder = _OutRecorder()
+        monkeypatch.setattr(phase_opt, "np", recorder)
+        first = sgd_solve(surr, targets).phases.angles
+        second = sgd_solve(surr, targets).phases.angles
+        sca_first = sca_phase_optimize(problem).phases.angles
+        sca_second = sca_phase_optimize(problem).phases.angles
+        monkeypatch.undo()
+
+        for name, arr in inputs.items():
+            assert arr.tobytes() == before[name], (case, name)
+        for got, again in ((first, second), (sca_first, sca_second)):
+            assert np.array_equal(got, again), case
+            assert not np.shares_memory(got, again), case
+            for name, arr in inputs.items():
+                assert not np.shares_memory(got, arr), (case, name)
+            for buf in recorder.outs:
+                assert not np.shares_memory(got, buf), case
+        assert recorder.outs, "no out= buffer was recorded"
