@@ -45,7 +45,6 @@ from .geometry import (
     steering_phase_profile,
 )
 from .phase_opt import (
-    PhaseProblem,
     ScaResult,
     SgdResult,
     Surrogate,

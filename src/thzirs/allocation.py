@@ -188,6 +188,20 @@ def _allocate(kappa, bw, p_max, rate_req, assignments):
     return certified, tried[points], winners, powers, rates
 
 
+def _rate_floors(rate_requirements, u_count):
+    """One rate floor or one per UE as a fresh (U,) array; raises unless
+    every floor is a non-negative number."""
+    rate_req = np.asarray(rate_requirements, dtype=float)
+    if rate_req.shape not in ((), (1,), (u_count,)):
+        raise ValueError(f"need one rate requirement or one per UE, got shape {rate_req.shape}")
+    rate_req = np.full(u_count, rate_req)
+    if not (rate_req >= 0).all():
+        if np.isnan(rate_req).any():
+            raise ValueError(f"rate requirements must be numbers, got {rate_req}")
+        raise ValueError("rate requirements must be non-negative")
+    return rate_req
+
+
 def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
     """(rate floors, bandwidths, SNR per watt) of valid inputs; raises otherwise.
 
@@ -200,14 +214,7 @@ def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
         raise ValueError(f"power budget must be positive, got {p_max}")
     if (gains < 0).any() or not np.isfinite(gains).all():
         raise ValueError("channel power gains must be finite and non-negative")
-    rate_req = np.asarray(rate_requirements, dtype=float)
-    if rate_req.shape not in ((), (1,), (u_count,)):
-        raise ValueError(f"need one rate requirement or one per UE, got shape {rate_req.shape}")
-    rate_req = np.full(u_count, rate_req)
-    if not (rate_req >= 0).all():
-        if np.isnan(rate_req).any():
-            raise ValueError(f"rate requirements must be numbers, got {rate_req}")
-        raise ValueError("rate requirements must be non-negative")
+    rate_req = _rate_floors(rate_requirements, u_count)
     if u_count**i_count > ENUMERATION_CAP:
         raise ValueError(
             f"{u_count} UEs over {i_count} sub-bands give {u_count**i_count} assignments, "

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import score_allocations, solve_allocation
+from .allocation import _rate_floors, score_allocations, solve_allocation
 # absorption_coefficient stays importable here for perfbench/tracer.py
 from .channel import _band_absorption, absorption_coefficient  # noqa: F401
 from .geometry import (
@@ -35,7 +35,7 @@ from .geometry import (
     optimal_single_ue_phases,
     solve_min_total_distance,
 )
-from .phase_opt import PhaseProblem, effective_vector, sca_phase_optimize
+from .phase_opt import effective_vector, sca_phase_optimize
 from .rng import SplitMix64
 
 # allocation/phase rounds per inner solve, and the relative sum-rate change
@@ -76,9 +76,7 @@ class Solution:
         ``VALIDATE_TOLERANCE``; returns the recomputed sum rate.
         """
         u_count = scene.ue_count
-        rate_req = np.broadcast_to(
-            np.asarray(rate_requirements, dtype=float), (u_count,)
-        )
+        rate_req = _rate_floors(rate_requirements, u_count)
         if np.any(self.powers < 0):
             raise ValueError("negative transmit power stored")
         total = float(np.sum(self.powers))
@@ -190,7 +188,7 @@ def _repair_feasibility(vectors, phases, gains, alloc, sub_bands, p_max, rate_re
     targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
 
     for _ in range(MAX_REPAIRS):
-        restored = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        restored = sca_phase_optimize(rows, targets, phases.angles).phases
         if _same_bits(restored, phases):
             # the phase stage is a deterministic function of the rows, the
             # targets and the anchor, all fixed here, so every later pass
@@ -222,9 +220,7 @@ def inner_solve(
     a single round suffices.  An infeasible point comes back as the
     allocation's all-zero verdict after one round.
     """
-    rate_req = np.broadcast_to(
-        np.asarray(rate_requirements, dtype=float), (scene.ue_count,)
-    ).copy()
+    rate_req = _rate_floors(rate_requirements, scene.ue_count)
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     vectors = effective_vector(sub_bands, placement, scene, absorb)
 
@@ -250,7 +246,7 @@ def inner_solve(
             break
         rows = np.sqrt(alloc.powers[active])[:, None] * vectors[alloc.winners[active], active]
         targets = alloc.powers[active] * gains[alloc.winners[active], active]
-        restored = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        restored = sca_phase_optimize(rows, targets, phases.angles).phases
         if _same_bits(restored, phases):
             # unchanged gains: the warm-started allocation would return this
             # round's own allocation, the warm row winning every tie, and

@@ -296,17 +296,12 @@ def _worker_count(requested, n_jobs: int) -> int:
 def _aggregate_rows(rows):
     """Mean and spread of the sum rate per (algo, ue_count), seed order kept."""
     groups: dict = {}
-    order = []
     for seed, algo, u_count, rate, feasible in rows:
-        key = (algo, u_count)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((rate, feasible))
+        groups.setdefault((algo, u_count), []).append((rate, feasible))
     out = []
-    for algo, u_count in order:
-        vals = np.array([r for r, _ in groups[(algo, u_count)]])
-        feas = sum(1 for _, f in groups[(algo, u_count)] if f)
+    for (algo, u_count), group in groups.items():
+        vals = np.array([r for r, _ in group])
+        feas = sum(1 for _, f in group if f)
         out.append([algo, u_count, float(np.mean(vals)), float(np.std(vals)),
                     feas, vals.size])
     return out

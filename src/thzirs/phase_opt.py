@@ -49,39 +49,13 @@ def effective_vector(sub_bands, placement, scene, absorption_per_m) -> np.ndarra
 
 
 @dataclass
-class PhaseProblem:
-    """Bundle of active links: one effective row and one target per (u, i)."""
-
-    vectors: np.ndarray   # (K, N) complex
-    targets: np.ndarray   # (K,)
-    anchor: np.ndarray    # (N,) phase angles
-
-    def __post_init__(self):
-        self.vectors = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
-        self.targets = np.asarray(self.targets, dtype=float).reshape(-1)
-        self.anchor = np.asarray(self.anchor, dtype=float).reshape(-1)
-        if self.vectors.shape[0] != self.targets.shape[0]:
-            raise ValueError("one target per effective vector required")
-        if self.vectors.shape[1] != self.anchor.shape[0]:
-            raise ValueError("anchor length must match vector width")
-        if self.targets.shape[0] == 0:
-            raise ValueError("need at least one target")
-        if not np.all(np.isfinite(self.targets)):
-            raise ValueError("targets must be finite")
-        if np.any(self.targets < 0):
-            raise ValueError("targets must be non-negative")
-        if not (np.all(np.isfinite(self.vectors)) and np.all(np.isfinite(self.anchor))):
-            raise ValueError("effective vectors and anchor must be finite")
-
-
-@dataclass
 class Surrogate:
     """Linear minorant data of |e . phi|^2 anchored at one phase profile."""
 
     theta: np.ndarray     # (K, N) rows conj(e.phi_hat) * e
     psi: np.ndarray       # (K,) |e.phi_hat|^2
     anchor: np.ndarray    # (N,) angles
-    vectors: np.ndarray   # (K, N) kept for exact-value checks
+    vectors: np.ndarray   # (K, N) rows e; sgd_solve sizes its step from them
 
 
 def _complex_rows(vectors) -> np.ndarray:
@@ -115,7 +89,11 @@ def surrogate(vectors: np.ndarray, anchor_angles: np.ndarray) -> Surrogate:
 
 
 def surrogate_values(surr: Surrogate, angles: np.ndarray) -> np.ndarray:
-    """2 Re{theta . phi} - psi per constraint at the given phases."""
+    """2 Re{theta . phi} - psi per constraint at the given phases.
+
+    The solver does not call this or ``exact_values``; both stay public to
+    check the minorant property (acceptance 4/9 does).
+    """
     phi = np.exp(1j * np.asarray(angles, dtype=float))
     # x + x is 2.0 * x bit for bit, without a Python scalar to convert
     re = _product(phi.size)(surr.theta, phi).real
@@ -123,7 +101,8 @@ def surrogate_values(surr: Surrogate, angles: np.ndarray) -> np.ndarray:
 
 
 def exact_values(vectors: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """|e . phi|^2 per constraint at the given phases."""
+    """|e . phi|^2 per constraint at the given phases: a surrogate's psi
+    at its anchor, kept public beside ``surrogate_values``."""
     phi = np.exp(1j * np.asarray(angles, dtype=float))
     return np.abs(_product(phi.size)(_complex_rows(vectors), phi)) ** 2
 
@@ -261,35 +240,53 @@ class ScaResult:
     outer_iterations: int
 
 
-def sca_phase_optimize(problem: PhaseProblem) -> ScaResult:
+def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     """Minorize-maximize loop: rebuild the surrogate at the incumbent and
     re-solve until the phases stop moving.
 
-    The minimum true slack min_k(|e_k . phi|^2 - t_k) of the incumbent never
-    decreases: the surrogate underestimates the true value everywhere and
-    matches it at the anchor, and the incumbent is always kept as fallback.
+    ``vectors`` holds one effective row e_k per link, shape (K, N),
+    ``targets`` one received power t_k per row and ``anchor`` the starting
+    phase angles.  The minimum true slack min_k(|e_k . phi|^2 - t_k) of the
+    incumbent never decreases: the surrogate underestimates the true value
+    everywhere and matches it at the anchor, and the incumbent is always
+    kept as fallback.  Since psi is the exact value at the anchor, each
+    profile's slack is read off the surrogate built there, and an accepted
+    candidate's surrogate is the next pass's.
     """
-    targets = problem.targets
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    anchor = np.asarray(anchor, dtype=float).reshape(-1)
+    if vectors.shape[0] != targets.shape[0]:
+        raise ValueError("one target per effective vector required")
+    if vectors.shape[1] != anchor.shape[0]:
+        raise ValueError("anchor length must match vector width")
+    if targets.shape[0] == 0:
+        raise ValueError("need at least one target")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
+    if np.any(targets < 0):
+        raise ValueError("targets must be non-negative")
+    if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(anchor))):
+        raise ValueError("effective vectors and anchor must be finite")
     # 1e-6 of the largest target is both "strictly inside" and "no gain"
     tol = 1e-6 * max(float(np.max(targets)), np.finfo(float).tiny)
 
-    best = problem.anchor.copy()
-    best_slack = float(np.min(exact_values(problem.vectors, best) - targets))
+    surr = surrogate(vectors, anchor)
+    best_slack = float(np.min(surr.psi - targets))
     # An anchor already strictly inside the feasible region needs no
     # restoration; a single pass is kept to pick up easy improvement.
     strict_start = best_slack > tol
 
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
-        surr = surrogate(problem.vectors, best)
-        res = sgd_solve(surr, targets)
-        cand = res.phases.angles
-        cand_slack = float(np.min(exact_values(problem.vectors, cand) - targets))
-        moved = PhaseVector(cand).distance(best)
+        cand = sgd_solve(surr, targets).phases
+        cand_surr = surrogate(vectors, cand.angles)
+        cand_slack = float(np.min(cand_surr.psi - targets))
+        moved = cand.distance(surr.anchor)
         improvement = cand_slack - best_slack
         if improvement > 0:
-            best, best_slack = cand, cand_slack
+            surr, best_slack = cand_surr, cand_slack
         if strict_start or moved <= TOLERANCE or improvement <= tol:
             break
 
-    return ScaResult(phases=PhaseVector(best), outer_iterations=outer)
+    return ScaResult(phases=PhaseVector(surr.anchor), outer_iterations=outer)

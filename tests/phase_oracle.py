@@ -9,14 +9,22 @@ with ``@`` and fresh arrays.  ``reference_sgd_solve`` is the loop
 ``price_update`` and ``np.linalg.norm``.  The library computes the same
 arithmetic in the same order with ``np.dot`` and reused buffers, so every
 value and every output the library keeps must agree bit for bit.
+
+``reference_sca_phase_optimize`` is the minorize-maximize loop of
+``thzirs.phase_opt.sca_phase_optimize`` with every profile's slack taken
+from ``exact_values`` and the surrogate rebuilt at each incumbent.  The
+library reads the slacks off the surrogates it builds anyway, whose psi is
+the exact value at their anchor, so both loops must return the same phase
+bits after the same number of passes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from thzirs import phase_opt
 from thzirs.geometry import PhaseVector
-from thzirs.phase_opt import Surrogate
+from thzirs.phase_opt import ScaResult, Surrogate, exact_values, sgd_solve, surrogate
 
 
 @dataclass
@@ -149,3 +157,33 @@ def reference_sgd_solve(
         prices=prices,
         prices_collapsed=collapsed,
     )
+
+
+def reference_sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
+    """Surrogate at the incumbent, SGD on it, exact slack of the candidate;
+    stop once the phases stop moving or the slack stops rising.
+
+    Reads ``MAX_OUTER`` and ``TOLERANCE`` from ``thzirs.phase_opt`` at call
+    time, so a test that patches them patches both loops.
+    """
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    tol = 1e-6 * max(float(np.max(targets)), np.finfo(float).tiny)
+
+    best = np.asarray(anchor, dtype=float).reshape(-1).copy()
+    best_slack = float(np.min(exact_values(vectors, best) - targets))
+    strict_start = best_slack > tol
+
+    outer = 0
+    for outer in range(1, phase_opt.MAX_OUTER + 1):
+        res = sgd_solve(surrogate(vectors, best), targets)
+        cand = res.phases.angles
+        cand_slack = float(np.min(exact_values(vectors, cand) - targets))
+        moved = PhaseVector(cand).distance(best)
+        improvement = cand_slack - best_slack
+        if improvement > 0:
+            best, best_slack = cand, cand_slack
+        if strict_start or moved <= phase_opt.TOLERANCE or improvement <= tol:
+            break
+
+    return ScaResult(phases=PhaseVector(best), outer_iterations=outer)

@@ -40,7 +40,7 @@ from thzirs.bcs import (
 )
 from thzirs.channel import _band_absorption
 from thzirs.geometry import PhaseVector
-from thzirs.phase_opt import PhaseProblem, effective_vector, sca_phase_optimize
+from thzirs.phase_opt import effective_vector, sca_phase_optimize
 
 
 def _first_strict_best(solutions):
@@ -118,7 +118,7 @@ def reference_repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
 
     for _ in range(MAX_REPAIRS):
-        phases = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        phases = sca_phase_optimize(rows, targets, phases.angles).phases
         gains = np.abs(vectors @ phases.coefficients) ** 2
         alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
         if alloc.feasible:
@@ -150,7 +150,7 @@ def reference_inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
             break
         rows = np.sqrt(alloc.powers[active])[:, None] * vectors[alloc.winners[active], active]
         targets = alloc.powers[active] * gains[alloc.winners[active], active]
-        restored = sca_phase_optimize(PhaseProblem(rows, targets, phases.angles)).phases
+        restored = sca_phase_optimize(rows, targets, phases.angles).phases
         restored_gains = np.abs(vectors @ restored.coefficients) ** 2
         following = solve_allocation(
             restored_gains, sub_bands, p_max, rate_req, warm_winners=alloc.winners

@@ -113,7 +113,7 @@ def test_inner_solve_ends_on_an_allocation_with_no_power(monkeypatch):
     # against it (or the gain underflows to zero).  With no rate floors the
     # exact allocation is then feasible with every power at zero, which
     # leaves the phase stage no link to restore: its rows would be empty.
-    def no_phase_stage(problem):
+    def no_phase_stage(vectors, targets, anchor):
         raise AssertionError("phase stage called with nothing to restore")
 
     monkeypatch.setattr(bcs, "sca_phase_optimize", no_phase_stage)
@@ -281,6 +281,29 @@ def test_validate_catches_tampering():
     spent = Solution(**{**verdict, "winners": np.array([1, 1]), "powers": np.array([0.5, 0.5])})
     with pytest.raises(ValueError, match="infeasible solution"):
         spent.validate(scene, bands, 1.0, 1e9, MU)
+
+
+@pytest.mark.parametrize("floors, match", [
+    (np.nan, "rate requirements must be numbers"),
+    ([0.0, np.nan], "rate requirements must be numbers"),
+    (-5.0, "rate requirements must be non-negative"),
+    ([1e9, -1.0], "rate requirements must be non-negative"),
+    ([0.0, 0.0, 0.0], r"need one rate requirement or one per UE, got shape \(3,\)"),
+    ([[0.0, 0.0]], r"need one rate requirement or one per UE, got shape \(1, 2\)"),
+])
+def test_rate_floors_are_refused_alike_by_validate_and_inner_solve(floors, match):
+    # the floors pass through one normaliser wherever they are read, so a
+    # stored answer never validates against floors the allocation refuses
+    scene = make_scene([(1.0, 2.0), (4.0, 6.5)])
+    bands = make_bands([225.0, 275.0])
+    sol = inner_solve(scene, IrsPlacement(2.5, 3.0, 8, 0.005), bands, 1.0, 0.0, MU)
+    assert sol.feasible
+    with pytest.raises(ValueError, match=match):
+        sol.validate(scene, bands, 1.0, floors, MU)
+    with pytest.raises(ValueError, match=match):
+        inner_solve(scene, IrsPlacement(2.5, 3.0, 8, 0.005), bands, 1.0, floors, MU)
+    with pytest.raises(ValueError, match=match):
+        solve_allocation(np.ones((2, 2)), bands, 1.0, floors)
 
 
 def test_grid_rejects_bad_steps_and_oversized_array():

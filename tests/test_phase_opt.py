@@ -14,6 +14,7 @@ from phase_oracle import (
     penalized_phase_update,
     price_update,
     reference_exact_values,
+    reference_sca_phase_optimize,
     reference_sgd_solve,
     reference_surrogate,
     reference_surrogate_values,
@@ -30,7 +31,6 @@ from thzirs.channel import (
 from thzirs import phase_opt
 from thzirs.geometry import IrsPlacement, Scene, path_length, steering_phase_profile
 from thzirs.phase_opt import (
-    PhaseProblem,
     effective_vector,
     exact_values,
     sca_phase_optimize,
@@ -288,14 +288,13 @@ def test_sca_trace_is_monotone_and_feasible(monkeypatch):
         witness = rng.uniform(0, 2 * np.pi, n)
         targets = 0.7 * exact_values(vectors, witness)
         anchor = rng.uniform(0, 2 * np.pi, n)
-        problem = PhaseProblem(vectors=vectors, targets=targets, anchor=anchor)
-        res = sca_phase_optimize(problem)
+        res = sca_phase_optimize(vectors, targets, anchor)
         # the incumbent after each outer pass is the answer of a solve
         # capped at that many passes
         trace = [float(np.min(exact_values(vectors, anchor) - targets))]
         for cap in range(1, res.outer_iterations + 1):
             monkeypatch.setattr(phase_opt, "MAX_OUTER", cap)
-            capped = sca_phase_optimize(problem).phases.angles
+            capped = sca_phase_optimize(vectors, targets, anchor).phases.angles
             trace.append(float(np.min(exact_values(vectors, capped) - targets)))
         monkeypatch.undo()
         assert np.array_equal(capped, res.phases.angles)
@@ -308,28 +307,27 @@ def test_sca_strictly_feasible_anchor_single_pass():
     vectors = random_vectors(rng, 2, 6)
     anchor = rng.uniform(0, 2 * np.pi, 6)
     targets = 0.5 * exact_values(vectors, anchor)
-    problem = PhaseProblem(vectors=vectors, targets=targets, anchor=anchor)
-    res = sca_phase_optimize(problem)
+    res = sca_phase_optimize(vectors, targets, anchor)
     assert res.outer_iterations == 1
     assert np.min(exact_values(vectors, res.phases.angles) - targets) >= -1e-6 * targets.max()
 
 
-def test_phase_problem_validation():
-    with pytest.raises(ValueError):
-        PhaseProblem(vectors=np.ones((2, 3), dtype=complex), targets=np.ones(3), anchor=np.zeros(3))
-    with pytest.raises(ValueError):
-        PhaseProblem(vectors=np.ones((2, 3), dtype=complex), targets=np.ones(2), anchor=np.zeros(4))
-    with pytest.raises(ValueError):
-        PhaseProblem(vectors=np.ones((1, 3), dtype=complex), targets=[-1.0], anchor=np.zeros(3))
+def test_sca_input_validation():
+    with pytest.raises(ValueError, match="one target per effective vector"):
+        sca_phase_optimize(np.ones((2, 3), dtype=complex), np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match="anchor length must match vector width"):
+        sca_phase_optimize(np.ones((2, 3), dtype=complex), np.ones(2), np.zeros(4))
+    with pytest.raises(ValueError, match="targets must be non-negative"):
+        sca_phase_optimize(np.ones((1, 3), dtype=complex), [-1.0], np.zeros(3))
     with pytest.raises(ValueError, match="at least one target"):
-        PhaseProblem(vectors=np.ones((0, 3), dtype=complex), targets=[], anchor=np.zeros(3))
+        sca_phase_optimize(np.ones((0, 3), dtype=complex), [], np.zeros(3))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            PhaseProblem(vectors=np.ones((2, 3), dtype=complex), targets=[bad, 1.0], anchor=np.zeros(3))
-        with pytest.raises(ValueError, match="finite"):
-            PhaseProblem(vectors=np.full((1, 3), bad, dtype=complex), targets=[1.0], anchor=np.zeros(3))
-        with pytest.raises(ValueError, match="finite"):
-            PhaseProblem(vectors=np.ones((1, 3), dtype=complex), targets=[1.0], anchor=[0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="targets must be finite"):
+            sca_phase_optimize(np.ones((2, 3), dtype=complex), [bad, 1.0], np.zeros(3))
+        with pytest.raises(ValueError, match="effective vectors and anchor must be finite"):
+            sca_phase_optimize(np.full((1, 3), bad, dtype=complex), [1.0], np.zeros(3))
+        with pytest.raises(ValueError, match="effective vectors and anchor must be finite"):
+            sca_phase_optimize(np.ones((1, 3), dtype=complex), [1.0], [0.0, bad, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -452,6 +450,54 @@ def test_sca_helpers_match_reference_bit_for_bit():
                 reference_exact_values(vectors, angles).tobytes(), case
 
 
+def test_sca_matches_reference_bit_for_bit(monkeypatch):
+    """The SCA loop reads each profile's slack off the surrogate it builds
+    there; the reference takes it from ``exact_values``.  Both must return
+    the same phase bits after the same number of passes."""
+    rng = np.random.default_rng(34)
+    seen = {"strict": 0, "kept anchor": 0, "infeasible": 0, "several passes": 0, "capped": 0}
+    for case in range(300):
+        k, n = int(rng.integers(1, 5)), (1, 4, 8, 20)[int(rng.integers(0, 4))]
+        vectors = random_vectors(rng, k, n, 10.0 ** rng.uniform(-9, 3))
+        anchor = rng.uniform(-7.0, 7.0, n)
+        family = case % 6
+        if family == 0:
+            # strictly inside at the anchor: the single-pass exit
+            targets = 0.5 * exact_values(vectors, anchor)
+        elif family == 1:
+            # matched to row 0, which no other profile raises, at its own
+            # value: SCA must hand back its anchor bit for bit
+            anchor = -np.angle(vectors[0])
+            targets = exact_values(vectors, anchor)
+        elif family == 2:
+            # above every profile's reach
+            targets = 1.5 * np.sum(np.abs(vectors), axis=1) ** 2
+        elif family == 3:
+            # near the coherent ceiling
+            targets = 0.99 * np.sum(np.abs(vectors), axis=1) ** 2
+        else:
+            targets = (0.7, 1.2)[family - 4] * exact_values(vectors, rng.uniform(-7.0, 7.0, n))
+        cap = (None, None, None, 1, 2)[(case // 6) % 5]
+        if cap is not None:
+            monkeypatch.setattr(phase_opt, "MAX_OUTER", cap)
+        got = sca_phase_optimize(vectors, targets, anchor)
+        ref = reference_sca_phase_optimize(vectors, targets, anchor)
+        monkeypatch.undo()
+        assert got.phases.angles.tobytes() == ref.phases.angles.tobytes(), case
+        assert got.outer_iterations == ref.outer_iterations, case
+        start = float(np.min(exact_values(vectors, anchor) - targets))
+        if family == 0:
+            seen["strict"] += start > 1e-6 * targets.max() and got.outer_iterations == 1
+        elif family == 1:
+            seen["kept anchor"] += got.phases.angles.tobytes() == anchor.tobytes()
+        elif family == 2:
+            seen["infeasible"] += start < 0
+        seen["several passes"] += got.outer_iterations > 1
+        seen["capped"] += got.outer_iterations == cap
+    assert seen["strict"] == seen["kept anchor"] == seen["infeasible"] == 50, seen
+    assert seen["several passes"] >= 30 and seen["capped"] >= 10, seen
+
+
 class _OutRecorder:
     """Stands in for numpy inside ``phase_opt`` and keeps every ``out=`` array."""
 
@@ -484,19 +530,17 @@ def test_phase_stage_leaves_inputs_untouched_and_returns_fresh_phases(monkeypatc
             targets = (0.5, 0.9, 1.5)[case % 4] * exact_values(vectors, rng.uniform(0, 2 * np.pi, n))
         surr = surrogate(vectors, anchor)
         assert not np.shares_memory(surr.anchor, anchor)
-        problem = PhaseProblem(vectors=vectors, targets=targets, anchor=anchor)
         inputs = {"surr.theta": surr.theta, "surr.psi": surr.psi, "surr.anchor": surr.anchor,
                   "surr.vectors": surr.vectors, "targets": targets,
-                  "problem.vectors": problem.vectors, "problem.targets": problem.targets,
-                  "problem.anchor": problem.anchor, "anchor": anchor, "vectors": vectors}
+                  "anchor": anchor, "vectors": vectors}
         before = {name: arr.tobytes() for name, arr in inputs.items()}
 
         recorder = _OutRecorder()
         monkeypatch.setattr(phase_opt, "np", recorder)
         first = sgd_solve(surr, targets).phases.angles
         second = sgd_solve(surr, targets).phases.angles
-        sca_first = sca_phase_optimize(problem).phases.angles
-        sca_second = sca_phase_optimize(problem).phases.angles
+        sca_first = sca_phase_optimize(vectors, targets, anchor).phases.angles
+        sca_second = sca_phase_optimize(vectors, targets, anchor).phases.angles
         monkeypatch.undo()
 
         for name, arr in inputs.items():
