@@ -35,7 +35,7 @@ from .geometry import (
     optimal_single_ue_phases,
     solve_min_total_distance,
 )
-from .phase_opt import effective_vector, sca_phase_optimize
+from .phase_opt import _link_rows, effective_vector, sca_phase_optimize
 from .rng import SplitMix64
 
 # allocation/phase rounds per inner solve, and the relative sum-rate change
@@ -136,7 +136,7 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     path) is the one most likely to miss its floor, so the first
     allocation starts from the profile that protects it best.
     """
-    hardest = int(np.lexsort((_two_hop(placement, scene)[0], rate_req))[-1])
+    hardest = int(np.lexsort((_two_hop(placement.anchor_position(scene), scene)[0], rate_req))[-1])
     lo = min(b.lo_hz for b in sub_bands)
     hi = max(b.hi_hz for b in sub_bands)
     return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
@@ -289,14 +289,10 @@ def admissible_y_span(scene: Scene, element_count: int, spacing_m: float) -> flo
     return y_hi
 
 
-def candidate_grid(
-    scene: Scene,
-    element_count: int,
-    spacing_m: float,
-    grid_step_x: float,
-    grid_step_y: float,
-):
-    """Interior lattice of admissible anchor positions, x-major order."""
+def candidate_grid(scene: Scene, element_count: int, spacing_m: float, grid_step_x: float,
+                   grid_step_y: float) -> np.ndarray:
+    """Interior lattice of admissible anchor positions: a (P, 2) array of
+    (x, y) rows in x-major order, (0, 2) when a step outgrows the room."""
     if grid_step_x <= 0 or grid_step_y <= 0:
         raise ValueError("grid steps must be positive")
     y_hi = admissible_y_span(scene, element_count, spacing_m)
@@ -304,12 +300,7 @@ def candidate_grid(
     ny = int(np.floor(y_hi / grid_step_y + 1e-9))
     xs = grid_step_x * np.arange(1, nx + 1)
     ys = grid_step_y * np.arange(1, ny + 1)
-    return [(float(x), float(y)) for x in xs for y in ys]
-
-
-def _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y):
-    return [IrsPlacement(x, y, element_count, spacing_m)
-            for x, y in candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)]
+    return np.column_stack((np.repeat(xs, ny), np.tile(ys, nx)))
 
 
 def _min_distance_placement(scene, element_count, spacing_m):
@@ -318,8 +309,10 @@ def _min_distance_placement(scene, element_count, spacing_m):
     return IrsPlacement(x, y, element_count, spacing_m)
 
 
-def _lattice_scores(scene, points, sub_bands, p_max, rate_requirements, absorb, gains_of):
-    """Feasibility and exact-allocation sum rate at every placement of ``points``.
+def _lattice_scores(scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb,
+                    gains_of):
+    """Feasibility and exact-allocation sum rate at every (x, y) row of ``points``,
+    the array's elements ``offsets_m`` along +y from each anchor.
 
     ``gains_of`` turns a block's (P, U, I, N) link rows into its (P, U, I)
     power gains.  Blocks hold at most ``BLOCK_ROWS`` allocation rows (points
@@ -328,29 +321,30 @@ def _lattice_scores(scene, points, sub_bands, p_max, rate_requirements, absorb, 
     gains.  Returns two (P,) arrays, the sum rate 0.0 where infeasible.
     """
     per_block = max(1, BLOCK_ROWS // scene.ue_count ** len(sub_bands))
+    anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
     feasible = np.zeros(len(points), dtype=bool)
     rates = np.zeros(len(points))
     for start in range(0, len(points), per_block):
         block = slice(start, start + per_block)
-        vectors = effective_vector(sub_bands, points[block], scene, absorb)
+        vectors = _link_rows(sub_bands, anchors[block], offsets_m, scene, absorb)
         feasible[block], rates[block] = score_allocations(
             gains_of(vectors), sub_bands, p_max, rate_requirements)
     return feasible, rates
 
 
-def _ceiling_bounds(scene, points, sub_bands, p_max, rate_requirements, absorb):
-    """Upper bound on ``inner_solve``'s sum rate at each placement, or None.
+def _ceiling_bounds(scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb):
+    """Upper bound on ``inner_solve``'s sum rate at each lattice point, or -inf.
 
     No unit-modulus profile lifts a link's power gain above the coherent
     ceiling, and the exact allocation's optimum only rises with the gains,
     so the allocation of the (slightly inflated) ceiling gains bounds every
-    answer the inner solve can reach there.  None when even the ceiling
+    answer the inner solve can reach there.  -inf when even the ceiling
     misses a rate floor: no profile makes the point feasible.
     """
     feasible, rates = _lattice_scores(
-        scene, points, sub_bands, p_max, rate_requirements, absorb,
+        scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb,
         lambda vectors: _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN))
-    return [rate if ok else None for ok, rate in zip(feasible.tolist(), rates.tolist())]
+    return np.where(feasible, rates, -np.inf)
 
 
 def bcs_solve(
@@ -380,11 +374,11 @@ def bcs_solve(
     anchor = baseline_mini_dis(
         scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
     )
-    points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+    points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
-    bounds = _ceiling_bounds(scene, points, sub_bands, p_max, rate_requirements, absorb)
-    order = sorted((i for i, b in enumerate(bounds) if b is not None),
-                   key=bounds.__getitem__, reverse=True)
+    bounds = _ceiling_bounds(scene, points, anchor.placement.offsets_m, sub_bands, p_max,
+                             rate_requirements, absorb)
+    order = np.argsort(-bounds, kind="stable").tolist()
 
     best = anchor
     # the anchor stands before every lattice point
@@ -394,7 +388,8 @@ def bcs_solve(
         # an infeasible incumbent's 0.0 never ends the search
         if bounds[i] < best.sum_rate_bps:
             break
-        candidate = inner_solve(scene, points[i], sub_bands, p_max, rate_requirements,
+        placement = IrsPlacement(*points[i].tolist(), element_count, spacing_m)
+        candidate = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
                                 mixing_ratio)
         key = (candidate.feasible, candidate.sum_rate_bps, -i)
         if key > best_key:
@@ -455,19 +450,22 @@ def baseline_ran_phi(
     the room leaves no lattice point; the sweep then takes the
     minimum-total-distance point, the extra candidate of the full search."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
-    points = (_lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
-              or [_min_distance_placement(scene, element_count, spacing_m)])
+    points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+    if not len(points):
+        fallback = _min_distance_placement(scene, element_count, spacing_m)
+        points = np.array([[fallback.x_m, fallback.y_m]])
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     coefficients = phases.coefficients
     feasible, rates = _lattice_scores(
-        scene, points, sub_bands, p_max, rate_requirements, absorb,
-        lambda vectors: np.abs(vectors @ coefficients) ** 2)
+        scene, points, np.arange(element_count) * spacing_m, sub_bands, p_max,
+        rate_requirements, absorb, lambda vectors: np.abs(vectors @ coefficients) ** 2)
     scores = list(zip(feasible.tolist(), rates.tolist()))
     best, trace = 0, []
     for i, score in enumerate(scores):
         if score > scores[best]:
             best = i
         trace.append(scores[best][1])
-    solution = inner_solve(scene, points[best], sub_bands, p_max, rate_requirements,
+    placement = IrsPlacement(*points[best].tolist(), element_count, spacing_m)
+    solution = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
                            mixing_ratio, phases=phases)
     return SearchResult(solution=solution, best_trace=trace, points_evaluated=1)

@@ -38,6 +38,13 @@ def _non_finite(value) -> bool:
     return isinstance(value, numbers.Real) and not math.isfinite(value)
 
 
+def _count(value, name, least) -> int:
+    """``value`` as an int of at least ``least``; bools and fractions are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 or value < least:
+        raise ConfigError(f"{name} takes whole numbers of at least {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     room_length_m: float = 8.0
@@ -100,8 +107,7 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
             self.ue_positions_m = rows
             self.ue_count = len(rows)
-        if self.ue_count < 1:
-            raise ConfigError(f"need at least one UE, got {self.ue_count}")
+        self.ue_count = _count(self.ue_count, "ue_count", 1)
         if not (0 < self.ue_height_m < self.room_height_m):
             raise ConfigError("UE height must sit strictly between floor and ceiling")
 
@@ -132,8 +138,7 @@ class ExperimentConfig:
                 raise ConfigError("auto band range must be (lo, hi) with lo < hi")
             self.auto_band_range_ghz = rng
 
-        if self.element_count < 1:
-            raise ConfigError(f"need at least one array element, got {self.element_count}")
+        self.element_count = _count(self.element_count, "element_count", 1)
         if self.spacing_m <= 0:
             raise ConfigError("element spacing must be positive")
         if self.p_max_w <= 0:
@@ -143,10 +148,9 @@ class ExperimentConfig:
         if self.grid_step_x_m <= 0 or self.grid_step_y_m <= 0:
             raise ConfigError("grid steps must be positive")
 
-        seeds = tuple(int(s) for s in self.seeds)
-        if not seeds or any(s < 0 for s in seeds):
+        self.seeds = tuple(_count(s, "seeds", 0) for s in self.seeds)
+        if not self.seeds:
             raise ConfigError("seeds must be a non-empty list of non-negative integers")
-        self.seeds = seeds
 
         algos = tuple(str(a).lower() for a in self.algorithms)
         unknown = [a for a in algos if a not in _ALGORITHMS]
@@ -155,10 +159,9 @@ class ExperimentConfig:
         self.algorithms = algos
 
         if self.ue_counts is not None:
-            counts = tuple(int(u) for u in self.ue_counts)
-            if not counts or any(u < 1 for u in counts):
+            self.ue_counts = tuple(_count(u, "ue_counts", 1) for u in self.ue_counts)
+            if not self.ue_counts:
                 raise ConfigError("ue_counts must be positive integers")
-            self.ue_counts = counts
 
         if any(d <= 0 for d in self.sweep_distances_m):
             raise ConfigError("sweep distances must be positive")

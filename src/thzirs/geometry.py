@@ -101,19 +101,16 @@ class PhaseVector:
         return float(np.linalg.norm(self.coefficients - np.exp(1j * o)))
 
 
-def _two_hop(placement, scene: Scene):
+def _two_hop(anchor, scene: Scene):
     """Two-hop length AP -> anchor -> UE and steering slope of every UE.
 
-    ``placement`` is one IrsPlacement, giving two (U,) arrays, or a sequence
-    of P placements, giving two (P, U) arrays.  Element n (1-based) of the
-    array sits (n-1) spacings along +y from the anchor.  Its incident plus
-    departure steering phase at wavenumber k is k * slope * (n-1) * spacing:
-    the projection of that offset onto the AP and UE directions.
+    ``anchor`` is one (3,) anchor position, giving two (U,) arrays, or a
+    (P, 3) stack of P anchors, giving two (P, U) arrays.  Element n
+    (1-based) of the array sits (n-1) spacings along +y from the anchor.
+    Its incident plus departure steering phase at wavenumber k is
+    k * slope * (n-1) * spacing: the projection of that offset onto the AP
+    and UE directions.
     """
-    if isinstance(placement, IrsPlacement):
-        anchor = placement.anchor_position(scene)
-    else:
-        anchor = np.array([p.anchor_position(scene) for p in placement]).reshape(-1, 3)
     r0 = anchor - scene.ap_position_m
     ru = scene.ue_positions_m - anchor[..., None, :]
     # vecdot is the 1-D dot np.linalg.norm takes, so lengths match it bit for bit
@@ -132,7 +129,7 @@ def _two_hop(placement, scene: Scene):
 
 def path_length(placement: IrsPlacement, scene: Scene, ue_index: int) -> float:
     """Total two-hop distance AP -> anchor -> UE."""
-    return float(_two_hop(placement, scene)[0][ue_index])
+    return float(_two_hop(placement.anchor_position(scene), scene)[0][ue_index])
 
 
 def steering_phase_profile(
@@ -140,7 +137,7 @@ def steering_phase_profile(
 ) -> np.ndarray:
     """theta_n + vartheta_n for all N elements at once."""
     k = 2.0 * np.pi * frequency_hz / SPEED_OF_LIGHT
-    return k * _two_hop(placement, scene)[1][ue_index] * placement.offsets_m
+    return k * _two_hop(placement.anchor_position(scene), scene)[1][ue_index] * placement.offsets_m
 
 
 def optimal_single_ue_phases(

@@ -23,29 +23,29 @@ STALL_LIMIT = 100
 MAX_OUTER = 50
 
 
-def effective_vector(sub_bands, placement, scene, absorption_per_m) -> np.ndarray:
+def _link_rows(sub_bands, anchors, offsets_m, scene, absorption_per_m) -> np.ndarray:
+    """``effective_vector``'s rows at a (P, 3) stack of ``anchors``, shape
+    (P, U, I, N), or at one (3,) anchor, shape (U, I, N); every anchor
+    shares the N element offsets ``offsets_m`` along +y."""
+    f = np.array([b.center_hz for b in sub_bands], dtype=float)
+    lengths, slope = _two_hop(anchors, scene)
+    k = 2.0 * np.pi * f / SPEED_OF_LIGHT
+    beta = (k * slope[..., None])[..., None] * offsets_m
+    g = cascaded_gain(f, lengths[..., None], absorption_per_m)
+    return g[..., None] * np.exp(-1j * beta)
+
+
+def effective_vector(sub_bands, placement: IrsPlacement, scene, absorption_per_m) -> np.ndarray:
     """Unit-power link rows of every (UE, sub-band) pair, shape (U, I, N).
 
     Row (u, i) is the e for which e . phi is UE u's received amplitude on
     band i at unit transmit power.  Entry n carries g exp(-j(theta_n +
     vartheta_n)); the first entry has zero steering phase.
     ``absorption_per_m`` is K(f) at the band centers, one value per band or
-    one for all.  A sequence of P placements of one array layout, in place
-    of a single ``placement``, gives the rows of each, shape (P, U, I, N).
+    one for all.  This is the one-anchor case of ``_link_rows``, bit for bit.
     """
-    if isinstance(placement, IrsPlacement):
-        layout = placement
-    else:
-        layout = placement[0]
-        if any((p.element_count, p.spacing_m) != (layout.element_count, layout.spacing_m)
-               for p in placement):
-            raise ValueError("placements of one batch must share one array layout")
-    f = np.array([b.center_hz for b in sub_bands], dtype=float)
-    lengths, slope = _two_hop(placement, scene)
-    k = 2.0 * np.pi * f / SPEED_OF_LIGHT
-    beta = (k * slope[..., None])[..., None] * layout.offsets_m
-    g = cascaded_gain(f, lengths[..., None], absorption_per_m)
-    return g[..., None] * np.exp(-1j * beta)
+    return _link_rows(sub_bands, placement.anchor_position(scene), placement.offsets_m, scene,
+                      absorption_per_m)
 
 
 @dataclass

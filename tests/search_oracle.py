@@ -33,14 +33,20 @@ from thzirs.bcs import (
     Solution,
     _ceiling_gains,
     _initial_phases,
-    _lattice,
     _min_distance_placement,
     baseline_mini_dis,
+    candidate_grid,
     inner_solve,
 )
 from thzirs.channel import _band_absorption
-from thzirs.geometry import PhaseVector
+from thzirs.geometry import IrsPlacement, PhaseVector
 from thzirs.phase_opt import effective_vector, sca_phase_optimize
+
+
+def lattice_placements(scene, element_count, spacing_m, grid_step_x, grid_step_y):
+    """One ``IrsPlacement`` per ``candidate_grid`` row, in lattice order."""
+    return [IrsPlacement(x, y, element_count, spacing_m) for x, y in
+            candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y).tolist()]
 
 
 def _first_strict_best(solutions):
@@ -62,7 +68,7 @@ def full_sweep_bcs(scene, sub_bands, element_count, spacing_m, p_max, rate_requi
     """Inner-solve the anchor and every lattice point; keep the first strict best."""
     anchor = baseline_mini_dis(scene, sub_bands, element_count, spacing_m, p_max,
                                rate_requirements, mixing_ratio)
-    points = _lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+    points = lattice_placements(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     best, trace = _first_strict_best(
         [anchor] + [inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
                                 mixing_ratio) for placement in points])
@@ -75,7 +81,7 @@ def frozen_sweep_ran_phi(scene, sub_bands, element_count, spacing_m, p_max, rate
     """Inner-solve every lattice point with one frozen random profile; keep the first
     strict best.  ``best_trace`` has one entry per point."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
-    points = (_lattice(scene, element_count, spacing_m, grid_step_x, grid_step_y)
+    points = (lattice_placements(scene, element_count, spacing_m, grid_step_x, grid_step_y)
               or [_min_distance_placement(scene, element_count, spacing_m)])
     best, trace = _first_strict_best(
         inner_solve(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,

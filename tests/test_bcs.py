@@ -16,6 +16,8 @@ from thzirs.bcs import (
 )
 from thzirs.allocation import solve_allocation
 from thzirs.channel import SubBand, _band_absorption, absorption_coefficient, cascaded_gain
+from thzirs.config import ExperimentConfig
+from thzirs.experiment import run_single
 from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length
 from thzirs.phase_opt import effective_vector
 from thzirs.rng import SplitMix64
@@ -25,6 +27,7 @@ from search_oracle import (
     ceiling_bound,
     frozen_sweep_ran_phi,
     full_sweep_bcs,
+    lattice_placements,
     reference_inner_solve,
     reference_repair_feasibility,
 )
@@ -158,11 +161,19 @@ def test_candidate_grid_count_and_bounds():
     for dx, dy, n in [(0.25, 0.25, 8), (0.5, 1.0, 20), (2.0, 2.0, 8)]:
         pts = candidate_grid(scene, n, 0.005, dx, dy)
         y_hi = admissible_y_span(scene, n, 0.005)
-        assert len(pts) == int(np.floor(5.0 / dx)) * int(np.floor(y_hi / dy))
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
+        nx, ny = int(np.floor(5.0 / dx)), int(np.floor(y_hi / dy))
+        assert pts.shape == (nx * ny, 2)
+        xs, ys = pts[:, 0], pts[:, 1]
         assert np.all((xs > 0) & (xs <= 5.0))
         assert np.all((ys > 0) & (ys + (n - 1) * 0.005 <= 8.0))
+        # bit for bit the (x, y) pairs of the two step ladders, x-major
+        pairs = [(float(x), float(y)) for x in dx * np.arange(1, nx + 1)
+                 for y in dy * np.arange(1, ny + 1)]
+        assert [(x.hex(), y.hex()) for x, y in pts.tolist()] == [
+            (x.hex(), y.hex()) for x, y in pairs]
+    # a room narrower than one step, along either axis, holds no point
+    assert candidate_grid(scene, 8, 0.005, 6.0, 0.25).shape == (0, 2)
+    assert candidate_grid(scene, 8, 0.005, 0.25, 9.0).shape == (0, 2)
 
 
 def test_bcs_reports_grid_work_and_dominates_minidis():
@@ -350,6 +361,40 @@ def test_every_search_inner_solves_each_position_once(monkeypatch):
             assert positions == 1
 
 
+def test_only_inner_solved_points_get_a_placement(monkeypatch):
+    # the lattice travels as an anchor array: a search builds a placement for
+    # a point it inner-solves and for no other
+    built, solved = [], []
+
+    class Counted(IrsPlacement):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    original = bcs.inner_solve
+
+    def recorded(scene, placement, *args, **kwargs):
+        solved.append(placement)
+        return original(scene, placement, *args, **kwargs)
+
+    monkeypatch.setattr(bcs, "IrsPlacement", Counted)
+    monkeypatch.setattr(bcs, "inner_solve", recorded)
+    # all defaults: 620 lattice points scored, the winner's placement alone built
+    winner = run_single(ExperimentConfig(), "ranphi", 7)
+    assert built == solved == [winner.placement]
+    assert built[0] is winner.placement
+
+    built.clear()
+    solved.clear()
+    scene = make_scene([(1.0, 2.0), (4.0, 6.5)])
+    res = bcs_solve(scene, make_bands([225.0, 275.0]), 8, 0.005, 1.0, 1e9, MU,
+                    grid_step_x=1.0, grid_step_y=1.0)
+    # the min-distance anchor, then one per inner-solved lattice point
+    assert len(built) == res.points_evaluated + 1 == len(solved)
+    assert all(a is b for a, b in zip(built, solved))
+    assert res.points_evaluated < len(candidate_grid(scene, 8, 0.005, 1.0, 1.0))
+
+
 def assert_same_bits(got, want):
     """Two solutions agree bit for bit in every field a report stores."""
     assert got.placement == want.placement
@@ -400,7 +445,7 @@ def test_repair_stops_at_a_fixed_point_with_the_same_answer(monkeypatch):
     repaired = fewer = 0
     for seed in range(60):
         scene, n, floor = small_case(seed)
-        placement = bcs._lattice(scene, n, 0.005, 1.0, 1.0)[0]
+        placement = lattice_placements(scene, n, 0.005, 1.0, 1.0)[0]
         rate_req = np.full(scene.ue_count, floor)
         vectors = effective_vector(SMALL_BANDS, placement, scene, absorb)
         phases = bcs._initial_phases(scene, placement, SMALL_BANDS, rate_req)
@@ -430,7 +475,7 @@ def test_inner_solve_skips_only_work_that_repeats(monkeypatch):
     solved = 0
     for seed in range(24):
         scene, n, floor = small_case(seed)
-        for placement in bcs._lattice(scene, n, 0.005, 1.5, 1.5)[:2]:
+        for placement in lattice_placements(scene, n, 0.005, 1.5, 1.5)[:2]:
             args = (scene, placement, SMALL_BANDS, 1.0, floor, MU)
             assert_same_bits(inner_solve(*args), reference_inner_solve(*args))
             solved += 1
@@ -481,7 +526,7 @@ def test_ties_go_to_the_anchor_then_the_earliest_lattice_point(monkeypatch, anch
     # the tie rule can bring the search back to the full sweep's answer
     scene = make_scene([(2.0, 3.0)])
     bands = make_bands([275.0])
-    points = bcs._lattice(scene, 4, 0.005, 2.0, 2.0)
+    points = candidate_grid(scene, 4, 0.005, 2.0, 2.0)
     anchor = bcs._min_distance_placement(scene, 4, 0.005)
 
     def flat(scene, placement, *args, **kwargs):
@@ -491,11 +536,11 @@ def test_ties_go_to_the_anchor_then_the_earliest_lattice_point(monkeypatch, anch
 
     monkeypatch.setattr(bcs, "inner_solve", flat)
     monkeypatch.setattr(bcs, "_ceiling_bounds",
-                        lambda scene, placements, *args: [2.0 + points.index(p)
-                                                          for p in placements])
+                        lambda scene, lattice, *args: 2.0 + np.arange(len(lattice)))
     res = bcs_solve(scene, bands, 4, 0.005, 1.0, 0.0, MU, grid_step_x=2.0, grid_step_y=2.0)
     assert res.points_evaluated == len(points) > 1
-    assert res.solution.placement == (anchor if winner == "anchor" else points[winner])
+    assert res.solution.placement == (
+        anchor if winner == "anchor" else IrsPlacement(*points[winner].tolist(), 4, 0.005))
 
 
 @pytest.mark.parametrize("u_count, n, floor", [
@@ -511,12 +556,12 @@ def test_ceiling_bound_caps_the_inner_solve(u_count, n, floor):
     scene = random_scene(rng, u_count)
     bands = SMALL_BANDS
     absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
-    points = bcs._lattice(scene, n, 0.005, 1.0, 1.0)
-    chosen = [points[k] for k in rng.choice(len(points), size=4, replace=False)]
-    bounds = bcs._ceiling_bounds(scene, chosen, bands, 1.0, floor, absorb)
-    for placement, bound in zip(chosen, bounds):
-        sol = inner_solve(scene, placement, bands, 1.0, floor, MU)
-        if bound is None:
+    points = candidate_grid(scene, n, 0.005, 1.0, 1.0)
+    chosen = points[rng.choice(len(points), size=4, replace=False)]
+    bounds = bcs._ceiling_bounds(scene, chosen, np.arange(n) * 0.005, bands, 1.0, floor, absorb)
+    for (x, y), bound in zip(chosen.tolist(), bounds.tolist()):
+        sol = inner_solve(scene, IrsPlacement(x, y, n, 0.005), bands, 1.0, floor, MU)
+        if bound == -np.inf:
             assert not sol.feasible
         else:
             assert sol.sum_rate_bps <= bound
@@ -555,10 +600,10 @@ def frozen_lattices(draw, size):
 def _lattice_answers(scene, bands, n, floor, step_x, step_y, seed):
     """ranphi's search result and the ceiling bounds of the same lattice."""
     absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
-    points = bcs._lattice(scene, n, 0.005, step_x, step_y)
+    points = candidate_grid(scene, n, 0.005, step_x, step_y)
     return (baseline_ran_phi(scene, bands, n, 0.005, 1.0, floor, MU, SplitMix64(seed),
                              step_x, step_y),
-            bcs._ceiling_bounds(scene, points, bands, 1.0, floor, absorb))
+            bcs._ceiling_bounds(scene, points, np.arange(n) * 0.005, bands, 1.0, floor, absorb))
 
 
 @pytest.mark.parametrize("size", LATTICE_SIZES)
@@ -569,7 +614,7 @@ def test_batched_lattice_passes_match_the_per_point_oracles(size, data):
     # each point must come out as the per-point inner solve and allocation
     scene, bands, n, floor, step_x, step_y, count, block_rows, seed = data.draw(
         frozen_lattices(size))
-    points = bcs._lattice(scene, n, 0.005, step_x, step_y)
+    points = lattice_placements(scene, n, 0.005, step_x, step_y)
     assert len(points) == count
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bcs, "BLOCK_ROWS", block_rows)
@@ -581,8 +626,9 @@ def test_batched_lattice_passes_match_the_per_point_oracles(size, data):
     assert got.points_evaluated == 1
     absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
     oracle = [ceiling_bound(scene, p, bands, 1.0, floor, absorb) for p in points]
-    assert [b is None for b in bounds] == [b is None for b in oracle]
-    assert [b.hex() for b in bounds if b is not None] == [b.hex() for b in oracle if b is not None]
+    # -inf marks a point whose ceiling misses a floor, where the oracle says None
+    assert [b.hex() for b in bounds.tolist()] == [
+        (-np.inf if b is None else b).hex() for b in oracle]
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
@@ -607,7 +653,7 @@ def test_block_size_leaves_every_answer_unchanged(monkeypatch, block_rows):
         got_ranphi, got_bounds = _lattice_answers(scene, SMALL_BANDS, n, floor, 0.5, 0.5, 3)
         assert_same_bits(got_ranphi.solution, ranphi.solution)
         assert got_ranphi.best_trace == ranphi.best_trace
-        assert got_bounds == bounds
+        assert got_bounds.tobytes() == bounds.tobytes()
         # each pass covers the lattice in full blocks of the allowed size and
         # one shorter tail
         size = max(1, block_rows // scene.ue_count ** len(SMALL_BANDS))

@@ -205,6 +205,15 @@ def test_unreadable_or_malformed_config(tmp_path):
         {"ue_positions_m": ((4.0, 9.0, 1.0),)},
         {"ue_positions_m": ((1.0, 2.0, 3.0),)},
         {"ue_positions_m": ((-0.5, 2.0, 1.0),)},
+        # counts must be whole numbers, never bools
+        {"element_count": 2.5},
+        {"element_count": True},
+        {"ue_count": 2.5},
+        {"ue_count": True},
+        {"seeds": (1.7,)},
+        {"seeds": (1, False)},
+        {"ue_counts": (1.5,)},
+        {"ue_counts": (True,)},
     ],
 )
 def test_invalid_settings_rejected(kwargs):

@@ -31,6 +31,7 @@ from thzirs.channel import (
 from thzirs import phase_opt
 from thzirs.geometry import IrsPlacement, Scene, path_length, steering_phase_profile
 from thzirs.phase_opt import (
+    _link_rows,
     effective_vector,
     exact_values,
     sca_phase_optimize,
@@ -165,21 +166,21 @@ def test_link_rows_match_scalar_reference_bit_for_bit():
 
 
 def test_batched_link_rows_match_each_placement_bit_for_bit():
+    # a stack of P anchors shares one layout; row p is the single-placement
+    # call at anchor p
     rng = np.random.default_rng(405)
     for case in range(200):
         u_count, i_count, n = 1 + case % 4, 1 + (case // 4) % 5, 1 + (case // 20) % 20
         scene, placement, bands, absorb = random_link_case(rng, u_count, i_count, n)
-        points = [placement] + [
-            IrsPlacement(rng.uniform(0, scene.room_width_m), rng.uniform(0, scene.room_length_m),
-                         n, placement.spacing_m)
+        xy = [(placement.x_m, placement.y_m)] + [
+            (rng.uniform(0, scene.room_width_m), rng.uniform(0, scene.room_length_m))
             for _ in range(int(rng.integers(0, 5)))]
-        rows = effective_vector(bands, points, scene, absorb)
-        assert rows.shape == (len(points), u_count, i_count, n)
-        for p, point in enumerate(points):
+        anchors = np.array([(x, y, scene.ceiling_height_m) for x, y in xy])
+        rows = _link_rows(bands, anchors, placement.offsets_m, scene, absorb)
+        assert rows.shape == (len(xy), u_count, i_count, n)
+        for p, (x, y) in enumerate(xy):
+            point = IrsPlacement(x, y, n, placement.spacing_m)
             assert rows[p].tobytes() == effective_vector(bands, point, scene, absorb).tobytes()
-    mixed = [placement, IrsPlacement(1.0, 1.0, n + 1, placement.spacing_m)]
-    with pytest.raises(ValueError, match="one array layout"):
-        effective_vector(bands, mixed, scene, absorb)
 
 
 def test_cascaded_gain_broadcasts_like_the_scalar_form():
