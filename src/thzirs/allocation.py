@@ -221,7 +221,13 @@ def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
             f"above the exact-allocation cap of {ENUMERATION_CAP}")
     bw = np.array([b.bandwidth_hz for b in sub_bands])
     noise = np.array([b.noise_power_w for b in sub_bands])
-    return rate_req, bw, gains / noise
+    with np.errstate(over="ignore"):
+        kappa = gains / noise
+        overflow = not np.isfinite(kappa * p_max).all()
+    if overflow:
+        raise ValueError(f"SNR at the full budget overflows: gains / noise * p_max is not "
+                         f"finite at p_max = {p_max}")
+    return rate_req, bw, kappa
 
 
 def solve_allocation(

@@ -12,13 +12,16 @@ or one ``solve_allocation`` on the coherent-ceiling gains, per lattice point.
 The batched ``baseline_ran_phi`` and ``_ceiling_bounds`` must agree with them
 bit for bit.
 
-``reference_repair_feasibility`` and ``reference_inner_solve`` are the
-feasibility repair and the inner alternation as they stood before they
-learned to skip repeated work: the repair runs every one of ``MAX_REPAIRS``
-passes until an allocation meets the floors, and every round re-solves the
-allocation, even when the phase stage handed back its anchor unchanged.
-``bcs._repair_feasibility`` and ``bcs.inner_solve`` must return the same
-answers bit for bit.
+``reference_repair_feasibility`` is the feasibility repair as it stood
+before it became one pass: it re-runs the phase stage for up to
+``MAX_REPAIRS`` passes until an allocation meets the floors, re-solving the
+allocation every pass even when the phase stage handed back its anchor
+unchanged.  Wherever it ends feasible or at a fixed point,
+``bcs._repair_feasibility`` must return the same answer bit for bit.
+``reference_inner_solve`` is the inner alternation as it stood before it
+learned to skip repeated work, with a one-pass repair: every round re-solves
+the allocation.  ``bcs.inner_solve`` must return the same answers bit for
+bit.
 """
 
 import numpy as np
@@ -26,7 +29,6 @@ import numpy as np
 from thzirs.allocation import solve_allocation
 from thzirs.bcs import (
     BOUND_MARGIN,
-    MAX_REPAIRS,
     MAX_ROUNDS,
     ROUND_TOLERANCE,
     SearchResult,
@@ -41,6 +43,9 @@ from thzirs.bcs import (
 from thzirs.channel import _band_absorption
 from thzirs.geometry import IrsPlacement, PhaseVector
 from thzirs.phase_opt import effective_vector, sca_phase_optimize
+
+# repair passes the reference makes at most
+MAX_REPAIRS = 4
 
 
 def lattice_placements(scene, element_count, spacing_m, grid_step_x, grid_step_y):
@@ -97,8 +102,9 @@ def ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb)
     return alloc.objective if alloc.feasible else None
 
 
-def reference_repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
-    """Every repair pass, until an allocation meets the floors or the passes
+def reference_repair_feasibility(vectors, phases, sub_bands, p_max, rate_req,
+                                 passes=MAX_REPAIRS):
+    """Every repair pass, until an allocation meets the floors or ``passes``
     run out; returns the last (phases, gains, allocation) triple."""
     u_count, i_count, _ = vectors.shape
     bw = np.array([b.bandwidth_hz for b in sub_bands])
@@ -123,7 +129,7 @@ def reference_repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     rows = np.sqrt(p_eq) * vectors[pairs_u, pairs_i]
     targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
 
-    for _ in range(MAX_REPAIRS):
+    for _ in range(passes):
         phases = sca_phase_optimize(rows, targets, phases.angles).phases
         gains = np.abs(vectors @ phases.coefficients) ** 2
         alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
@@ -146,7 +152,7 @@ def reference_inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
     alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
     if not alloc.feasible and np.any(rate_req > 0):
         phases, gains, alloc = reference_repair_feasibility(vectors, phases, sub_bands, p_max,
-                                                            rate_req)
+                                                            rate_req, passes=1)
     trace = [alloc.objective] if alloc.feasible else []
     converged = not alloc.feasible
     while not converged and len(trace) < MAX_ROUNDS:

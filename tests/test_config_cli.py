@@ -310,6 +310,23 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["minidis", "bcs", "ranphi"])
+def test_cli_refuses_a_budget_whose_snr_overflows(tmp_path, capsys, algo):
+    # 1e308 W passes the config's finiteness check, but gain / noise * p_max
+    # overflows; the allocation refuses it rather than report an infinite rate
+    cfg = write_config(tmp_path, {"radio": {"p_max_w": 1e308}})
+    assert main(["optimize", "--config", cfg, "--algo", algo, "--seed", "1"]) == 1
+    assert "gains / noise * p_max is not finite" in capsys.readouterr().err
+
+
+def test_cli_optimize_stays_finite_at_a_huge_budget(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"radio": {"p_max_w": 1e300}})
+    assert main(["optimize", "--config", cfg, "--algo", "minidis", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "feasible=true" in out
+    assert np.isfinite(float(re.search(r"sum_rate_bps=(\S+)", out).group(1)))
+
+
 def test_cli_lets_a_programming_error_propagate(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise AttributeError("'Solution' object has no attribute 'rate'")
@@ -490,6 +507,16 @@ def _missing_row(raw):
     raw["aggregate"] = []
 
 
+def _nan_power(raw):
+    raw["solutions"][0]["powers_w"][0] = float("nan")
+
+
+def _nan_rates(raw):
+    sol = raw["solutions"][0]
+    sol["rates_bps"] = [float("nan")] * len(sol["rates_bps"])
+    sol["sum_rate_bps"] = float("nan")
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -501,9 +528,12 @@ def _missing_row(raw):
         (_doubled_row_rate, "summary row 0 field 'sum_rate_bps' = "),
         (_flipped_row_feasible, "summary row 0 field 'feasible' = "),
         (_missing_row, "0 summary rows for 1 stored solutions"),
+        (_nan_power, "stored powers, rates and sum rate must be finite"),
+        (_nan_rates, "stored powers, rates and sum rate must be finite"),
     ],
     ids=["fractional-winners", "feasible-as-text", "seed-without-draws", "missing-rounds",
-         "ue-count-past-draws", "doubled-row-rate", "row-feasible-flipped", "missing-row"],
+         "ue-count-past-draws", "doubled-row-rate", "row-feasible-flipped", "missing-row",
+         "nan-power", "nan-rates"],
 )
 def test_load_report_names_a_tampered_field(stored_report, tmp_path, tamper, message):
     assert load_report(_dump(stored_report, tmp_path / "clean.json")).solutions
