@@ -158,11 +158,10 @@ def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     """Steer the profile toward the rate floors when no allocation meets them.
 
     Gives every floored UE its highest-headroom free band (hardest UE
-    first), asks the phase stage once for the received powers those floors
-    need at an even budget split, and solves the exact allocation cold at
-    the profile it returns.  Returns (phases, gains, allocation); the
-    allocation may still be infeasible when the floors are out of reach.
-    A second pass rescued none of 3,386 repairs counted when it existed.
+    first) and asks the phase stage once for the received powers those
+    floors need at an even budget split.  Returns the profile it hands back;
+    the floors may still be out of reach there.  A second pass rescued none
+    of 3,386 repairs counted when it existed.
     """
     u_count, i_count, _ = vectors.shape
     bw = np.array([b.bandwidth_hz for b in sub_bands])
@@ -189,9 +188,7 @@ def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     rows = np.sqrt(p_eq) * vectors[pairs_u, pairs_i]
     targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
 
-    phases = sca_phase_optimize(rows, targets, phases.angles).phases
-    gains = np.abs(vectors @ phases.coefficients) ** 2
-    return phases, gains, solve_allocation(gains, sub_bands, p_max, rate_req)
+    return sca_phase_optimize(rows, targets, phases.angles).phases
 
 
 def inner_solve(
@@ -223,8 +220,13 @@ def inner_solve(
     alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
     if not alloc.feasible and not frozen and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
-        # stage chase the floors before writing the point off
-        phases, gains, alloc = _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req)
+        # stage chase the floors before writing the point off.  An unmoved
+        # profile keeps its gains and cold allocation, bit for bit.
+        repaired = _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req)
+        if not _same_bits(repaired, phases):
+            phases = repaired
+            gains = np.abs(vectors @ phases.coefficients) ** 2
+            alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
     trace = [alloc.objective] if alloc.feasible else []
     converged = frozen or not alloc.feasible
     while not converged and len(trace) < MAX_ROUNDS:

@@ -17,7 +17,7 @@ from .geometry import IrsPlacement, PhaseVector, _two_hop
 
 # SGD and SCA stop once the profile moves less than this between iterates
 TOLERANCE = 1e-4
-# SGD steps without a better worst slack before an infeasible solve gives up
+# SGD steps without a better worst slack before a solve gives up
 STALL_LIMIT = 100
 # surrogate rebuilds per SCA solve
 MAX_OUTER = 50
@@ -126,7 +126,11 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     Each step sets phi_n = -angle(v_n) for v = 2 rho . theta, the entrywise
     maximizer of the priced surrogate, then takes a projected subgradient
     step on the prices; all prices at zero leave the penalty flat and end
-    the loop.
+    the loop.  The loop also ends after ``STALL_LIMIT`` steps without a
+    better worst slack, the only reliable progress signal of a subgradient
+    method.  A restoration (an anchor short of its targets) ends at its
+    first improving iterate whose worst slack is >= 0: the surrogate is a
+    minorant, so that profile meets the true targets too.
 
     The loop is bit for bit the step-by-step form in ``tests/phase_oracle.py``
     and makes no array per step beyond the copy an improving iterate keeps.
@@ -193,6 +197,7 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     prev = np.exp(1j * best_angles)
     apply_rows(theta2, prev, out=w)
     best_slack = min([(x - p) - t for x, (p, t) in zip(w_re.tolist(), levels)])
+    restoring = best_slack < -feas_tol
 
     converged = False
     collapsed = False
@@ -212,6 +217,8 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
             best_slack = worst
             best_angles = -a
             stall = 0
+            if restoring and worst >= 0.0:
+                break
         else:
             stall += 1
         step = tau0 / math.sqrt(it)
@@ -223,7 +230,7 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
             converged = True
             break
         coeff, prev = prev, coeff
-        if stall >= STALL_LIMIT and best_slack < -feas_tol:
+        if stall >= STALL_LIMIT:
             break
 
     return SgdResult(
@@ -251,7 +258,9 @@ def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     everywhere and matches it at the anchor, and the incumbent is always
     kept as fallback.  Since psi is the exact value at the anchor, each
     profile's slack is read off the surrogate built there, and an accepted
-    candidate's surrogate is the next pass's.
+    candidate's surrogate is the next pass's.  A restoration (an anchor
+    short of its targets by more than the tolerance) stops at the first
+    incumbent that meets every target.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -276,6 +285,7 @@ def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     # An anchor already strictly inside the feasible region needs no
     # restoration; a single pass is kept to pick up easy improvement.
     strict_start = best_slack > tol
+    restoring = best_slack < -tol
 
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
@@ -286,7 +296,8 @@ def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
         improvement = cand_slack - best_slack
         if improvement > 0:
             surr, best_slack = cand_surr, cand_slack
-        if strict_start or moved <= TOLERANCE or improvement <= tol:
+        if (strict_start or moved <= TOLERANCE or improvement <= tol
+                or (restoring and best_slack >= 0.0)):
             break
 
     return ScaResult(phases=PhaseVector(surr.anchor), outer_iterations=outer)

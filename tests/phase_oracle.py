@@ -100,7 +100,9 @@ def reference_sgd_solve(
     Returns the iterate with the best minimum constraint slack seen (the
     anchor itself counts as iterate zero).  Prices start at one; steps decay
     as tau0/sqrt(t) with tau0 set from the largest achievable constraint
-    level.
+    level.  Stops after ``stall_limit`` steps without a better worst slack
+    and, when the anchor starts short of the targets, at the first improving
+    iterate whose worst slack is >= 0.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1)
     prices = np.ones(targets.shape[0])
@@ -118,6 +120,7 @@ def reference_sgd_solve(
 
     best_angles = surr.anchor.copy()
     best_slack = float(np.min(reference_surrogate_values(surr, best_angles) - targets))
+    restoring = best_slack < -feas_tol
     prev_coeff = np.exp(1j * best_angles)
 
     converged = False
@@ -135,6 +138,8 @@ def reference_sgd_solve(
             best_slack = worst
             best_angles = angles
             stall = 0
+            if restoring and worst >= 0.0:
+                break
         else:
             stall += 1
         prices = price_update(prices, slacks, tau0 / np.sqrt(it))
@@ -143,7 +148,7 @@ def reference_sgd_solve(
             converged = True
             break
         prev_coeff = coeff
-        if stall >= stall_limit and best_slack < -feas_tol:
+        if stall >= stall_limit:
             break
 
     feasible = best_slack >= -feas_tol
@@ -161,7 +166,8 @@ def reference_sgd_solve(
 
 def reference_sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     """Surrogate at the incumbent, SGD on it, exact slack of the candidate;
-    stop once the phases stop moving or the slack stops rising.
+    stop once the phases stop moving or the slack stops rising, or once an
+    anchor that started short of the targets has an incumbent meeting them.
 
     Reads ``MAX_OUTER`` and ``TOLERANCE`` from ``thzirs.phase_opt`` at call
     time, so a test that patches them patches both loops.
@@ -173,6 +179,7 @@ def reference_sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     best = np.asarray(anchor, dtype=float).reshape(-1).copy()
     best_slack = float(np.min(exact_values(vectors, best) - targets))
     strict_start = best_slack > tol
+    restoring = best_slack < -tol
 
     outer = 0
     for outer in range(1, phase_opt.MAX_OUTER + 1):
@@ -184,6 +191,8 @@ def reference_sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
         if improvement > 0:
             best, best_slack = cand, cand_slack
         if strict_start or moved <= phase_opt.TOLERANCE or improvement <= tol:
+            break
+        if restoring and best_slack >= 0.0:
             break
 
     return ScaResult(phases=PhaseVector(best), outer_iterations=outer)

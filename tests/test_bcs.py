@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzirs import bcs
+from thzirs import bcs, phase_opt
 from thzirs.bcs import (
     Solution,
     admissible_y_span,
@@ -19,7 +19,13 @@ from thzirs.channel import SubBand, _band_absorption, absorption_coefficient, ca
 from thzirs.config import ExperimentConfig
 from thzirs.experiment import run_single
 from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length
-from thzirs.phase_opt import effective_vector
+from thzirs.phase_opt import (
+    effective_vector,
+    exact_values,
+    sca_phase_optimize,
+    sgd_solve,
+    surrogate_values,
+)
 from thzirs.rng import SplitMix64
 
 import search_oracle
@@ -477,7 +483,10 @@ def test_one_repair_pass_loses_no_rescue(monkeypatch):
             continue
         calls.update(library=0)
         reference_passes.clear()
-        got = bcs._repair_feasibility(vectors, phases, SMALL_BANDS, 1.0, rate_req)
+        repaired = bcs._repair_feasibility(vectors, phases, SMALL_BANDS, 1.0, rate_req)
+        repaired_gains = np.abs(vectors @ repaired.coefficients) ** 2
+        got = (repaired, repaired_gains,
+               solve_allocation(repaired_gains, SMALL_BANDS, 1.0, rate_req))
         want = reference_repair_feasibility(vectors, phases, SMALL_BANDS, 1.0, rate_req)
         assert calls["library"] == 1, seed
         same = (got[0].angles.tobytes() == want[0].angles.tobytes()
@@ -494,12 +503,15 @@ def test_one_repair_pass_loses_no_rescue(monkeypatch):
             assert not got[2].feasible and len(reference_passes) == MAX_REPAIRS, seed
         repairs += 1
         agreed += same
-    assert (repairs, agreed) == (33, 29)
+    # a restoration stops at its first met incumbent, so fewer reference
+    # passes hand back their anchor and fewer cases end at a fixed point
+    assert (repairs, agreed) == (33, 22)
 
 
 def test_inner_solve_skips_only_work_that_repeats(monkeypatch):
-    # rounds whose phase stage hands back its anchor reuse their allocation;
-    # the reference re-solves every round
+    # rounds whose phase stage hands back its anchor reuse their allocation,
+    # and so does a repair that hands back its start; the reference
+    # re-solves every round
     calls = _count_calls(monkeypatch, "solve_allocation")
     solved = 0
     for seed in range(24):
@@ -509,7 +521,78 @@ def test_inner_solve_skips_only_work_that_repeats(monkeypatch):
             assert_same_bits(inner_solve(*args), reference_inner_solve(*args))
             solved += 1
     assert solved == 48
-    assert (calls["library"], calls["reference"]) == (87, 106)
+    assert (calls["library"], calls["reference"]) == (77, 106)
+
+
+def test_repair_stops_at_the_first_iterate_that_meets_its_targets(monkeypatch):
+    # small case 0 starts short of its floors; the repair's first SGD step
+    # leaves a surrogate slack below 0 and its second meets every target
+    scene, n, floor = small_case(0)
+    placement = lattice_placements(scene, n, 0.005, 1.0, 1.0)[0]
+    rate_req = np.full(scene.ue_count, floor)
+    absorb = _band_absorption(tuple(b.center_hz for b in SMALL_BANDS), MU)
+    vectors = effective_vector(SMALL_BANDS, placement, scene, absorb)
+    start = bcs._initial_phases(scene, placement, SMALL_BANDS, rate_req)
+    gains = np.abs(vectors @ start.coefficients) ** 2
+    assert not solve_allocation(gains, SMALL_BANDS, 1.0, rate_req).feasible
+
+    solves = []
+
+    def recorded(surr, targets, max_iters=500, _original=phase_opt.sgd_solve):
+        result = _original(surr, targets, max_iters)
+        solves.append((surr, targets, result))
+        return result
+
+    monkeypatch.setattr(phase_opt, "sgd_solve", recorded)
+    repaired = bcs._repair_feasibility(vectors, start, SMALL_BANDS, 1.0, rate_req)
+    monkeypatch.undo()
+
+    def worst(surr, targets, angles):
+        return float(np.min(surrogate_values(surr, angles) - targets))
+
+    # SCA stops after the one pass whose incumbent meets the targets
+    assert len(solves) == 1
+    surr, targets, result = solves[0]
+    assert worst(surr, targets, surr.anchor) < 0
+    assert (result.iterations, result.converged, result.feasible) == (2, False, True)
+    assert worst(surr, targets, result.phases.angles) >= 0
+    earlier = sgd_solve(surr, targets, max_iters=result.iterations - 1)
+    assert worst(surr, targets, earlier.phases.angles) < 0
+    # the surrogate is a minorant, so the true targets are met too
+    assert np.array_equal(repaired.angles, result.phases.angles)
+    assert np.min(exact_values(surr.vectors, repaired.angles) - targets) >= 0
+
+
+def test_inner_rounds_never_take_the_restoring_exit(monkeypatch):
+    # an inner round asks for the anchor's own received powers, so its slack
+    # there is 0 up to rounding, sometimes just below: the phase stage keeps
+    # going after a first incumbent that meets every target
+    rounds = []
+
+    def recorded(rows, targets, anchor, _original=bcs.sca_phase_optimize):
+        result = _original(rows, targets, anchor)
+        rounds.append((rows, targets, anchor, result))
+        return result
+
+    monkeypatch.setattr(bcs, "sca_phase_optimize", recorded)
+    for seed in range(24):
+        scene, n, floor = small_case(seed)
+        for placement in lattice_placements(scene, n, 0.005, 1.5, 1.5)[:2]:
+            inner_solve(scene, placement, SMALL_BANDS, 1.0, floor, MU)
+    monkeypatch.undo()
+
+    went_on = below_zero = 0
+    for rows, targets, anchor, result in rounds:
+        start = float(np.min(exact_values(rows, anchor) - targets))
+        if abs(start) > 1e-12 * targets.max():
+            continue  # a repair, short of its floors
+        monkeypatch.setattr(phase_opt, "MAX_OUTER", 1)
+        first = sca_phase_optimize(rows, targets, anchor).phases.angles
+        monkeypatch.undo()
+        if np.min(exact_values(rows, first) - targets) >= 0 and result.outer_iterations > 1:
+            went_on += 1
+            below_zero += start < 0
+    assert (went_on, below_zero) == (9, 8)
 
 
 # seeds 68, 70, 248, 310, 375 and 384 mix lattice points the ceiling rules

@@ -280,6 +280,33 @@ def test_sgd_keeps_best_iterate_not_last():
     np.testing.assert_allclose(returned, best, rtol=1e-12, atol=1e-15)
 
 
+def test_feasible_sgd_stalls_out_below_the_cap():
+    # a strictly feasible start gives up STALL_LIMIT steps after its best
+    # iterate, long before max_iters
+    rng = np.random.default_rng(30)
+    stalled = 0
+    for _ in range(40):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(2, 21))
+        vectors = random_vectors(rng, k, n)
+        anchor = rng.uniform(0, 2 * np.pi, n)
+        surr = surrogate(vectors, anchor)
+        targets = 0.5 * exact_values(vectors, anchor)
+        res = sgd_solve(surr, targets)
+        ref = reference_sgd_solve(surr, targets)
+        assert res.feasible
+        if ref.converged or ref.prices_collapsed:
+            continue
+        assert res.iterations < 500
+        # the best iterate came STALL_LIMIT steps before the exit, not earlier
+        best_at = res.iterations - phase_opt.STALL_LIMIT
+        assert np.array_equal(sgd_solve(surr, targets, max_iters=best_at).phases.angles,
+                              res.phases.angles)
+        assert not np.array_equal(sgd_solve(surr, targets, max_iters=best_at - 1).phases.angles,
+                                  res.phases.angles)
+        stalled += 1
+    assert stalled >= 10
+
+
 def test_sca_trace_is_monotone_and_feasible(monkeypatch):
     rng = np.random.default_rng(26)
     for _ in range(30):
@@ -353,10 +380,11 @@ def test_sgd_matches_reference_bit_for_bit():
     rng = np.random.default_rng(29)
     families = list(itertools.product(
         (1, 50, 500),                         # max_iters
-        ("feasible", "restore", "stall", "certified", "flat"),
+        ("feasible", "feasible stall", "restore", "stall", "certified", "flat"),
         (1.0, 1e-6),                          # row scale: unit and THz-like
     ))
     seen = set()
+    feasible_stalls = 0
     for case in range(20 * len(families)):
         max_iters, kind, scale = families[case % len(families)]
         k = int(rng.integers(1, 5))
@@ -372,6 +400,10 @@ def test_sgd_matches_reference_bit_for_bit():
         elif kind == "feasible":
             # the incumbent's own received powers, as the inner solve asks
             targets = exact_values(vectors, anchor)
+        elif kind == "feasible stall":
+            # strictly inside at the anchor: nothing to restore, so the
+            # solve ends when the best iterate stops improving
+            targets = rng.uniform(0.5, 1.0, k) * exact_values(vectors, anchor)
         elif kind == "restore":
             witness = rng.uniform(0, 2 * np.pi, n)
             targets = 0.8 * exact_values(vectors, witness)
@@ -389,16 +421,17 @@ def test_sgd_matches_reference_bit_for_bit():
         assert got.iterations == ref.iterations, case
         for flag in ("converged", "feasible"):
             assert getattr(got, flag) == getattr(ref, flag), (case, flag)
-        seen.add(
-            "collapsed" if ref.prices_collapsed
-            else "converged" if ref.converged
-            else "capped" if ref.iterations == max_iters
-            else "stalled"
-        )
+        way_out = ("collapsed" if ref.prices_collapsed
+                   else "converged" if ref.converged
+                   else "capped" if ref.iterations == max_iters
+                   else "stalled")
+        seen.add(way_out)
+        feasible_stalls += kind == "feasible stall" and way_out == "stalled" and got.feasible
         if kind == "certified":
             assert not got.feasible, case
-    # every way out of the loop was exercised
+    # every way out of the loop was exercised, a stall also from a feasible start
     assert seen == {"collapsed", "converged", "capped", "stalled"}
+    assert feasible_stalls > 0
 
 
 def test_np_dot_matches_matmul_on_phase_stage_shapes():
