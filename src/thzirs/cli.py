@@ -13,9 +13,8 @@ import sys
 
 import numpy as np
 
-from .channel import absorption_coefficient
 from .config import _ALGORITHMS, ConfigError, load_config
-from .experiment import absorption_sweep, resolve_bands, run_experiment, run_single
+from .experiment import _band_plan, absorption_sweep, run_experiment, run_single
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -111,15 +110,11 @@ def _cmd_monte_carlo(args) -> int:
 
 
 def _cmd_band_plan(args) -> int:
-    config = load_config(args.config)
-    bands = resolve_bands(config)
-    mix = config.mixing_ratio()
-    for i, band in enumerate(bands, start=1):
-        k = float(absorption_coefficient(band.center_hz, mix))
+    for i, band in enumerate(_band_plan(load_config(args.config)), start=1):
         print(
-            f"band {i}: center={band.center_hz / 1e9:.3f} GHz "
-            f"span={band.lo_hz / 1e9:.3f}..{band.hi_hz / 1e9:.3f} GHz "
-            f"K(center)={k:.6e} 1/m"
+            f"band {i}: center={band['center_ghz']:.3f} GHz "
+            f"span={band['lo_ghz']:.3f}..{band['hi_ghz']:.3f} GHz "
+            f"K(center)={band['k_center_per_m']:.6e} 1/m"
         )
     return EXIT_OK
 

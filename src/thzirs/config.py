@@ -1,10 +1,11 @@
 """Experiment configuration: JSON ingestion, defaults, validation.
 
-The file format is a nested JSON document with the group keys below; every
-field is optional and falls back to the defaults of the reference indoor
-setup (8 m x 5 m x 3 m room, AP at (0, 0, 2), 20-element array at 5 mm
-spacing, auto-planned 50 GHz sub-bands over 200-400 GHz, 1 W budget,
-1 Gbit/s per-UE floor).  Unknown keys anywhere are rejected.
+The file format is a nested JSON document of groups and keys; each field of
+``ExperimentConfig`` names its ``group.key`` beside its default.  Every key
+is optional and falls back to the defaults of the reference indoor setup
+(8 m x 5 m x 3 m room, AP at (0, 0, 2), 20-element array at 5 mm spacing,
+auto-planned 50 GHz sub-bands over 200-400 GHz, 1 W budget, 1 Gbit/s per-UE
+floor).  Unknown keys anywhere are rejected.
 
 The sub-band plan comes in two mutually exclusive flavors: an explicit
 center list, taken verbatim, or an auto-plan range handed to
@@ -14,11 +15,11 @@ center list, taken verbatim, or an auto-plan range handed to
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import VALID_F_HI, VALID_F_LO, Atmosphere, SubBand, water_vapor_mixing_ratio
+from .channel import VALID_F_HI, VALID_F_LO, Atmosphere, water_vapor_mixing_ratio
 from .geometry import Scene
 
 
@@ -45,41 +46,47 @@ def _count(value, name, least) -> int:
     return int(value)
 
 
+def _key(path, default):
+    """A field stored under ``path`` ("group.key") in the config file."""
+    return field(default=default, metadata={"key": path})
+
+
 @dataclass
 class ExperimentConfig:
-    room_length_m: float = 8.0
-    room_width_m: float = 5.0
-    room_height_m: float = 3.0
-    ap_position_m: tuple = (0.0, 0.0, 2.0)
+    room_length_m: float = _key("room.length_m", 8.0)
+    room_width_m: float = _key("room.width_m", 5.0)
+    room_height_m: float = _key("room.height_m", 3.0)
+    ap_position_m: tuple = _key("room.ap_position_m", (0.0, 0.0, 2.0))
 
-    ue_count: int = 2
-    ue_height_m: float = 1.0
-    ue_positions_m: tuple = None  # explicit (x, y, z) rows; overrides draws
+    ue_count: int = _key("ues.count", 2)
+    ue_height_m: float = _key("ues.height_m", 1.0)
+    ue_positions_m: tuple = _key("ues.positions_m", None)  # explicit (x, y, z) rows; overrides draws
 
-    temperature_c: float = 23.0
-    pressure_hpa: float = 1013.25
-    relative_humidity_pct: float = 50.0
+    temperature_c: float = _key("atmosphere.temperature_c", 23.0)
+    pressure_hpa: float = _key("atmosphere.pressure_hpa", 1013.25)
+    relative_humidity_pct: float = _key("atmosphere.relative_humidity_pct", 50.0)
 
-    band_centers_ghz: tuple = None  # explicit plan, echoed verbatim when given
-    band_width_ghz: float = 50.0
-    auto_band_range_ghz: tuple = (VALID_F_LO / 1e9, VALID_F_HI / 1e9)  # used when no explicit list
+    band_centers_ghz: tuple = _key("bands.centers_ghz", None)  # explicit plan, echoed verbatim
+    band_width_ghz: float = _key("bands.width_ghz", 50.0)
+    auto_band_range_ghz: tuple = _key(  # used when no explicit list
+        "bands.auto_range_ghz", (VALID_F_LO / 1e9, VALID_F_HI / 1e9))
 
-    element_count: int = 20
-    spacing_m: float = 0.005
-    p_max_w: float = 1.0
-    rate_floor_bps: float = 1e9
-    noise_psd_dbm_per_hz: float = -174.0
-    noise_figure_db: float = 10.0
+    element_count: int = _key("radio.element_count", 20)
+    spacing_m: float = _key("radio.spacing_m", 0.005)
+    p_max_w: float = _key("radio.p_max_w", 1.0)
+    rate_floor_bps: float = _key("radio.rate_floor_bps", 1e9)
+    noise_psd_dbm_per_hz: float = _key("radio.noise_psd_dbm_per_hz", -174.0)
+    noise_figure_db: float = _key("radio.noise_figure_db", 10.0)
 
-    grid_step_x_m: float = 0.25
-    grid_step_y_m: float = 0.25
+    grid_step_x_m: float = _key("search.grid_step_x_m", 0.25)
+    grid_step_y_m: float = _key("search.grid_step_y_m", 0.25)
 
-    seeds: tuple = tuple(range(1, 101))
-    algorithms: tuple = _ALGORITHMS
-    ue_counts: tuple = None  # per-run UE sweep; default: just ue_count
+    seeds: tuple = _key("runner.seeds", tuple(range(1, 101)))
+    algorithms: tuple = _key("runner.algorithms", _ALGORITHMS)
+    ue_counts: tuple = _key("runner.ue_counts", None)  # per-run UE sweep; default: just ue_count
 
-    sweep_distances_m: tuple = (5.0, 10.0, 20.0)
-    sweep_step_ghz: float = 0.5
+    sweep_distances_m: tuple = _key("sweep.distances_m", (5.0, 10.0, 20.0))
+    sweep_step_ghz: float = _key("sweep.step_ghz", 0.5)
 
     def __post_init__(self):
         # JSON admits NaN and Infinity, which slip through every range check below
@@ -184,17 +191,6 @@ class ExperimentConfig:
     def noise_psd_w_per_hz(self) -> float:
         return 10.0 ** ((self.noise_psd_dbm_per_hz + self.noise_figure_db) / 10.0 - 3.0)
 
-    def explicit_sub_bands(self):
-        """SubBand list from the explicit center plan (None when auto-planned)."""
-        if self.band_centers_ghz is None:
-            return None
-        noise = self.noise_psd_w_per_hz()
-        return [
-            SubBand(center_hz=c * 1e9, bandwidth_hz=self.band_width_ghz * 1e9,
-                    noise_psd_w_per_hz=noise)
-            for c in self.band_centers_ghz
-        ]
-
     def scene_for(self, ue_positions) -> Scene:
         return Scene(
             room_length_m=self.room_length_m,
@@ -205,50 +201,9 @@ class ExperimentConfig:
         )
 
 
-_SCHEMA = {
-    "room": {
-        "length_m": "room_length_m",
-        "width_m": "room_width_m",
-        "height_m": "room_height_m",
-        "ap_position_m": "ap_position_m",
-    },
-    "ues": {
-        "count": "ue_count",
-        "height_m": "ue_height_m",
-        "positions_m": "ue_positions_m",
-    },
-    "atmosphere": {
-        "temperature_c": "temperature_c",
-        "pressure_hpa": "pressure_hpa",
-        "relative_humidity_pct": "relative_humidity_pct",
-    },
-    "bands": {
-        "centers_ghz": "band_centers_ghz",
-        "width_ghz": "band_width_ghz",
-        "auto_range_ghz": "auto_band_range_ghz",
-    },
-    "radio": {
-        "element_count": "element_count",
-        "spacing_m": "spacing_m",
-        "p_max_w": "p_max_w",
-        "rate_floor_bps": "rate_floor_bps",
-        "noise_psd_dbm_per_hz": "noise_psd_dbm_per_hz",
-        "noise_figure_db": "noise_figure_db",
-    },
-    "search": {
-        "grid_step_x_m": "grid_step_x_m",
-        "grid_step_y_m": "grid_step_y_m",
-    },
-    "runner": {
-        "seeds": "seeds",
-        "algorithms": "algorithms",
-        "ue_counts": "ue_counts",
-    },
-    "sweep": {
-        "distances_m": "sweep_distances_m",
-        "step_ghz": "sweep_step_ghz",
-    },
-}
+# "group.key" -> field name, in file order
+_FIELD_OF = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
+_GROUPS = {path.partition(".")[0] for path in _FIELD_OF}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -257,15 +212,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     kwargs = {}
     for group, content in raw.items():
-        if group not in _SCHEMA:
+        if group not in _GROUPS:
             raise ConfigError(f"unknown config section {group!r}")
         if not isinstance(content, dict):
             raise ConfigError(f"section {group!r} must be an object")
         for key, value in content.items():
-            if key not in _SCHEMA[group]:
+            name = _FIELD_OF.get(f"{group}.{key}")
+            if name is None:
                 raise ConfigError(f"unknown key {group}.{key}")
             if value is not None:
-                kwargs[_SCHEMA[group][key]] = value
+                kwargs[name] = value
     try:
         return ExperimentConfig(**kwargs)
     except ConfigError:
@@ -277,8 +233,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Nested plain-JSON form of a config (the exact load_config inverse)."""
     out = {}
-    for group, mapping in _SCHEMA.items():
-        out[group] = {key: getattr(config, attr) for key, attr in mapping.items()}
+    for path, name in _FIELD_OF.items():
+        group, _, key = path.partition(".")
+        out.setdefault(group, {})[key] = getattr(config, name)
     return out
 
 

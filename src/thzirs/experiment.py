@@ -23,7 +23,7 @@ from .bcs import (
 )
 from .channel import SPEED_OF_LIGHT, VALID_F_HI, VALID_F_LO, SubBand, absorption_coefficient
 from .channel import water_vapor_mixing_ratio
-from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
+from .config import ConfigError, ExperimentConfig, _count, config_from_dict, config_to_dict
 from .geometry import IrsPlacement, PhaseVector
 from .rng import (
     STREAM_RANDOM_PHASES,
@@ -85,15 +85,29 @@ def auto_band_plan(range_hz, width_hz: float, atmosphere, noise_psd_w_per_hz: fl
 
 def resolve_bands(config: ExperimentConfig):
     """The experiment's SubBand list: explicit plan or auto-planned range."""
-    if config.auto_band_range_ghz is not None:
-        lo, hi = config.auto_band_range_ghz
-        return auto_band_plan(
-            (lo * 1e9, hi * 1e9),
-            config.band_width_ghz * 1e9,
-            config.atmosphere(),
-            config.noise_psd_w_per_hz(),
-        )
-    return config.explicit_sub_bands()
+    width_hz = config.band_width_ghz * 1e9
+    noise = config.noise_psd_w_per_hz()
+    if config.band_centers_ghz is not None:
+        return [SubBand(center_hz=c * 1e9, bandwidth_hz=width_hz, noise_psd_w_per_hz=noise)
+                for c in config.band_centers_ghz]
+    lo, hi = config.auto_band_range_ghz
+    return auto_band_plan((lo * 1e9, hi * 1e9), width_hz, config.atmosphere(), noise)
+
+
+def _band_plan(config: ExperimentConfig) -> list:
+    """Each resolved sub-band's center, width and edges in GHz, and K(f) at its center."""
+    bands = resolve_bands(config)
+    mix = config.mixing_ratio()
+    return [
+        {
+            "center_ghz": b.center_hz / 1e9,
+            "width_ghz": b.bandwidth_hz / 1e9,
+            "lo_ghz": b.lo_hz / 1e9,
+            "hi_ghz": b.hi_hz / 1e9,
+            "k_center_per_m": float(absorption_coefficient(b.center_hz, mix)),
+        }
+        for b in bands
+    ]
 
 
 # -- absorption sweep --------------------------------------------------------
@@ -162,8 +176,9 @@ def draw_ue_positions(config: ExperimentConfig, seed: int, count: int) -> np.nda
     """Uniform UE drops over the room floor at the configured height.
 
     Draws are x-then-y per UE from one per-seed stream, so a smaller count
-    is always a prefix of a larger one.
+    is always a prefix of a larger one.  A count below 1 is refused.
     """
+    count = _count(count, "ue_count", 1)
     if config.ue_positions_m is not None:
         rows = np.asarray(config.ue_positions_m, dtype=float)
         if count > rows.shape[0]:
@@ -235,8 +250,12 @@ def _solve(config: ExperimentConfig, algo: str, seed: int, scene, bands, mix):
 
 
 def run_single(config: ExperimentConfig, algo: str, seed: int, ue_count=None) -> Solution:
-    """One (algorithm, seed) instance with freshly drawn UE positions."""
-    u_count = int(ue_count) if ue_count is not None else config.ue_count
+    """One (algorithm, seed) instance with freshly drawn UE positions.
+
+    A negative seed is refused, as the config refuses it in ``runner.seeds``.
+    """
+    seed = _count(seed, "seed", 0)
+    u_count = ue_count if ue_count is not None else config.ue_count
     bands = resolve_bands(config)
     mix = config.mixing_ratio()
     scene = config.scene_for(draw_ue_positions(config, seed, u_count))
@@ -336,21 +355,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers=None) -> RunR
         else:
             draws.append({"seed": res["seed"], "positions_m": res["positions"]})
 
-    bands = resolve_bands(config)
-    mix = config.mixing_ratio()
-    band_plan = [
-        {
-            "center_ghz": b.center_hz / 1e9,
-            "width_ghz": b.bandwidth_hz / 1e9,
-            "lo_ghz": b.lo_hz / 1e9,
-            "hi_ghz": b.hi_hz / 1e9,
-            "k_center_per_m": float(absorption_coefficient(b.center_hz, mix)),
-        }
-        for b in bands
-    ]
     report = RunReport(
         config=config_to_dict(config),
-        band_plan=band_plan,
+        band_plan=_band_plan(config),
         draws=draws,
         rows=rows,
         solutions=solutions,
@@ -390,9 +397,9 @@ def load_report(path) -> RunReport:
 
     Each solution is reconstructed and its rates recomputed from geometry;
     any drift beyond validation tolerance, a missing field or one of the
-    wrong type, a solution whose seed has no draws entry or fewer drawn
-    positions than its UE count, and a summary row that differs from its
-    solution raise ValueError.
+    wrong type, a solution whose seed has no draws entry, whose UE count is
+    below 1 or exceeds its drawn positions, and a summary row that differs
+    from its solution raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -411,6 +418,8 @@ def load_report(path) -> RunReport:
         if seed not in positions_by_seed:
             raise ValueError(f"solution field 'seed' = {seed!r} has no draws entry")
         positions = positions_by_seed[seed]
+        if u_count < 1:
+            raise ValueError(f"solution field 'ue_count' = {u_count} is below 1")
         if u_count > positions.shape[0]:
             raise ValueError(f"solution field 'ue_count' = {u_count} exceeds the "
                              f"{positions.shape[0]} positions drawn for seed {seed!r}")

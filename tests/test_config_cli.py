@@ -141,11 +141,30 @@ def test_any_valid_config_round_trips(config):
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
+def test_config_file_layout_is_pinned():
+    # every group and key name of the file format, in the order a report stores them
+    layout = [(group, list(keys)) for group, keys in config_to_dict(ExperimentConfig()).items()]
+    assert layout == [
+        ("room", ["length_m", "width_m", "height_m", "ap_position_m"]),
+        ("ues", ["count", "height_m", "positions_m"]),
+        ("atmosphere", ["temperature_c", "pressure_hpa", "relative_humidity_pct"]),
+        ("bands", ["centers_ghz", "width_ghz", "auto_range_ghz"]),
+        ("radio", ["element_count", "spacing_m", "p_max_w", "rate_floor_bps",
+                   "noise_psd_dbm_per_hz", "noise_figure_db"]),
+        ("search", ["grid_step_x_m", "grid_step_y_m"]),
+        ("runner", ["seeds", "algorithms", "ue_counts"]),
+        ("sweep", ["distances_m", "step_ghz"]),
+    ]
+
+
 def test_unknown_sections_and_keys_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown config section 'rooms'"):
         config_from_dict({"rooms": {}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown key room.lengthz_m"):
         config_from_dict({"room": {"lengthz_m": 4.0}})
+    # a key of another group is unknown here
+    with pytest.raises(ConfigError, match="unknown key room.count"):
+        config_from_dict({"room": {"count": 2}})
     with pytest.raises(ConfigError):
         config_from_dict({"room": 7.0})
     # the inner-loop stop threshold is a fixed constant, not a setting
@@ -356,6 +375,30 @@ def test_cli_rejects_ue_positions_outside_the_room(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "ues, seed, ue_count, message",
+    [
+        ({"positions_m": [[1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [3.0, 3.0, 1.0]]}, "1", "-1",
+         "ue_count takes whole numbers of at least 1, got -1"),
+        ({"count": 2}, "1", "-1", "ue_count takes whole numbers of at least 1, got -1"),
+        ({"count": 2}, "1", "0", "ue_count takes whole numbers of at least 1, got 0"),
+        ({"count": 2}, "-5", None, "seed takes whole numbers of at least 0, got -5"),
+    ],
+    ids=["explicit-rows-negative-ue-count", "negative-ue-count", "zero-ue-count",
+         "negative-seed"],
+)
+def test_cli_optimize_refuses_a_ue_count_below_1_or_a_negative_seed(tmp_path, capsys, ues,
+                                                                    seed, ue_count, message):
+    cfg = write_config(tmp_path, {**FAST, "ues": ues})
+    argv = ["optimize", "--config", cfg, "--algo", "minidis", "--seed", seed]
+    if ue_count is not None:
+        argv += ["--ue-count", ue_count]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out
+
+
 def test_cli_optimize_signals_infeasible(tmp_path, capsys):
     payload = {**FAST, "radio": {**FAST["radio"], "rate_floor_bps": 1e15}}
     cfg = write_config(tmp_path, payload)
@@ -491,6 +534,12 @@ def _more_ues_than_draws(raw):
     raw["solutions"][0]["ue_count"] = 5
 
 
+def _negative_ue_count(raw):
+    raw["solutions"][0]["ue_count"] = -3
+    raw["rows"][0][2] = -3
+    raw["aggregate"] = _aggregate_rows(raw["rows"])
+
+
 # row tampers recompute the aggregate, so only the row-to-solution check can catch them
 def _doubled_row_rate(raw):
     raw["rows"][0][3] *= 2
@@ -525,6 +574,7 @@ def _nan_rates(raw):
         (_no_draws, "solution field 'seed' = 1 has no draws entry"),
         (_no_rounds, "solution field 'rounds' is missing"),
         (_more_ues_than_draws, "solution field 'ue_count' = 5 exceeds the 2 positions drawn for seed 1"),
+        (_negative_ue_count, "solution field 'ue_count' = -3 is below 1"),
         (_doubled_row_rate, "summary row 0 field 'sum_rate_bps' = "),
         (_flipped_row_feasible, "summary row 0 field 'feasible' = "),
         (_missing_row, "0 summary rows for 1 stored solutions"),
@@ -532,8 +582,8 @@ def _nan_rates(raw):
         (_nan_rates, "stored powers, rates and sum rate must be finite"),
     ],
     ids=["fractional-winners", "feasible-as-text", "seed-without-draws", "missing-rounds",
-         "ue-count-past-draws", "doubled-row-rate", "row-feasible-flipped", "missing-row",
-         "nan-power", "nan-rates"],
+         "ue-count-past-draws", "negative-ue-count", "doubled-row-rate", "row-feasible-flipped",
+         "missing-row", "nan-power", "nan-rates"],
 )
 def test_load_report_names_a_tampered_field(stored_report, tmp_path, tamper, message):
     assert load_report(_dump(stored_report, tmp_path / "clean.json")).solutions

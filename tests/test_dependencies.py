@@ -1,6 +1,8 @@
-"""NumPy is the only runtime dependency of the library (see pyproject.toml)."""
+"""NumPy is the only runtime dependency of the library (see pyproject.toml), and
+``import thzirs`` stays free of the modules only some entry points need."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,19 @@ def test_library_imports_only_the_standard_library_and_numpy():
         if root not in ALLOWED
     ]
     assert not stray, stray
+
+
+def test_importing_the_library_loads_no_pool_or_parser_module():
+    # a multi-worker run_experiment imports its pool on use and only `plan` loads the
+    # CLI's parser, so no other process start pays for them (benchmark setup_s included)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        "import thzirs\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "thzirs" in loaded
+    assert not loaded & {"multiprocessing", "concurrent.futures", "argparse"}
