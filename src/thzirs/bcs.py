@@ -70,11 +70,19 @@ class Solution:
     def validate(self, scene, sub_bands, p_max, rate_requirements, mixing_ratio) -> float:
         """Recompute every rate from placement, phases, winners and powers.
 
-        Raises ValueError when a stored figure is not finite or drifts past
-        ``VALIDATE_TOLERANCE``; returns the recomputed sum rate.  Every
-        comparison is written so that a NaN fails it.
+        Raises ValueError when a stored array has the wrong length, or a
+        stored figure is not finite or drifts past ``VALIDATE_TOLERANCE``;
+        returns the recomputed sum rate.  Every comparison is written so that
+        a NaN fails it.
         """
         u_count = scene.ue_count
+        i_count = len(sub_bands)
+        for name, stored, length in (("phases", self.phases.angles, self.placement.element_count),
+                                     ("winners", self.winners, i_count),
+                                     ("powers", self.powers, i_count),
+                                     ("rates", self.rates, u_count)):
+            if stored.shape != (length,):
+                raise ValueError(f"stored {name} have shape {stored.shape}, expected ({length},)")
         rate_req = _rate_floors(rate_requirements, u_count)
         if not (np.isfinite(self.powers).all() and np.isfinite(self.rates).all()
                 and np.isfinite(self.sum_rate_bps)):
@@ -97,7 +105,7 @@ class Solution:
         absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
         vectors = effective_vector(sub_bands, self.placement, scene, absorb)
         gains = np.abs(vectors @ self.phases.coefficients) ** 2
-        cols = np.arange(len(sub_bands))
+        cols = np.arange(i_count)
         bw = np.array([b.bandwidth_hz for b in sub_bands])
         noise = np.array([b.noise_power_w for b in sub_bands])
         per_band = bw * np.log2(1.0 + gains[self.winners, cols] * self.powers / noise)

@@ -396,10 +396,10 @@ def load_report(path) -> RunReport:
     """Read a report.json back and re-validate every stored solution.
 
     Each solution is reconstructed and its rates recomputed from geometry;
-    any drift beyond validation tolerance, a missing field or one of the
-    wrong type, a solution whose seed has no draws entry, whose UE count is
-    below 1 or exceeds its drawn positions, and a summary row that differs
-    from its solution raise ValueError.
+    any drift beyond validation tolerance, a missing field, one of the wrong
+    type or an array of the wrong length, a solution whose seed has no draws
+    entry, whose UE count is below 1 or exceeds its drawn positions, and a
+    summary row that differs from its solution raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)

@@ -12,9 +12,9 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 
-# the placement descent stops once the projected gradient is this short, or
-# after this many steps
-DESCENT_TOLERANCE = 1e-8
+# the placement solve stops at this projected-gradient (KKT) residual; the step
+# cap is a safety bound for a ceiling AP, whose cone tip has no zero gradient
+DESCENT_TOLERANCE = 1e-10
 DESCENT_MAX_ITERS = 800
 
 
@@ -179,50 +179,47 @@ def _clip(a, lo, hi):
 
 
 def _projected_descent(endpoints, weights, height, lo, hi, x0):
-    """Projected gradient with backtracking, then guarded Newton polish.
+    """Projected Newton on the box (Bertsekas, SIAM J. Control Optim. 1982).
 
-    The objective (a weighted sum of point-to-plane-point distances) is convex,
-    so the stationary point inside the box is the global minimum.  Norms are
-    ``math.sqrt(a.dot(a))``, the formula ``np.linalg.norm`` uses on a real
-    vector.
+    The weighted distance sum is strictly convex, as every UE lies below the
+    ceiling, so its KKT point is the global minimum.  A coordinate at a bound
+    whose gradient points out of the box is held, the others take a Newton
+    step, and an Armijo search backtracks along the projected arc.
     """
     x = _clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g, _ = _distance_terms(x, endpoints, weights, height)
-    step = 1.0
+    f, g, h = _distance_terms(x, endpoints, weights, height)
+    if not math.isfinite(f):
+        raise ValueError(f"placement objective must be finite, got {f}")
+    pg = x - _clip(x - g, lo, hi)
+    residual = math.sqrt(pg.dot(pg))
     for _ in range(DESCENT_MAX_ITERS):
-        pg = x - _clip(x - g, lo, hi)
-        if math.sqrt(pg.dot(pg)) <= DESCENT_TOLERANCE:
+        if residual <= DESCENT_TOLERANCE:
             break
-        t = step
-        for _ in range(60):
-            cand = _clip(x - t * g, lo, hi)
-            fc, gc, _ = _distance_terms(cand, endpoints, weights, height)
-            if fc <= f - 1e-4 * float(g @ (x - cand)):
+        held = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        if held.any() or not det > 0:
+            # one coordinate free, or singular within ulps of a ceiling AP
+            d = np.where(held, 0.0, g / h.diagonal())
+        else:
+            d = np.array([h[1, 1] * g[0] - h[0, 1] * g[1], h[0, 0] * g[1] - h[1, 0] * g[0]]) / det
+        t = 1.0
+        while True:
+            # t underflows to 0 after 1075 halvings, which bounds one search
+            cand = _clip(x - t * d, lo, hi)
+            if t == 0 or (cand == x).all():
+                return x
+            fc, gc, hc = _distance_terms(cand, endpoints, weights, height)
+            pg = cand - _clip(cand - gc, lo, hi)
+            rc = math.sqrt(pg.dot(pg))
+            # near an edge optimum the decrease left can be below an ulp of f,
+            # so a change within rounding (an ulp per term) counts if rc falls
+            if abs(fc - f) <= len(weights) * math.ulp(f):
+                if rc < residual:
+                    break
+            elif fc < f and f - fc >= 1e-4 * float(g @ (x - cand)):
                 break
             t *= 0.5
-        x, f, g = cand, fc, gc
-        step = min(2.0 * t, 4.0)
-
-    # Newton polish while the iterate stays interior; quadratic convergence
-    # pushes the residual to machine precision.
-    for _ in range(30):
-        interior = np.all(x > lo + 1e-12) and np.all(x < hi - 1e-12)
-        if not interior:
-            break
-        _, g, h = _distance_terms(x, endpoints, weights, height)
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if det <= 1e-30:
-            break
-        d = np.array(
-            [h[1, 1] * g[0] - h[0, 1] * g[1], -h[1, 0] * g[0] + h[0, 0] * g[1]]
-        ) / det
-        cand = _clip(x - d, lo, hi)
-        fc, _, _ = _distance_terms(cand, endpoints, weights, height)
-        if fc > f + 1e-15:
-            break
-        x, f = cand, fc
-        if math.sqrt(d.dot(d)) < 1e-14:
-            break
+        x, f, g, h, residual = cand, fc, gc, hc, rc
     return x
 
 
@@ -241,7 +238,9 @@ def solve_single_ue_placement(scene: Scene, ue_index: int, *, y_max=None):
 def solve_min_total_distance(scene: Scene, *, y_max=None):
     """Anchor (X, Y) minimizing the summed two-hop distance over all UEs.
 
-    Each UE link shares the AP leg, so the AP endpoint carries weight U.
+    Each UE link shares the AP leg, so the AP endpoint carries weight U.  The
+    anchor is the projected-Newton minimum over [0, W] x [0, y_max] to a KKT
+    residual of ``DESCENT_TOLERANCE``; ``y_max=inf`` leaves y uncapped.
     """
     lo = np.array([0.0, 0.0])
     hi = np.array([scene.room_width_m, scene.room_length_m if y_max is None else y_max])

@@ -3,18 +3,24 @@
 ``reference_distance_terms`` is the array form the library replaced with
 ``thzirs.geometry._distance_terms``: the gradient and Hessian are summed as
 small NumPy arrays, one endpoint at a time.  The library sums the same terms
-in Python floats in the same order, so the objective, gradient, Hessian and
-every iterate of the projected descent must agree bit for bit.
+in Python floats in the same order, so the objective, gradient and Hessian,
+and so every iterate of a placement solve driven by either, agree bit for bit.
 
-``reference_projected_descent`` is ``thzirs.geometry._projected_descent`` as
-it stood with ``np.clip`` and ``np.linalg.norm``.  The library takes the same
-box projection as ``np.minimum(np.maximum(a, lo), hi)`` and the same norm as
-``math.sqrt(a.dot(a))``, so both return the same anchor bit for bit.
+``reference_projected_descent`` is the placement solve the library replaced
+with projected Newton: a projected gradient with backtracking, capped at
+``DESCENT_MAX_ITERS`` steps and stopped at a projected-gradient norm of
+``DESCENT_TOLERANCE``, then a Newton polish that runs only in the interior.
+It keeps its own constants, so it stays that descent whatever the library's
+tolerance.  The library's anchor must meet the library's tighter KKT
+residual, at an objective no higher than this descent's beyond rounding.
 """
 
 import numpy as np
 
-from thzirs.geometry import DESCENT_MAX_ITERS, DESCENT_TOLERANCE, _distance_terms
+from thzirs.geometry import _distance_terms
+
+DESCENT_MAX_ITERS = 800
+DESCENT_TOLERANCE = 1e-8
 
 
 def reference_distance_terms(xy, endpoints, weights, height):

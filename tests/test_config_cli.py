@@ -566,6 +566,22 @@ def _nan_rates(raw):
     sol["sum_rate_bps"] = float("nan")
 
 
+def _short_winners(raw):
+    raw["solutions"][0]["winners"].pop()
+
+
+def _short_powers(raw):
+    raw["solutions"][0]["powers_w"].pop()
+
+
+def _short_phases(raw):
+    raw["solutions"][0]["phases_rad"].pop()
+
+
+def _long_rates(raw):
+    raw["solutions"][0]["rates_bps"].append(0.0)
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -580,10 +596,15 @@ def _nan_rates(raw):
         (_missing_row, "0 summary rows for 1 stored solutions"),
         (_nan_power, "stored powers, rates and sum rate must be finite"),
         (_nan_rates, "stored powers, rates and sum rate must be finite"),
+        (_short_winners, "stored winners have shape (1,), expected (2,)"),
+        (_short_powers, "stored powers have shape (1,), expected (2,)"),
+        (_short_phases, "stored phases have shape (7,), expected (8,)"),
+        (_long_rates, "stored rates have shape (3,), expected (2,)"),
     ],
     ids=["fractional-winners", "feasible-as-text", "seed-without-draws", "missing-rounds",
          "ue-count-past-draws", "negative-ue-count", "doubled-row-rate", "row-feasible-flipped",
-         "missing-row", "nan-power", "nan-rates"],
+         "missing-row", "nan-power", "nan-rates", "short-winners", "short-powers",
+         "short-phases", "long-rates"],
 )
 def test_load_report_names_a_tampered_field(stored_report, tmp_path, tamper, message):
     assert load_report(_dump(stored_report, tmp_path / "clean.json")).solutions

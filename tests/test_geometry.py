@@ -187,13 +187,18 @@ def _bits(terms):
     return struct.pack("7d", f, *g.tolist(), *h.ravel().tolist())
 
 
-def test_distance_terms_and_placement_solvers_follow_the_oracle_bit_for_bit(monkeypatch):
-    # Every evaluation the descent asks for must return the oracle's exact
-    # bits.  The descent is a deterministic function of those values, so
-    # driven by the oracle it visits the same iterates and returns the same
-    # anchor; every 20th scene also runs that oracle-driven descent outright.
-    # Every scene's anchor must also match the reference descent, which
-    # projects with np.clip and measures with np.linalg.norm.
+def _kkt_residual(xy, endpoints, weights, height, lo, hi):
+    _, g, _ = reference_distance_terms(xy, endpoints, weights, height)
+    return np.linalg.norm(xy - np.clip(xy - g, lo, hi))
+
+
+def test_placement_solvers_reach_the_kkt_residual_on_oracle_terms(monkeypatch):
+    # Every evaluation the solve asks for must return the oracle's exact
+    # bits.  The solve is a deterministic function of those values, so
+    # driven by the oracle it returns the same anchor; every 20th scene runs
+    # that oracle-driven solve outright.  Every anchor must be a KKT point of
+    # its box to DESCENT_TOLERANCE, and its objective no higher, beyond
+    # rounding, than the anchor of the projected-gradient descent it replaced.
     library = geometry._distance_terms
     evaluations = 0
 
@@ -204,7 +209,15 @@ def test_distance_terms_and_placement_solvers_follow_the_oracle_bit_for_bit(monk
         evaluations += 1
         return got
 
+    descent = geometry._projected_descent
+    solves = []
+
+    def recorded(*args):
+        solves.append((args, descent(*args)))
+        return solves[-1][1]
+
     monkeypatch.setattr(geometry, "_distance_terms", checked)
+    monkeypatch.setattr(geometry, "_projected_descent", recorded)
     rng = np.random.default_rng(2024)
     for case in range(1000):
         ue_count, variant = 1 + case % 4, (case // 4) % 4
@@ -215,11 +228,67 @@ def test_distance_terms_and_placement_solvers_follow_the_oracle_bit_for_bit(monk
         else:
             solve = partial(solve_single_ue_placement, scene, case % ue_count, y_max=y_max)
         anchor = solve()
-        with monkeypatch.context() as patch:
-            patch.setattr(geometry, "_projected_descent", reference_projected_descent)
-            assert struct.pack("2d", *solve()) == struct.pack("2d", *anchor)
+        (endpoints, weights, height, lo, hi, x0), xy = solves[-1]
+        assert (float(xy[0]), float(xy[1])) == anchor
+        assert _kkt_residual(xy, endpoints, weights, height, lo, hi) <= geometry.DESCENT_TOLERANCE
+        f = reference_distance_terms(xy, endpoints, weights, height)[0]
+        old = reference_projected_descent(endpoints, weights, height, lo, hi, x0)
+        f_old = reference_distance_terms(old, endpoints, weights, height)[0]
+        assert f <= f_old + len(weights) * np.spacing(f_old), (case, f, f_old)
         if case % 20 == 0:
             with monkeypatch.context() as patch:
                 patch.setattr(geometry, "_distance_terms", reference_distance_terms)
                 assert solve() == anchor
-    assert evaluations > 100_000
+    assert evaluations > 2_000
+
+
+@pytest.mark.parametrize(
+    "scene, y_max",
+    [(make_scene(), np.nan), (Scene(np.inf, 5.0, 3.0, [0.0, 0.0, 2.0], [[4.0, np.inf, 1.0]]), None)],
+    ids=["nan-cap", "ue-at-infinity"],
+)
+def test_min_total_distance_refuses_a_non_finite_objective(scene, y_max):
+    # a NaN cap or a UE at infinity makes the starting objective non-finite,
+    # where the solve would otherwise never stop moving
+    with pytest.raises(ValueError, match="placement objective must be finite"):
+        solve_min_total_distance(scene, y_max=y_max)
+
+
+def test_infinite_y_cap_means_no_cap():
+    for ues in (((4.0, 6.0, 1.0),), ((1.0, 7.9, 0.5), (4.5, 7.5, 2.5))):
+        scene = make_scene(ues)
+        assert solve_min_total_distance(scene, y_max=np.inf) == solve_min_total_distance(scene)
+
+
+def test_placement_with_the_ap_on_the_ceiling_terminates(monkeypatch):
+    # With the AP on the ceiling plane the minimum is the tip of the AP
+    # term's cone, where no gradient vanishes: the solve ends on the step cap,
+    # on an iterate that stops moving, or on the AP itself.  A search halves
+    # its step from 1 until it underflows to 0, so it makes at most 1075
+    # evaluations, and a solve at most one more than the cap times that.
+    library = geometry._distance_terms
+    evaluations = 0
+
+    def counted(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return library(*args)
+
+    monkeypatch.setattr(geometry, "_distance_terms", counted)
+    rng = np.random.default_rng(5)
+    returned = 0
+    for case in range(100):
+        drawn = _random_scene(rng, 1 + case % 4)
+        ap = [*drawn.ap_position_m[:2], drawn.ceiling_height_m]
+        scene = Scene(drawn.room_length_m, drawn.room_width_m, drawn.ceiling_height_m,
+                      ap, drawn.ue_positions_m)
+        evaluations = 0
+        try:
+            x, y = solve_min_total_distance(scene)
+        except ValueError as err:
+            assert "degenerate geometry" in str(err)
+        else:
+            returned += 1
+            np.testing.assert_allclose([x, y], ap[:2], atol=1e-9)
+        assert evaluations <= 1 + geometry.DESCENT_MAX_ITERS * 1075
+    assert returned > 0
