@@ -8,7 +8,10 @@ whose worst received-power slack falls below the incumbent.  ``bcs_solve``
 sweeps candidate positions over a coordinate lattice (block-coordinate
 search) best first: a coherent-ceiling allocation bounds every lattice
 point's answer from above, points are inner-solved in decreasing bound order,
-and the search stops at the first bound below the incumbent.  The reference
+and the search stops at the first bound below the incumbent.  With enough open
+points the next ones in bound order are solved together ahead of the loop,
+their phase stages' SGD steps stacked into one pooled step (``_Lookahead``);
+the loop still counts and keeps exactly the points it reaches.  The reference
 strategies inner-solve one placement: MinDis and RanLoc their own, RanPhi
 the lattice point that scores best under its frozen phase profile.
 
@@ -19,6 +22,7 @@ allocation rows (points times assignments), so memory stays flat at any plan
 size the allocation accepts.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,7 +39,14 @@ from .geometry import (
     optimal_single_ue_phases,
     solve_min_total_distance,
 )
-from .phase_opt import _link_rows, effective_vector, sca_phase_optimize
+from .phase_opt import (
+    _drive,
+    _link_rows,
+    _sca_steps,
+    _SgdPool,
+    effective_vector,
+    sca_phase_optimize,
+)
 from .rng import SplitMix64
 
 # allocation/phase rounds per inner solve, and the relative sum-rate change
@@ -50,6 +61,11 @@ BOUND_MARGIN = 1e-9
 # allocation rows (lattice points x assignments) scored in one batched pass;
 # a block holds one point at least
 BLOCK_ROWS = 512
+# open lattice points bcs_solve solves at once, when at least LOOKAHEAD_MIN_OPEN
+# bounds reach the min-distance anchor's sum rate; with fewer the pool runs so
+# few problems per step that one point at a time is cheaper
+LOOKAHEAD_POINTS = 16
+LOOKAHEAD_MIN_OPEN = 8
 
 
 @dataclass
@@ -162,14 +178,15 @@ def _ceiling_gains(vectors):
     return np.sum(np.abs(vectors), axis=-1) ** 2
 
 
-def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
-    """Steer the profile toward the rate floors when no allocation meets them.
+def _repair_request(vectors, phases, sub_bands, p_max, rate_req):
+    """The phase-stage request that steers the profile toward the rate floors
+    when no allocation meets them: (rows, targets, anchor angles).
 
     Gives every floored UE its highest-headroom free band (hardest UE
-    first) and asks the phase stage once for the received powers those
-    floors need at an even budget split.  Returns the profile it hands back;
-    the floors may still be out of reach there.  A second pass rescued none
-    of 3,386 repairs counted when it existed.
+    first) and asks for the received powers those floors need at an even
+    budget split.  The floors may still be out of reach at the profile the
+    phase stage hands back; one pass is all the repair makes, since a second
+    rescued none of 3,386 repairs counted when it existed.
     """
     u_count, i_count, _ = vectors.shape
     bw = np.array([b.bandwidth_hz for b in sub_bands])
@@ -196,7 +213,7 @@ def _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req):
     rows = np.sqrt(p_eq) * vectors[pairs_u, pairs_i]
     targets = np.minimum(1.5 * need[pairs_u, pairs_i], 0.9 * ceiling[pairs_u, pairs_i])
 
-    return sca_phase_optimize(rows, targets, phases.angles).phases
+    return rows, targets, phases.angles
 
 
 def inner_solve(
@@ -207,6 +224,8 @@ def inner_solve(
     rate_requirements,
     mixing_ratio: float,
     phases: Optional[PhaseVector] = None,
+    *,
+    _lookahead=None,
 ) -> Solution:
     """Alternate allocation and phase restoration at one array position.
 
@@ -214,8 +233,25 @@ def inner_solve(
     alternates until ``ROUND_TOLERANCE`` or ``MAX_ROUNDS`` ends it.  A given
     ``phases`` profile is frozen: the allocation is already exact for it and
     a single round suffices.  An infeasible point comes back as the
-    allocation's all-zero verdict after one round.
+    allocation's all-zero verdict after one round.  The rounds are
+    ``_inner_steps``, each phase stage solved by ``sca_phase_optimize``;
+    ``bcs_solve`` passes ``_lookahead`` to take the point's answer from the
+    lattice points it solves together instead.
     """
+    if _lookahead is not None:
+        return _lookahead.claim(placement)
+    steps = _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
+                         phases)
+    # looked up at each call, so that a replaced bcs.sca_phase_optimize serves it
+    return _drive(steps, lambda rows, targets, anchor, _: sca_phase_optimize(rows, targets, anchor))
+
+
+def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
+                 phases=None):
+    """``inner_solve`` as a generator: yields each phase-stage request as
+    (rows, targets, anchor angles, sum rate held), takes its ``ScaResult``,
+    returns the ``Solution``.  The rate held is the allocation's before the
+    request, 0.0 before a feasible one; the rounds never lower it."""
     rate_req = _rate_floors(rate_requirements, scene.ue_count)
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     vectors = effective_vector(sub_bands, placement, scene, absorb)
@@ -230,7 +266,7 @@ def inner_solve(
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off.  An unmoved
         # profile keeps its gains and cold allocation, bit for bit.
-        repaired = _repair_feasibility(vectors, phases, sub_bands, p_max, rate_req)
+        repaired = (yield *_repair_request(vectors, phases, sub_bands, p_max, rate_req), 0.0).phases
         if not _same_bits(repaired, phases):
             phases = repaired
             gains = np.abs(vectors @ phases.coefficients) ** 2
@@ -246,7 +282,7 @@ def inner_solve(
             break
         rows = np.sqrt(alloc.powers[active])[:, None] * vectors[alloc.winners[active], active]
         targets = alloc.powers[active] * gains[alloc.winners[active], active]
-        restored = sca_phase_optimize(rows, targets, phases.angles).phases
+        restored = (yield rows, targets, phases.angles, alloc.objective).phases
         if _same_bits(restored, phases):
             # unchanged gains: the warm-started allocation would return this
             # round's own allocation, the warm row winning every tie, and
@@ -347,6 +383,96 @@ def _ceiling_bounds(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     return np.where(feasible, rates, -np.inf)
 
 
+def _sgd_requests(steps, held):
+    """Serve the phase-stage requests of the ``_inner_steps`` generator
+    ``steps`` with ``_sca_steps``: yields their SGD problems as (surrogate,
+    targets), passes each request's rate held to ``held``, and returns the
+    inner solve's ``Solution``."""
+    reply = None
+    while True:
+        try:
+            *request, rate = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        held(rate)
+        reply = yield from _sca_steps(*request)
+
+
+class _Lookahead:
+    """The open lattice points of one ``bcs_solve``, solved together in
+    bound order (iteration-level batching: Yu et al., OSDI 2022).
+
+    The next open point is admitted while fewer than ``LOOKAHEAD_POINTS``
+    admitted points are unsolved and its bound is at least the best sum
+    rate held so far: the anchor's, a solved point's, or the allocation an
+    unsolved point's rounds already hold, which they never lower.  Points
+    are admitted in bound order, so that best stays at or below the
+    best-first loop's incumbent at every point the loop has yet to reach,
+    and the loop reaches no point the rule passed over; ``claim`` would
+    start one all the same.  Each admitted point runs ``_inner_steps``,
+    and the SGD problems of all of them share one ``_SgdPool``: a point
+    whose problem exits sends its next one before the next pool step.
+    ``claim`` steps the pool until the claimed point is solved; the loop
+    claims in bound order, and the points still unclaimed when it stops are
+    dropped.  An error is kept with its point and raised when the point is
+    claimed, where the lone solve would raise it.
+    """
+
+    def __init__(self, order, bounds, best, placement_of, inner_steps):
+        self._open = deque(order)
+        self._bounds = bounds
+        self._best = best
+        self._placement_of = placement_of
+        self._inner_steps = inner_steps
+        self._placements = {}
+        # admitted and not yet claimed: placement -> [Solution, error, or None unsolved]
+        self._flights = {}
+        self._unsolved = 0
+        self._pool = _SgdPool()
+
+    def placement(self, i):
+        """Lattice point ``i``'s placement, built once."""
+        if i not in self._placements:
+            self._placements[i] = self._placement_of(i)
+        return self._placements[i]
+
+    def _start(self, i):
+        placement = self.placement(i)
+        outcome = self._flights[placement] = [None]
+        self._unsolved += 1
+        self._advance(outcome, _sgd_requests(self._inner_steps(placement), self._hold), None)
+
+    def _hold(self, rate):
+        self._best = max(self._best, rate)
+
+    def _advance(self, outcome, requests, reply):
+        try:
+            self._pool.add((outcome, requests), *requests.send(reply))
+        except StopIteration as stop:
+            outcome[0] = stop.value
+            self._unsolved -= 1
+            self._hold(stop.value.sum_rate_bps)
+        except Exception as error:  # noqa: BLE001 - raised again by claim
+            outcome[0] = error
+            self._unsolved -= 1
+
+    def claim(self, placement) -> Solution:
+        """The inner solve of ``placement``, the next open point in bound order."""
+        if placement not in self._flights:
+            self._start(self._open.popleft())
+        outcome = self._flights[placement]
+        while outcome[0] is None:
+            while (self._open and self._unsolved < LOOKAHEAD_POINTS
+                   and self._bounds[self._open[0]] >= self._best):
+                self._start(self._open.popleft())
+            for (waiting, requests), result in self._pool.step():
+                self._advance(waiting, requests, result)
+        del self._flights[placement]
+        if isinstance(outcome[0], Exception):
+            raise outcome[0]
+        return outcome[0]
+
+
 def bcs_solve(
     scene: Scene,
     sub_bands,
@@ -369,7 +495,11 @@ def bcs_solve(
     bound falls below the incumbent's sum rate.  The best is kept by
     (feasible, sum rate, earliest in lattice order, anchor first), so the
     answer is the one a full sweep of the anchor and then the lattice keeps.
-    ``points_evaluated`` counts the lattice points inner-solved.
+    ``points_evaluated`` counts the lattice points inner-solved, one
+    ``inner_solve`` call each.  When at least ``LOOKAHEAD_MIN_OPEN`` bounds
+    reach the anchor's sum rate, those calls take their answers from a
+    ``_Lookahead`` that solves up to ``LOOKAHEAD_POINTS`` points at once;
+    the points it solves ahead and the loop never reaches are not counted.
     """
     anchor = baseline_mini_dis(
         scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
@@ -384,13 +514,21 @@ def bcs_solve(
     # the anchor stands before every lattice point
     best_key = (anchor.feasible, anchor.sum_rate_bps, 1)
     trace = [anchor.sum_rate_bps]
+    def place(i):
+        return IrsPlacement(*points[i].tolist(), element_count, spacing_m)
+
+    ahead = _Lookahead(
+        order, bounds, anchor.sum_rate_bps, place,
+        lambda placement: _inner_steps(scene, placement, sub_bands, p_max, rate_requirements,
+                                       mixing_ratio),
+    ) if np.count_nonzero(bounds >= anchor.sum_rate_bps) >= LOOKAHEAD_MIN_OPEN else None
     for i in order:
         # an infeasible incumbent's 0.0 never ends the search
         if bounds[i] < best.sum_rate_bps:
             break
-        placement = IrsPlacement(*points[i].tolist(), element_count, spacing_m)
+        placement = place(i) if ahead is None else ahead.placement(i)
         candidate = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
-                                mixing_ratio)
+                                mixing_ratio, _lookahead=ahead)
         key = (candidate.feasible, candidate.sum_rate_bps, -i)
         if key > best_key:
             best, best_key = candidate, key

@@ -13,7 +13,7 @@ import numpy as np
 from .channel import SPEED_OF_LIGHT
 
 # the placement solve stops at this projected-gradient (KKT) residual; the step
-# cap is a safety bound for a ceiling AP, whose cone tip has no zero gradient
+# cap is only a safety bound, as every endpoint lies below the ceiling
 DESCENT_TOLERANCE = 1e-10
 DESCENT_MAX_ITERS = 800
 
@@ -40,8 +40,8 @@ class Scene:
             raise ValueError(f"room dimensions must be positive, got L={L} W={W} H={H}")
         if ap.shape != (3,):
             raise ValueError(f"AP position must be a 3-vector, got shape {ap.shape}")
-        if not (0 <= ap[0] <= W and 0 <= ap[1] <= L and 0 <= ap[2] <= H):
-            raise ValueError(f"AP position {ap} outside the room box")
+        if not (0 <= ap[0] <= W and 0 <= ap[1] <= L and 0 <= ap[2] < H):
+            raise ValueError(f"AP position {ap} outside the room box (z must stay below H)")
         if ues.ndim != 2 or ues.shape[1] != 3 or ues.shape[0] < 1:
             raise ValueError(f"UE positions must be (U, 3), got {ues.shape}")
         for k, p in enumerate(ues):
@@ -181,8 +181,8 @@ def _clip(a, lo, hi):
 def _projected_descent(endpoints, weights, height, lo, hi, x0):
     """Projected Newton on the box (Bertsekas, SIAM J. Control Optim. 1982).
 
-    The weighted distance sum is strictly convex, as every UE lies below the
-    ceiling, so its KKT point is the global minimum.  A coordinate at a bound
+    The weighted distance sum is strictly convex and smooth, as the AP and
+    every UE lie below the ceiling, so its KKT point is the global minimum.  A coordinate at a bound
     whose gradient points out of the box is held, the others take a Newton
     step, and an Armijo search backtracks along the projected arc.
     """
@@ -198,7 +198,7 @@ def _projected_descent(endpoints, weights, height, lo, hi, x0):
         held = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
         if held.any() or not det > 0:
-            # one coordinate free, or singular within ulps of a ceiling AP
+            # one coordinate free, or a Hessian singular to rounding
             d = np.where(held, 0.0, g / h.diagonal())
         else:
             d = np.array([h[1, 1] * g[0] - h[0, 1] * g[1], h[0, 0] * g[1] - h[1, 0] * g[0]]) / det

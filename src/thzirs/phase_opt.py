@@ -5,6 +5,8 @@ power-and-gain scaled steering row of that link and phi the unit-modulus
 reflection coefficients.  The quadratic form is minorized by its first-order
 expansion around an anchor, and the resulting linear constraints are handled
 with a priced (multiplier-weighted) penalty whose phase update is closed form.
+A private pool steps the SGD problems of many phase stages at once, bit for
+bit the lone loop.
 """
 
 import math
@@ -115,6 +117,34 @@ class SgdResult:
     iterations: int
 
 
+def _sgd_start(surr: Surrogate, targets):
+    """Check one ``sgd_solve`` problem and set up what its loop starts from:
+    ``theta2 = 2 theta``, the (psi, target) pair of each row as floats,
+    tau0, the improvement gap, the feasibility tolerance, the anchor's
+    coefficients and its worst surrogate slack."""
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    k = targets.shape[0]
+    if k == 0 or surr.theta.shape[0] != k:
+        raise ValueError(f"need one target per surrogate row ({surr.theta.shape[0]}), got {k}")
+    if not np.isfinite(targets).all():
+        raise ValueError("targets must be finite")
+
+    scale = float((np.abs(surr.vectors).sum(axis=1) ** 2).max())
+    if not (math.isfinite(scale) and np.isfinite(surr.anchor).all()):
+        raise ValueError("effective vectors and anchor must be finite")
+    if scale <= 0:
+        raise ValueError("all effective vectors are zero")
+    feas_tol = 1e-6 * max(targets.max(), np.finfo(float).tiny)
+
+    theta2 = 2.0 * surr.theta
+    psi = surr.psi if np.shape(surr.psi) == (k,) else np.broadcast_to(surr.psi, (k,))
+    levels = list(zip(psi.tolist(), targets.tolist()))
+    prev = np.exp(1j * surr.anchor)
+    w = _product(theta2.shape[1])(theta2, prev)
+    best_slack = min([(x - p) - t for x, (p, t) in zip(w.real.tolist(), levels)])
+    return theta2, levels, 1.0 / scale, 1e-15 * scale, feas_tol, prev, best_slack
+
+
 def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> SgdResult:
     """Alternate the closed-form phase update with priced subgradient steps.
 
@@ -157,26 +187,9 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
       of its real and imaginary views, ``np.linalg.norm``'s own formula; the
       current and previous coefficient buffers swap roles each step.
     """
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    k = targets.shape[0]
-    if k == 0 or surr.theta.shape[0] != k:
-        raise ValueError(f"need one target per surrogate row ({surr.theta.shape[0]}), got {k}")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
-
-    scale = float(np.max((np.sum(np.abs(surr.vectors), axis=1)) ** 2))
-    if not (math.isfinite(scale) and np.all(np.isfinite(surr.anchor))):
-        raise ValueError("effective vectors and anchor must be finite")
-    if scale <= 0:
-        raise ValueError("all effective vectors are zero")
-    tau0 = 1.0 / scale
-    gap = 1e-15 * scale
-    feas_tol = 1e-6 * max(np.max(targets), np.finfo(float).tiny)
-
-    theta2 = 2.0 * surr.theta
-    n = theta2.shape[1]
+    theta2, levels, tau0, gap, feas_tol, prev, best_slack = _sgd_start(surr, targets)
+    k, n = theta2.shape
     mix_rows, apply_rows = _product(k), _product(n)
-    levels = list(zip(np.broadcast_to(surr.psi, (k,)).tolist(), targets.tolist()))
     cprices = np.ones(k, dtype=complex)
     prices_re = cprices.real
     prices = [1.0] * k
@@ -194,9 +207,6 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     d_re, d_im = d.real, d.imag
 
     best_angles = surr.anchor.copy()
-    prev = np.exp(1j * best_angles)
-    apply_rows(theta2, prev, out=w)
-    best_slack = min([(x - p) - t for x, (p, t) in zip(w_re.tolist(), levels)])
     restoring = best_slack < -feas_tol
 
     converged = False
@@ -241,6 +251,300 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     )
 
 
+class _SgdRow:
+    """One ``sgd_solve`` problem of an ``_SgdPool``, as its loop starts it.
+
+    Its state moves into the pool's arrays when a regroup takes it in and
+    back out when the next regroup rebuilds them.  ``scalars`` are the
+    columns of ``_SgdBatch.scalars``; iterations count in the batch's ticks: the
+    problem is at iteration ``tick - start``, stalls out ``STALL_LIMIT``
+    ticks after its ``last`` improvement and reaches ``max_iters`` at tick
+    ``cap``.  ``best`` holds the best iterate's ``a``, the angles negated.
+    """
+
+    __slots__ = ("token", "k", "theta2", "levels", "prices", "scalars", "prev", "best")
+
+    def __init__(self, token, surr, targets, max_iters, tick):
+        theta2, levels, tau0, gap, feas_tol, prev, best_slack = _sgd_start(surr, targets)
+        self.token, self.k, self.theta2 = token, len(levels), theta2
+        self.levels = [list(column) for column in zip(*levels)]
+        self.prices = [1.0] * self.k
+        # a restoration ends at its first improving iterate with worst slack >= 0
+        floor = 0.0 if best_slack < -feas_tol else math.inf
+        self.scalars = [best_slack, best_slack + gap, gap, tau0, feas_tol, floor, tick, tick,
+                        tick + max_iters]
+        self.prev, self.best = prev[None], -surr.anchor[None]
+
+    def result(self, best, best_slack, feas_tol, converged, iterations):
+        return self.token, SgdResult(
+            phases=PhaseVector(-best[0]),
+            converged=converged,
+            feasible=best_slack >= -feas_tol,
+            iterations=iterations,
+        )
+
+
+def _square_limit(tol):
+    """The largest double m with sqrt(m) <= ``tol``: sqrt rounds correctly
+    and never decreases, so ``sqrt(x) <= tol`` is ``x <= m`` for every x."""
+    m = tol * tol
+    while math.sqrt(m) > tol:
+        m = math.nextafter(m, 0.0)
+    while math.sqrt(math.nextafter(m, math.inf)) <= tol:
+        m = math.nextafter(m, math.inf)
+    return m
+
+
+class _SgdBatch:
+    """The pool's problems of one width N, one row each of stacked arrays.
+
+    Rows run in blocks of equal K, and each block makes its two products
+    with its own (P_k, K, N) ``theta2``.  Every other step runs once over
+    all rows, on (P, K_max) slack and price arrays: a row's unused columns
+    hold target -inf, so their slack is +inf, which no minimum takes, and
+    their price stays 0.0, which no product reads.
+
+    A problem that exits leaves its row to the next problem of its K that
+    joins; until then the row idles (``_idle``) and ``alive`` keeps it out
+    of the exits.  A joiner that finds no idle row of its K, or idle rows
+    outnumbering live ones, makes the next step regroup every live row and
+    joiner into new arrays.  The per-row scalars are the columns of one
+    (P, 9) array: best_slack, thresh (best_slack + gap), gap, tau0,
+    feas_tol, floor, start, last and cap.
+    """
+
+    def __init__(self):
+        self.rows, self.joining, self.vacated, self.idle, self.tick = [], [], [], {}, 0.0
+        self.square_limit = _square_limit(TOLERANCE)
+
+    def _settle(self):
+        """Put the joiners into idle rows of their K, or regroup."""
+        vacated, self.vacated, waiting = self.vacated, [], []
+        for r in vacated:
+            self.idle[self.ks[r]].append(r)
+        for row in self.joining:
+            slots = self.idle.get(row.k)
+            if slots:
+                self._put(slots.pop(), row)
+            else:
+                waiting.append(row)
+        self.joining = waiting
+        if waiting or 2 * sum(map(len, self.idle.values())) > len(self.rows):
+            self._regroup()
+            return
+        for r in vacated:
+            if self.rows[r] is None:
+                self._idle(r)
+
+    def _idle(self, r):
+        """Leave row r with nothing to improve, stall, cap or collapse: a
+        zero ``theta2`` makes its coefficients 1.0, which its previous ones
+        are set to, so the row counts as converged at every step."""
+        k = self.ks[r]
+        lo, theta2 = self.block_of[r]
+        theta2[r - lo] = 0.0
+        self.levels[r, :, :k] = ((0.0,) * k, (1.0,) * k)
+        self.scalars[r] = (math.inf, math.inf, 0.0, 1.0, 0.0, math.inf, 0.0, math.inf, math.inf)
+        self.coeffs[self.parity ^ 1][r] = 1.0
+        self.alive[r] = False
+        self.idle_rows += 1
+
+    def _put(self, r, row):
+        """Write the joining ``row``'s state into row r."""
+        lo, theta2 = self.block_of[r]
+        theta2[r - lo] = row.theta2
+        self.cprices[r, 0, :row.k] = row.prices
+        self.levels[r, :, :row.k] = row.levels
+        self.scalars[r] = row.scalars
+        self.coeffs[self.parity ^ 1][r] = row.prev
+        self.best[r] = row.best
+        self.idle_rows -= not self.alive[r]
+        self.alive[r] = True
+        self.rows[r] = row
+        _, _, _, _, _, floor, _, last, cap = row.scalars
+        self.next_due = min(self.next_due, last + STALL_LIMIT, cap)
+        self.restoring = self.restoring or floor == 0.0
+
+    def _regroup(self):
+        rows = self.rows
+        if rows:
+            prices = self.cprices.real[:, 0].tolist()
+            for row, prev, best, row_prices, scalars in zip(
+                    rows, self.coeffs[self.parity ^ 1], self.best, prices, self.scalars.tolist()):
+                if row is not None:
+                    row.prev, row.best, row.scalars = prev, best, scalars
+                    row.prices = row_prices[:row.k]
+        rows = sorted([row for row in rows if row is not None] + self.joining,
+                      key=lambda row: row.k)
+        self.rows, self.joining, self.idle = rows, [], {}
+        if not rows:
+            return
+        p, n, k_max = len(rows), rows[-1].theta2.shape[1], rows[-1].k
+        self.scalars = np.array([row.scalars for row in rows])
+        (self.best_slack, self.thresh, self.gap, self.tau0, self.feas_tol, self.floor,
+         self.start, self.last, self.cap) = self.scalars.T
+        pads = [(k_max - row.k) for row in rows]
+        self.levels = np.array([[psi + [0.0] * pad, targets + [-math.inf] * pad]
+                                for (psi, targets), pad in zip((row.levels for row in rows), pads)])
+        self.cprices = np.array([[row.prices + [0.0] * pad] for row, pad in zip(rows, pads)],
+                                dtype=complex)
+        self.restoring = bool((self.floor == 0.0).any())
+        self.next_due = self._next_due()
+
+        self.coeffs = (np.array([row.prev for row in rows]), np.empty((p, 1, n), dtype=complex))
+        self.parity = 1  # coeffs[parity] takes this step's coefficients
+        self.best = np.array([row.best for row in rows])
+        self.alive = np.ones(p, dtype=bool)
+        self.idle_rows = 0
+        # exp's argument: real part +0.0 throughout, imaginary part 0.0 - a
+        v, z, d = np.zeros((3, p, 1, n), dtype=complex)
+        a, zeros = np.zeros((2, p, 1, n))
+        w = np.zeros((p, k_max, 1), dtype=complex)
+        worst, its, steps, moved_im, priced = np.empty((5, p))
+        moved = np.empty((p, 1, 1))
+        improved, converged = np.empty((2, p), dtype=bool)
+        prices = self.cprices.real[:, 0]
+        blocks, self.block_of, self.ks, lo = [], [], [], 0
+        while lo < p:
+            k = rows[lo].k
+            hi = lo + sum(1 for row in rows[lo:] if row.k == k)
+            theta2 = np.array([row.theta2 for row in rows[lo:hi]])
+            blocks.append((theta2, self.cprices[lo:hi, :, :k], v[lo:hi],
+                           tuple(c[lo:hi].transpose(0, 2, 1) for c in self.coeffs), w[lo:hi, :k]))
+            self.block_of += [(lo, theta2)] * (hi - lo)
+            self.ks += [k] * (hi - lo)
+            self.idle[k] = []
+            lo = hi
+        self.views = (
+            blocks, v, v.real, v.imag, a, zeros, z, z.imag, w.real[:, :, 0], self.levels[:, 0],
+            self.levels[:, 1], np.empty((p, k_max)), worst, improved, improved[:, None, None],
+            its, steps, steps[:, None], prices, np.ones(k_max), priced, d, d.real,
+            d.real.transpose(0, 2, 1), d.imag, d.imag.transpose(0, 2, 1), moved,
+            moved_im[:, None, None], moved[:, 0, 0], converged,
+        )
+
+    def _next_due(self):
+        """The first tick at which a row may stall out or reach its cap."""
+        return float(np.minimum(self.last + STALL_LIMIT, self.cap).min())
+
+    def step(self):
+        """One step of every row; returns (token, SgdResult) per exit."""
+        if self.joining or self.vacated:
+            self._settle()
+        if not self.rows:
+            return []
+        self.tick += 1.0
+        tick, parity = self.tick, self.parity
+        coeff, prev = self.coeffs[parity], self.coeffs[parity ^ 1]
+        (blocks, v, v_re, v_im, a, zeros, z, z_im, w_re, psi, targets, slacks, worst, improved,
+         improved_rows, its, steps, steps_col, prices, ones, priced, d, d_re, d_re_t, d_im,
+         d_im_t, moved, moved_im, moved_sq, converged) = self.views
+        for theta2, cprices, v_rows, _, _ in blocks:
+            np.matmul(cprices, theta2, out=v_rows)
+        np.arctan2(v_im, v_re, out=a)
+        np.subtract(zeros, a, out=z_im)
+        np.exp(z, out=coeff)
+        for theta2, _, _, coeff_cols, w_rows in blocks:
+            np.matmul(theta2, coeff_cols[parity], out=w_rows)
+        np.subtract(w_re, psi, out=slacks)
+        np.subtract(slacks, targets, out=slacks)
+        np.minimum.reduce(slacks, axis=1, out=worst)
+        np.greater(worst, self.thresh, out=improved)
+        restored = None
+        if np.count_nonzero(improved):
+            np.copyto(self.best_slack, worst, where=improved)
+            np.add(self.best_slack, self.gap, out=self.thresh)
+            np.copyto(self.best, a, where=improved_rows)
+            np.copyto(self.last, tick, where=improved)
+            if self.restoring:
+                restored = improved & (worst >= self.floor)
+        np.subtract(tick, self.start, out=its)
+        np.sqrt(its, out=steps)
+        np.divide(self.tau0, steps, out=steps)
+        np.multiply(steps_col, slacks, out=slacks)
+        np.subtract(prices, slacks, out=slacks)
+        np.maximum(0.0, slacks, out=prices)
+        np.subtract(coeff, prev, out=d)
+        np.matmul(d_re, d_re_t, out=moved)
+        np.matmul(d_im, d_im_t, out=moved_im)
+        np.add(moved, moved_im, out=moved)
+        np.less_equal(moved_sq, self.square_limit, out=converged)
+        # prices are >= 0, so a row's sum is 0.0 exactly when all are: collapsed
+        np.matmul(prices, ones, out=priced)
+        self.parity = parity ^ 1
+        if (tick < self.next_due and np.count_nonzero(converged) == self.idle_rows
+                and np.count_nonzero(priced) == len(priced)
+                and (restored is None or not np.count_nonzero(restored))):
+            return []
+
+        timed_out = (tick - self.last >= STALL_LIMIT) | (tick >= self.cap)
+        exited = (converged | timed_out | (priced == 0.0)) & self.alive
+        if restored is not None:
+            exited |= restored
+            timed_out |= restored
+        self.next_due = self._next_due()
+        done = []
+        for r in np.flatnonzero(exited).tolist():
+            # a restoration's exit is no convergence; a collapse alone ends
+            # the loop at the next step's check
+            conv = bool(converged[r]) and not (restored is not None and restored[r])
+            late = not (conv or timed_out[r])
+            done.append(self.rows[r].result(self.best[r], self.best_slack[r], self.feas_tol[r],
+                                            conv, int(tick - self.start[r]) + late))
+            self.rows[r] = None
+            self.vacated.append(r)
+        return done
+
+
+class _SgdPool:
+    """``sgd_solve`` for many problems in flight at once.
+
+    ``step`` takes every problem one step further: per width N one stacked
+    product per K, so no padding enters a product, and one pass of the
+    element-wise steps.  Each problem keeps its own iteration count, tau0,
+    gap, stall count, restoring flag and exits in its row of the batch's
+    arrays, and meets ``sgd_solve``'s arithmetic in its order, so its
+    result is ``sgd_solve``'s bit for bit: the stacked ``np.matmul``
+    products give every slice the bits of ``sgd_solve``'s own product, and
+    so does the stacked movement norm over the same strided views
+    (``tests/test_phase_opt.py`` guards both on the host's BLAS).  A
+    problem leaves on the step it exits; one added between steps joins at
+    the next.
+    """
+
+    def __init__(self):
+        self._batches = {}
+
+    def add(self, token, surr: Surrogate, targets, max_iters: int = 500):
+        """Queue ``sgd_solve(surr, targets, max_iters)``, ``max_iters`` >= 1,
+        under ``token``; raises its ValueError at once."""
+        n = np.shape(surr.theta)[-1]
+        batch = self._batches.get(n)
+        if batch is None:
+            batch = self._batches[n] = _SgdBatch()
+        batch.joining.append(_SgdRow(token, surr, targets, max_iters, batch.tick))
+
+    def step(self):
+        """One step of every problem in the pool; returns (token, SgdResult)
+        for each problem that exited, in no promised order."""
+        done = []
+        for batch in self._batches.values():
+            done += batch.step()
+        return done
+
+
+def _drive(steps, serve):
+    """Run the generator ``steps`` to its end, answering every request it
+    yields with ``serve(*request)``; returns the generator's value."""
+    reply = None
+    while True:
+        try:
+            request = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = serve(*request)
+
+
 @dataclass
 class ScaResult:
     phases: PhaseVector
@@ -260,8 +564,17 @@ def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     profile's slack is read off the surrogate built there, and an accepted
     candidate's surrogate is the next pass's.  A restoration (an anchor
     short of its targets by more than the tolerance) stops at the first
-    incumbent that meets every target.
+    incumbent that meets every target.  The loop is ``_sca_steps``, each of
+    its SGD problems solved by ``sgd_solve``.
     """
+    # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
+    return _drive(_sca_steps(vectors, targets, anchor),
+                  lambda surr, targets: sgd_solve(surr, targets))
+
+
+def _sca_steps(vectors, targets, anchor):
+    """``sca_phase_optimize`` as a generator: yields each SGD problem as
+    (surrogate, targets), takes its ``SgdResult``, returns the ``ScaResult``."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     targets = np.asarray(targets, dtype=float).reshape(-1)
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
@@ -289,7 +602,7 @@ def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
 
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
-        cand = sgd_solve(surr, targets).phases
+        cand = (yield surr, targets).phases
         cand_surr = surrogate(vectors, cand.angles)
         cand_slack = float(np.min(cand_surr.psi - targets))
         moved = cand.distance(surr.anchor)

@@ -16,9 +16,9 @@ bit for bit.
 before it became one pass: it re-runs the phase stage for up to
 ``MAX_REPAIRS`` passes until an allocation meets the floors, re-solving the
 allocation every pass even when the phase stage handed back its anchor
-unchanged.  Wherever it ends feasible or at a fixed point, the profile
-``bcs._repair_feasibility`` returns, with its gains and cold allocation,
-must be the same answer bit for bit.
+unchanged.  Wherever it ends feasible or at a fixed point, the profile the
+phase stage returns for ``bcs._repair_request``, with its gains and cold
+allocation, must be the same answer bit for bit.
 ``reference_inner_solve`` is the inner alternation as it stood before it
 learned to skip repeated work, with a one-pass repair: every round re-solves
 the allocation.  ``bcs.inner_solve`` must return the same answers bit for

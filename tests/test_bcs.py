@@ -381,38 +381,50 @@ def test_every_search_inner_solves_each_position_once(monkeypatch):
             assert positions == 1
 
 
-def test_only_inner_solved_points_get_a_placement(monkeypatch):
-    # the lattice travels as an anchor array: a search builds a placement for
-    # a point it inner-solves and for no other
-    built, solved = [], []
+def test_only_solved_points_get_a_placement(monkeypatch):
+    # the lattice travels as an anchor array: a search builds one placement
+    # for each point it inner-solves, counted or solved ahead, and for no other
+    built, solved, started = [], [], []
 
     class Counted(IrsPlacement):
         def __post_init__(self):
             built.append(self)
             super().__post_init__()
 
-    original = bcs.inner_solve
+    original, steps = bcs.inner_solve, bcs._inner_steps
 
     def recorded(scene, placement, *args, **kwargs):
         solved.append(placement)
         return original(scene, placement, *args, **kwargs)
 
+    def begun(scene, placement, *args):
+        started.append(placement)
+        return steps(scene, placement, *args)
+
     monkeypatch.setattr(bcs, "IrsPlacement", Counted)
     monkeypatch.setattr(bcs, "inner_solve", recorded)
+    monkeypatch.setattr(bcs, "_inner_steps", begun)
     # all defaults: 620 lattice points scored, the winner's placement alone built
     winner = run_single(ExperimentConfig(), "ranphi", 7)
-    assert built == solved == [winner.placement]
+    assert built == solved == started == [winner.placement]
     assert built[0] is winner.placement
 
-    built.clear()
-    solved.clear()
-    scene = make_scene([(1.0, 2.0), (4.0, 6.5)])
-    res = bcs_solve(scene, make_bands([225.0, 275.0]), 8, 0.005, 1.0, 1e9, MU,
-                    grid_step_x=1.0, grid_step_y=1.0)
-    # the min-distance anchor, then one per inner-solved lattice point
-    assert len(built) == res.points_evaluated + 1 == len(solved)
-    assert all(a is b for a, b in zip(built, solved))
-    assert res.points_evaluated < len(candidate_grid(scene, 8, 0.005, 1.0, 1.0))
+    scene, n, floor = small_case(6)
+    monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
+    for lookahead, solved_ahead in ((1, 0), (bcs.LOOKAHEAD_POINTS, 7)):
+        monkeypatch.setattr(bcs, "LOOKAHEAD_POINTS", lookahead)
+        built.clear()
+        solved.clear()
+        started.clear()
+        res = bcs_solve(scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+        # the min-distance anchor, then one per lattice point the search
+        # counts, and one per point it solved ahead and dropped
+        assert len(solved) == res.points_evaluated + 1
+        assert len(built) == len(started) == len(set(built))
+        assert all(a is b for a, b in zip(built, started))
+        assert all(any(a is b for b in built) for a in solved)
+        assert len(started) - len(solved) == solved_ahead
+        assert res.points_evaluated < len(candidate_grid(scene, n, 0.005, 0.5, 0.5))
 
 
 def assert_same_bits(got, want):
@@ -483,7 +495,8 @@ def test_one_repair_pass_loses_no_rescue(monkeypatch):
             continue
         calls.update(library=0)
         reference_passes.clear()
-        repaired = bcs._repair_feasibility(vectors, phases, SMALL_BANDS, 1.0, rate_req)
+        repaired = bcs.sca_phase_optimize(
+            *bcs._repair_request(vectors, phases, SMALL_BANDS, 1.0, rate_req)).phases
         repaired_gains = np.abs(vectors @ repaired.coefficients) ** 2
         got = (repaired, repaired_gains,
                solve_allocation(repaired_gains, SMALL_BANDS, 1.0, rate_req))
@@ -544,7 +557,8 @@ def test_repair_stops_at_the_first_iterate_that_meets_its_targets(monkeypatch):
         return result
 
     monkeypatch.setattr(phase_opt, "sgd_solve", recorded)
-    repaired = bcs._repair_feasibility(vectors, start, SMALL_BANDS, 1.0, rate_req)
+    repaired = bcs.sca_phase_optimize(
+        *bcs._repair_request(vectors, start, SMALL_BANDS, 1.0, rate_req)).phases
     monkeypatch.undo()
 
     def worst(surr, targets, angles):
@@ -597,12 +611,14 @@ def test_inner_rounds_never_take_the_restoring_exit(monkeypatch):
 
 # seeds 68, 70, 248, 310, 375 and 384 mix lattice points the ceiling rules
 # out with open ones; at 70 the anchor misses the floor and a lattice point wins
-@pytest.mark.parametrize("seed, floor", [
+SWEEP_CASES = [
     *[(seed, 0.0) for seed in range(6)],
     *[(seed, None) for seed in (6, 7, 68, 70, 248, 310, 375, 384)],
     *[(seed, 1e13) for seed in range(2)],
-])
-def test_best_first_search_matches_the_full_sweep(seed, floor):
+]
+
+
+def _assert_matches_the_full_sweep(seed, floor):
     scene, n, drawn = small_case(seed)
     args = (scene, SMALL_BANDS, n, 0.005, 1.0, drawn if floor is None else floor, MU, 1.0, 1.0)
     want = full_sweep_bcs(*args)
@@ -614,6 +630,65 @@ def test_best_first_search_matches_the_full_sweep(seed, floor):
     assert res.best_trace[0] == want.best_trace[0]
     assert res.best_trace[-1] == want.best_trace[-1]
     assert np.all(np.diff(res.best_trace) >= 0)
+
+
+@pytest.mark.parametrize("seed, floor", SWEEP_CASES)
+def test_best_first_search_matches_the_full_sweep(seed, floor):
+    _assert_matches_the_full_sweep(seed, floor)
+
+
+@pytest.mark.parametrize("lookahead", [1, 3, bcs.LOOKAHEAD_POINTS])
+@pytest.mark.parametrize("seed, floor", SWEEP_CASES)
+def test_best_first_search_matches_the_full_sweep_at_any_window(monkeypatch, seed, floor,
+                                                                lookahead):
+    # that many points solved together, at any open-point count
+    monkeypatch.setattr(bcs, "LOOKAHEAD_POINTS", lookahead)
+    monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
+    _assert_matches_the_full_sweep(seed, floor)
+
+
+def _traced_search(monkeypatch, lookahead, args):
+    """``bcs_solve(*args)`` with ``lookahead`` points in flight, the gate
+    open, and every ``bcs.inner_solve`` call and look-ahead start recorded."""
+    monkeypatch.setattr(bcs, "LOOKAHEAD_POINTS", lookahead)
+    monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
+    calls, started = [], []
+    original, steps = bcs.inner_solve, bcs._inner_steps
+
+    def counted(scene, placement, *rest, **kwargs):
+        calls.append((placement.x_m, placement.y_m))
+        return original(scene, placement, *rest, **kwargs)
+
+    def begun(scene, placement, *rest):
+        started.append(placement)
+        return steps(scene, placement, *rest)
+
+    monkeypatch.setattr(bcs, "inner_solve", counted)
+    monkeypatch.setattr(bcs, "_inner_steps", begun)
+    res = bcs_solve(*args)
+    monkeypatch.undo()
+    return res, calls, len(started) - len(calls)
+
+
+def test_lookahead_window_leaves_every_answer_unchanged(monkeypatch):
+    # the points solved together finish in another order, so every answer,
+    # trace, count and counted inner-solve call must match one at a time
+    solved_ahead = {}
+    for seed in (6, 68, 70, 248):
+        scene, n, floor = small_case(seed)
+        args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+        want, want_calls, ahead = _traced_search(monkeypatch, 1, args)
+        assert ahead == 0
+        for lookahead in (2, 3, bcs.LOOKAHEAD_POINTS):
+            res, calls, ahead = _traced_search(monkeypatch, lookahead, args)
+            assert_same_bits(res.solution, want.solution)
+            assert_same_bits(res.anchor, want.anchor)
+            assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
+            assert res.points_evaluated == want.points_evaluated
+            assert calls == want_calls
+            solved_ahead[seed, lookahead] = ahead
+    # points solved ahead and then dropped, pinned for the default window
+    assert [solved_ahead[seed, bcs.LOOKAHEAD_POINTS] for seed in (6, 68, 70, 248)] == [7, 0, 6, 9]
 
 
 @pytest.mark.parametrize("ue_ys, floor", [((2.0,), 0.0), ((1.0, 3.0), 1e9)])

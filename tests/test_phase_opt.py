@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -199,19 +200,22 @@ def test_cascaded_gain_broadcasts_like_the_scalar_form():
         cascaded_gain(f, d, np.array([0.0, np.nan, 0.0]))
 
 
+def _unchecked_scene(ap, ues):
+    """A scene built past ``Scene``'s validation, which keeps the AP and
+    every UE below the ceiling, to reach the guard in the link rows."""
+    scene = object.__new__(Scene)
+    for name, value in (("room_length_m", 8.0), ("room_width_m", 5.0), ("ceiling_height_m", 3.0),
+                        ("ap_position_m", np.array(ap)), ("ue_positions_m", np.array(ues))):
+        object.__setattr__(scene, name, value)
+    return scene, np.array([0.001])
+
+
 def _ap_on_anchor():
-    return Scene(8.0, 5.0, 3.0, [2.0, 3.0, 3.0], [[4.0, 6.0, 1.0]]), np.array([0.001])
+    return _unchecked_scene([2.0, 3.0, 3.0], [[4.0, 6.0, 1.0]])
 
 
 def _ue_on_anchor():
-    # a validated Scene keeps every UE below the ceiling, so this one skips
-    # validation to reach the guard in the link-row construction
-    scene = object.__new__(Scene)
-    for name, value in (("room_length_m", 8.0), ("room_width_m", 5.0), ("ceiling_height_m", 3.0),
-                        ("ap_position_m", np.array([0.0, 0.0, 2.0])),
-                        ("ue_positions_m", np.array([[4.0, 6.0, 1.0], [2.0, 3.0, 3.0]]))):
-        object.__setattr__(scene, name, value)
-    return scene, np.array([0.001])
+    return _unchecked_scene([0.0, 0.0, 2.0], [[4.0, 6.0, 1.0], [2.0, 3.0, 3.0]])
 
 
 def _ue_at_infinity():
@@ -463,6 +467,120 @@ def test_np_dot_matches_matmul_on_phase_stage_shapes():
             # a length-1 operand is a scalar to np.dot, so _product keeps @ there
             phase_opt._product(n)(theta2, coeff, out=w)
             assert w.tobytes() == ref, (k, n, scale)
+
+
+def _sgd_family(rng, kind, k, n, scale):
+    """One SGD problem of the named family: (surrogate, targets)."""
+    vectors = random_vectors(rng, k, n, scale)
+    anchor = rng.uniform(0, 2 * np.pi, n)
+    coherent = np.sum(np.abs(vectors), axis=1) ** 2
+    if kind == "flat":
+        # nothing to restore from a profile matched to row 0, so the first
+        # price step can zero every price and collapse the loop
+        anchor = -np.angle(vectors[0])
+        targets = np.zeros(k)
+    elif kind == "feasible":
+        targets = exact_values(vectors, anchor)
+    elif kind == "feasible stall":
+        targets = rng.uniform(0.5, 1.0, k) * exact_values(vectors, anchor)
+    elif kind == "restore":
+        targets = 0.8 * exact_values(vectors, rng.uniform(0, 2 * np.pi, n))
+    elif kind == "stall":
+        targets = rng.uniform(0.5, 1.3, k) * coherent / k
+    else:
+        targets = 2.0 * coherent + 1.0 * scale**2
+    return surrogate(vectors, anchor), targets
+
+
+def test_pooled_sgd_matches_reference_bit_for_bit():
+    """Problems of mixed K and N join the pool at random steps and leave on
+    their own exits; each must return the step-by-step oracle's result."""
+    rng = np.random.default_rng(35)
+    kinds = ("feasible", "feasible stall", "restore", "stall", "certified", "flat")
+    problems = []
+    for case in range(360):
+        kind = kinds[case % len(kinds)]
+        k, n = int(rng.integers(1, 5)), (1, 8, 20)[int(rng.integers(0, 3))]
+        max_iters = (500, 500, 500, 60, 1)[case % 5]
+        problems.append((*_sgd_family(rng, kind, k, n, (1.0, 1e-6)[case % 2]), max_iters))
+
+    pool = phase_opt._SgdPool()
+    waiting, got, steps = list(range(len(problems))), {}, 0
+    while len(got) < len(problems):
+        for _ in range(int(rng.integers(0, 4))):
+            if waiting:
+                i = waiting.pop(0)
+                pool.add(i, *problems[i])
+        for token, result in pool.step():
+            assert token not in got
+            got[token] = result
+        steps += 1
+    assert steps < 5000
+
+    seen = set()
+    for i, (surr, targets, max_iters) in enumerate(problems):
+        ref = reference_sgd_solve(surr, targets, max_iters=max_iters)
+        res = got[i]
+        assert res.phases.angles.tobytes() == ref.phases.angles.tobytes(), i
+        assert (res.iterations, res.converged, res.feasible) == (
+            ref.iterations, ref.converged, ref.feasible), i
+        # the pool's answer is the lone loop's too
+        lone = sgd_solve(surr, targets, max_iters)
+        assert lone.phases.angles.tobytes() == res.phases.angles.tobytes(), i
+        start = float(np.min(reference_surrogate_values(surr, surr.anchor) - targets))
+        feas_tol = 1e-6 * max(targets.max(), np.finfo(float).tiny)
+        seen.add("collapsed" if ref.prices_collapsed
+                 else "converged" if ref.converged
+                 else "capped" if ref.iterations == max_iters
+                 else "restored" if start < -feas_tol and ref.min_slack >= 0
+                 else "stalled")
+    assert seen == {"collapsed", "converged", "capped", "restored", "stalled"}
+
+
+@pytest.mark.parametrize("targets, match", [
+    ([np.nan, 0.1], "targets must be finite"),
+    ([], "one target per surrogate row"),
+])
+def test_pool_refuses_what_sgd_refuses(targets, match):
+    rng = np.random.default_rng(36)
+    surr = surrogate(random_vectors(rng, 2, 4), np.zeros(4))
+    with pytest.raises(ValueError, match=match):
+        phase_opt._SgdPool().add(0, surr, np.array(targets, dtype=float))
+
+
+def test_stacked_products_match_the_lone_products():
+    """The pool stacks the lone loop's products: (P, 1, K) @ (P, K, N) for
+    the priced rows, (P, K, N) @ (P, N, 1) for the received amplitudes, both
+    on slices of wider buffers, and the movement norm as a stacked product
+    over the strided real and imaginary views.  Check on this host's BLAS
+    that each slice keeps the bits of the lone loop's product."""
+    rng = np.random.default_rng(37)
+    for k_max, n, p in itertools.product(range(1, 5), (1, 8, 20), (1, 7, 64)):
+        for k in range(1, k_max + 1):
+            theta2 = 2.0 * random_vectors(rng, p * k, n).reshape(p, k, n)
+            cprices = np.zeros((p, 1, k_max), dtype=complex)
+            cprices.real[:, 0, :k] = rng.uniform(0.0, 2.0, (p, k)) * (rng.uniform(size=(p, k)) < 0.8)
+            v = np.empty((p + 1, 1, n), dtype=complex)
+            np.matmul(cprices[:, :, :k], theta2, out=v[1:])
+            coeff = np.exp(1j * rng.uniform(-np.pi, np.pi, (p, 1, n)))
+            w = np.zeros((p, k_max, 1), dtype=complex)
+            np.matmul(theta2, coeff.transpose(0, 2, 1), out=w[:, :k])
+            d = coeff - np.exp(1j * rng.uniform(-np.pi, np.pi, (p, 1, n)))
+            moved = (np.matmul(d.real, d.real.transpose(0, 2, 1))
+                     + np.matmul(d.imag, d.imag.transpose(0, 2, 1)))
+            for r in range(p):
+                prices = cprices.real[r, 0, :k].copy()
+                want = np.empty(n, dtype=complex)
+                phase_opt._product(k)(cprices[r, 0, :k].copy(), theta2[r], out=want)
+                assert v[1 + r, 0].tobytes() == want.tobytes() == (prices @ theta2[r]).tobytes()
+                want = np.empty(k, dtype=complex)
+                phase_opt._product(n)(theta2[r], coeff[r, 0], out=want)
+                assert w[r, :k, 0].tobytes() == want.tobytes(), (k, n, p)
+                d_re, d_im = d[r, 0].real, d[r, 0].imag
+                assert moved[r, 0, 0] == d_re.dot(d_re) + d_im.dot(d_im), (k, n, p)
+    # the pool tests sqrt(moved) <= TOLERANCE as moved <= this limit
+    limit = phase_opt._square_limit(phase_opt.TOLERANCE)
+    assert math.sqrt(limit) <= phase_opt.TOLERANCE < math.sqrt(np.nextafter(limit, np.inf))
 
 
 def test_sca_helpers_match_reference_bit_for_bit():
