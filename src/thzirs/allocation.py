@@ -11,7 +11,8 @@ with all-zero winners, powers and rates.  Plans with more than
 ``ENUMERATION_CAP`` assignments are refused.  ``score_allocations`` runs the
 same rows for P plans of one shape in one pass (an allocation row per point
 and assignment) and returns each plan's feasibility and sum rate;
-``solve_allocation`` is its single-plan case.
+``_cold_allocations`` returns each plan's full ``AllocationResult``, and
+``solve_allocation`` is the single-plan case of both.
 """
 
 from dataclasses import dataclass
@@ -51,6 +52,29 @@ def _assignment_table(u_count, i_count):
     table = np.indices((u_count,) * i_count).reshape(i_count, -1).T
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=64)
+def _warm_first_table(u_count, i_count, first):
+    """``_assignment_table`` with row ``first`` moved to the front; read-only."""
+    table = _assignment_table(u_count, i_count)
+    table = np.concatenate([table[first:first + 1], table[:first], table[first + 1:]])
+    table.flags.writeable = False
+    return table
+
+
+def _warm_row(warm_winners, u_count, i_count):
+    """The lexicographic row of the warm assignment; raises unless it names one."""
+    warm = np.asarray(warm_winners, dtype=float)
+    if warm.shape != (i_count,):
+        raise ValueError(f"warm start must name one UE per band, got {warm_winners}")
+    first = 0
+    for d in warm.tolist():
+        if not (d.is_integer() and 0 <= d < u_count):
+            raise ValueError(f"warm start must be integer UE indices below {u_count}, "
+                             f"got {warm_winners}")
+        first = first * u_count + int(d)
+    return first
 
 
 def _rate_levels(assignments, kappa, bw, rate_req):
@@ -188,6 +212,24 @@ def _allocate(kappa, bw, p_max, rate_req, assignments):
     return certified, tried[points], winners, powers, rates
 
 
+def _results(allocated, u_count, i_count, a_count):
+    """``_allocate``'s output as one ``AllocationResult`` per point, in point
+    order; a certified point counts its ``a_count`` assignments as tried."""
+    certified, points, winners, powers, rates = allocated
+    results = [None] * certified.size
+    for f, p in enumerate(points.tolist()):
+        results[p] = AllocationResult(
+            winners=winners[f],
+            powers=powers[f],
+            rates=rates[f],
+            objective=float(rates[f].sum()),
+            feasible=True,
+            candidates_tried=a_count,
+        )
+    return [_failure(u_count, i_count, a_count if tried else 0) if result is None else result
+            for result, tried in zip(results, certified.tolist())]
+
+
 def _rate_floors(rate_requirements, u_count):
     """One rate floor or one per UE as a fresh (U,) array; raises unless
     every floor is a non-negative number."""
@@ -254,28 +296,22 @@ def solve_allocation(
     rate_req, bw, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
     u_count, i_count = gains.shape
     # every assignment in lexicographic order, the warm one moved to the front
-    assignments = _assignment_table(u_count, i_count)
-    if warm_winners is not None:
-        warm = np.asarray(warm_winners)
-        if not np.array_equal(warm, warm.astype(int)):
-            raise ValueError(f"warm start must be integer UE indices, got {warm_winners}")
-        first = int(np.ravel_multi_index(warm.astype(int), (u_count,) * i_count))
-        assignments = np.concatenate(
-            [assignments[first:first + 1], assignments[:first], assignments[first + 1:]])
+    if warm_winners is None:
+        assignments = _assignment_table(u_count, i_count)
+    else:
+        assignments = _warm_first_table(u_count, i_count, _warm_row(warm_winners, u_count, i_count))
+    return _results(_allocate(kappa[None], bw, p_max, rate_req, assignments), u_count, i_count,
+                    assignments.shape[0])[0]
 
-    certified, feasible, winners, powers, rates = _allocate(
-        kappa[None], bw, p_max, rate_req, assignments)
-    tried = assignments.shape[0] if certified[0] else 0
-    if not feasible.size:
-        return _failure(u_count, i_count, tried)
-    return AllocationResult(
-        winners=winners[0],
-        powers=powers[0],
-        rates=rates[0],
-        objective=float(rates[0].sum()),
-        feasible=True,
-        candidates_tried=tried,
-    )
+
+def _cold_allocations(channel_power_gains, sub_bands, p_max: float, rate_requirements):
+    """``solve_allocation`` without a warm start for each of P (U, I) plans
+    in one pass: its ``AllocationResult`` bit for bit, one per plan."""
+    gains = np.asarray(channel_power_gains, dtype=float)
+    rate_req, bw, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
+    assignments = _assignment_table(*gains.shape[1:])
+    return _results(_allocate(kappa, bw, p_max, rate_req, assignments), *gains.shape[1:],
+                    assignments.shape[0])
 
 
 def score_allocations(channel_power_gains, sub_bands, p_max: float, rate_requirements):

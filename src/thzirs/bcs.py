@@ -9,11 +9,14 @@ sweeps candidate positions over a coordinate lattice (block-coordinate
 search) best first: a coherent-ceiling allocation bounds every lattice
 point's answer from above, points are inner-solved in decreasing bound order,
 and the search stops at the first bound below the incumbent.  With enough open
-points the next ones in bound order are solved together ahead of the loop,
-their phase stages' SGD steps stacked into one pooled step (``_Lookahead``);
-the loop still counts and keeps exactly the points it reaches.  The reference
-strategies inner-solve one placement: MinDis and RanLoc their own, RanPhi
-the lattice point that scores best under its frozen phase profile.
+points the next ones in bound order are solved together ahead of the loop
+(``_Lookahead``): their link rows, matched profiles and cold allocations are
+built for a chunk of points in one pass, their phase stages' SGD steps are
+stacked into one pooled step, and the last point unsolved with none to join
+it finishes in the lone loop.  The loop still counts and keeps exactly the
+points it reaches.  The reference strategies inner-solve one placement:
+MinDis and RanLoc their own, RanPhi the lattice point that scores best under
+its frozen phase profile.
 
 Both lattice passes, the ceiling bounds and RanPhi's frozen-profile scores,
 build link rows and run the exact allocation for a whole block of lattice
@@ -24,13 +27,15 @@ size the allocation accepts.
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .allocation import _rate_floors, score_allocations, solve_allocation
+from . import phase_opt
+from .allocation import _cold_allocations, _rate_floors, score_allocations, solve_allocation
 # absorption_coefficient stays importable here for perfbench/tracer.py
-from .channel import _band_absorption, absorption_coefficient  # noqa: F401
+from .channel import SPEED_OF_LIGHT, _band_absorption, absorption_coefficient  # noqa: F401
 from .geometry import (
     IrsPlacement,
     PhaseVector,
@@ -168,6 +173,24 @@ def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
     return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
 
 
+def _cold_starts(scene, anchors, offsets_m, sub_bands, p_max, rate_req, absorb):
+    """``_inner_steps``'s start at each of a (P, 3) stack of ``anchors``:
+    (link rows, matched profile, gains, cold allocation), each bit for bit
+    what ``effective_vector``, ``_initial_phases`` and ``solve_allocation``
+    give that point alone."""
+    vectors = _link_rows(sub_bands, anchors, offsets_m, scene, absorb)
+    lengths, slope = _two_hop(anchors, scene)
+    hardest = np.lexsort((lengths, np.broadcast_to(rate_req, lengths.shape)))[:, -1]
+    lo = min(b.lo_hz for b in sub_bands)
+    hi = max(b.hi_hz for b in sub_bands)
+    k = 2.0 * np.pi * (0.5 * (lo + hi)) / SPEED_OF_LIGHT
+    profiles = [PhaseVector(k * s * offsets_m)
+                for s in slope[np.arange(len(anchors)), hardest].tolist()]
+    # one product per point, the lone start's own
+    gains = np.array([np.abs(v @ phases.coefficients) ** 2 for v, phases in zip(vectors, profiles)])
+    return list(zip(vectors, profiles, gains, _cold_allocations(gains, sub_bands, p_max, rate_req)))
+
+
 def _same_bits(a: PhaseVector, b: PhaseVector) -> bool:
     """Whether two profiles hold the same angles bit for bit."""
     return a.angles.tobytes() == b.angles.tobytes()
@@ -247,21 +270,24 @@ def inner_solve(
 
 
 def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
-                 phases=None):
+                 phases=None, start=None):
     """``inner_solve`` as a generator: yields each phase-stage request as
     (rows, targets, anchor angles, sum rate held), takes its ``ScaResult``,
     returns the ``Solution``.  The rate held is the allocation's before the
-    request, 0.0 before a feasible one; the rounds never lower it."""
+    request, 0.0 before a feasible one; the rounds never lower it.  A
+    ``start`` from ``_cold_starts`` replaces the rows, matched profile,
+    gains and cold allocation the solve would build itself."""
     rate_req = _rate_floors(rate_requirements, scene.ue_count)
-    absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
-    vectors = effective_vector(sub_bands, placement, scene, absorb)
-
     frozen = phases is not None
-    if not frozen:
-        phases = _initial_phases(scene, placement, sub_bands, rate_req)
-
-    gains = np.abs(vectors @ phases.coefficients) ** 2
-    alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
+    if start is not None:
+        vectors, phases, gains, alloc = start
+    else:
+        absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
+        vectors = effective_vector(sub_bands, placement, scene, absorb)
+        if not frozen:
+            phases = _initial_phases(scene, placement, sub_bands, rate_req)
+        gains = np.abs(vectors @ phases.coefficients) ** 2
+        alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
     if not alloc.feasible and not frozen and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off.  An unmoved
@@ -416,14 +442,24 @@ class _Lookahead:
     claims in bound order, and the points still unclaimed when it stops are
     dropped.  An error is kept with its point and raised when the point is
     claimed, where the lone solve would raise it.
+
+    A point admitted without a start computes its own and those of the next
+    ``LOOKAHEAD_POINTS - 1`` open points in one pass (``starts_of``, given
+    lattice indices); should that pass raise, each of them starts alone.
+    The only unsolved point, with no open point able to join it, leaves
+    the pool: ``phase_opt.sgd_solve`` serves its requests until it is
+    solved, the same answer at less cost than a pool step of one row.
     """
 
-    def __init__(self, order, bounds, best, placement_of, inner_steps):
+    def __init__(self, order, bounds, best, placement_of, inner_steps, starts_of):
         self._open = deque(order)
         self._bounds = bounds
         self._best = best
         self._placement_of = placement_of
         self._inner_steps = inner_steps
+        self._starts_of = starts_of
+        # lattice point -> its precomputed start, None to start alone
+        self._starts = {}
         self._placements = {}
         # admitted and not yet claimed: placement -> [Solution, error, or None unsolved]
         self._flights = {}
@@ -437,17 +473,33 @@ class _Lookahead:
         return self._placements[i]
 
     def _start(self, i):
+        if i not in self._starts:
+            chunk = [i, *islice(self._open, LOOKAHEAD_POINTS - 1)]
+            try:
+                self._starts.update(zip(chunk, self._starts_of(chunk)))
+            except Exception:  # noqa: BLE001 - each point starts alone and raises at its claim
+                self._starts.update(dict.fromkeys(chunk))
         placement = self.placement(i)
         outcome = self._flights[placement] = [None]
         self._unsolved += 1
-        self._advance(outcome, _sgd_requests(self._inner_steps(placement), self._hold), None)
+        steps = self._inner_steps(placement, self._starts.pop(i))
+        self._advance(outcome, _sgd_requests(steps, self._hold), None)
 
     def _hold(self, rate):
         self._best = max(self._best, rate)
 
+    def _joinable(self):
+        """Whether the next open point is admitted now."""
+        return (self._open and self._unsolved < LOOKAHEAD_POINTS
+                and self._bounds[self._open[0]] >= self._best)
+
     def _advance(self, outcome, requests, reply):
         try:
-            self._pool.add((outcome, requests), *requests.send(reply))
+            problem = requests.send(reply)
+            while self._unsolved == 1 and not self._joinable():
+                # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
+                problem = requests.send(phase_opt.sgd_solve(*problem))
+            self._pool.add((outcome, requests), *problem)
         except StopIteration as stop:
             outcome[0] = stop.value
             self._unsolved -= 1
@@ -462,8 +514,7 @@ class _Lookahead:
             self._start(self._open.popleft())
         outcome = self._flights[placement]
         while outcome[0] is None:
-            while (self._open and self._unsolved < LOOKAHEAD_POINTS
-                   and self._bounds[self._open[0]] >= self._best):
+            while self._joinable():
                 self._start(self._open.popleft())
             for (waiting, requests), result in self._pool.step():
                 self._advance(waiting, requests, result)
@@ -517,10 +568,14 @@ def bcs_solve(
     def place(i):
         return IrsPlacement(*points[i].tolist(), element_count, spacing_m)
 
+    anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
+    rate_req = _rate_floors(rate_requirements, scene.ue_count)
     ahead = _Lookahead(
         order, bounds, anchor.sum_rate_bps, place,
-        lambda placement: _inner_steps(scene, placement, sub_bands, p_max, rate_requirements,
-                                       mixing_ratio),
+        lambda placement, start: _inner_steps(scene, placement, sub_bands, p_max,
+                                              rate_requirements, mixing_ratio, None, start),
+        lambda chunk: _cold_starts(scene, anchors[chunk], anchor.placement.offsets_m, sub_bands,
+                                   p_max, rate_req, absorb),
     ) if np.count_nonzero(bounds >= anchor.sum_rate_bps) >= LOOKAHEAD_MIN_OPEN else None
     for i in order:
         # an infeasible incumbent's 0.0 never ends the search

@@ -15,6 +15,7 @@ from allocation_oracle import (
 from thzirs.allocation import (
     ENUMERATION_CAP,
     _assignment_table,
+    _warm_first_table,
     score_allocations,
     solve_allocation,
 )
@@ -193,8 +194,12 @@ def test_input_validation():
     for floors in ([1e9, 1e9, 1e9], [[1e9, 1e9]], [[1e9], [1e9]]):
         with pytest.raises(ValueError, match="one rate requirement or one per UE"):
             solve_allocation(gains, bands, 1.0, floors)
-    with pytest.raises(ValueError, match="warm start must be integer UE indices"):
-        solve_allocation(gains, bands, 1.0, 0.0, warm_winners=[0.5, 1])
+    for warm in ([0.5, 1], [2, 0], [-1, 0], [float("nan"), 0]):
+        with pytest.raises(ValueError, match="warm start must be integer UE indices below 2"):
+            solve_allocation(gains, bands, 1.0, 0.0, warm_winners=warm)
+    for warm in ([0, 1, 0], [[0], [1]]):
+        with pytest.raises(ValueError, match="warm start must name one UE per band"):
+            solve_allocation(gains, bands, 1.0, 0.0, warm_winners=warm)
     # integral values of any dtype still name an assignment
     assert solve_allocation(gains, bands, 1.0, 0.0, warm_winners=np.array([1.0, 0.0])).feasible
 
@@ -318,6 +323,11 @@ def test_assignment_table_is_cached_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
+    # a warm start's table: its row first, the rest in lexicographic order
+    warm = _warm_first_table(3, 4, 5)
+    assert warm is _warm_first_table(3, 4, 5)
+    assert not warm.flags.writeable
+    np.testing.assert_array_equal(warm, table[[5, *range(5), *range(6, 81)]])
     np.testing.assert_array_equal(table, np.indices((3,) * 4).reshape(4, -1).T)
 
 

@@ -691,6 +691,153 @@ def test_lookahead_window_leaves_every_answer_unchanged(monkeypatch):
     assert [solved_ahead[seed, bcs.LOOKAHEAD_POINTS] for seed in (6, 68, 70, 248)] == [7, 0, 6, 9]
 
 
+def _assert_same_allocation(got, want):
+    for name in ("winners", "powers", "rates"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.objective.hex() == want.objective.hex()
+    assert (got.feasible, got.candidates_tried) == (want.feasible, want.candidates_tried)
+
+
+def test_batched_starts_match_the_lone_starts():
+    # the look-ahead starts its next open points in one pass: every link
+    # row, matched profile, gain and cold allocation, and the inner solve
+    # run from them, is the lone start's bit for bit, at any chunk size
+    shapes, repairs = set(), 0
+    for seed in range(30):
+        scene, n, floor = small_case(seed)
+        shapes.add((scene.ue_count, n))
+        rate_req = np.full(scene.ue_count, floor)
+        absorb = _band_absorption(tuple(b.center_hz for b in SMALL_BANDS), MU)
+        points = candidate_grid(scene, n, 0.005, 0.5, 0.5)
+        anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
+        offsets = np.arange(n) * 0.005
+        for size in (1, 5, bcs.LOOKAHEAD_POINTS):
+            starts = []
+            for lo in range(0, len(points), size):
+                starts += bcs._cold_starts(scene, anchors[lo:lo + size], offsets, SMALL_BANDS,
+                                           1.0, rate_req, absorb)
+            assert len(starts) == len(points)
+            for (x, y), (vectors, phases, gains, alloc) in zip(points.tolist(), starts):
+                placement = IrsPlacement(x, y, n, 0.005)
+                lone_vectors = effective_vector(SMALL_BANDS, placement, scene, absorb)
+                lone_phases = bcs._initial_phases(scene, placement, SMALL_BANDS, rate_req)
+                lone_gains = np.abs(lone_vectors @ lone_phases.coefficients) ** 2
+                assert vectors.tobytes() == lone_vectors.tobytes()
+                assert phases.angles.tobytes() == lone_phases.angles.tobytes()
+                assert gains.tobytes() == lone_gains.tobytes()
+                _assert_same_allocation(
+                    alloc, solve_allocation(lone_gains, SMALL_BANDS, 1.0, rate_req))
+            if size == bcs.LOOKAHEAD_POINTS:
+                # the whole solve at the first two points the cold allocation
+                # leaves feasible and the first two it leaves to the repair
+                picked = {True: 0, False: 0}
+                for (x, y), start in zip(points.tolist(), starts):
+                    repaired = not start[3].feasible
+                    if picked[repaired] == 2:
+                        continue
+                    picked[repaired] += 1
+                    repairs += repaired
+                    placement = IrsPlacement(x, y, n, 0.005)
+                    args = (scene, placement, SMALL_BANDS, 1.0, floor, MU)
+                    batched = phase_opt._drive(
+                        bcs._inner_steps(*args, None, start),
+                        lambda rows, targets, anchor, _: sca_phase_optimize(rows, targets, anchor))
+                    assert_same_bits(batched, inner_solve(*args))
+    assert {u for u, _ in shapes} == {1, 2, 3, 4} and {n for _, n in shapes} == {1, 4, 8}
+    assert repairs > 0
+
+
+def _claims(monkeypatch, args, **patches):
+    """The (x, y) of each ``bcs.inner_solve`` call of ``bcs_solve(*args)``
+    under ``patches`` (bcs attributes), and its result or error."""
+    calls = []
+    original = bcs.inner_solve
+
+    def counted(scene, placement, *rest, **kwargs):
+        calls.append((placement.x_m, placement.y_m))
+        return original(scene, placement, *rest, **kwargs)
+
+    for name, value in {"inner_solve": counted, **patches}.items():
+        monkeypatch.setattr(bcs, name, value)
+    try:
+        outcome = bcs_solve(*args)
+    except ValueError as error:
+        outcome = error
+    monkeypatch.undo()
+    return calls, outcome
+
+
+def test_a_failed_start_pass_starts_each_point_alone(monkeypatch):
+    # a start pass that raises leaves each of its points to start alone,
+    # once: the answer holds, and a point's own error is raised at its claim
+    scene, n, floor = small_case(70)
+    args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+    gate = {"LOOKAHEAD_MIN_OPEN": 0}
+    want_calls, want = _claims(monkeypatch, args, **gate)
+    passes, starts = [], []
+    steps = bcs._inner_steps
+
+    def broken(scene, anchors, *rest):
+        passes.append(anchors.tolist())
+        raise ValueError("start pass")
+
+    def begun(scene, placement, *rest):
+        starts.append(rest[-1])
+        return steps(scene, placement, *rest)
+
+    calls, res = _claims(monkeypatch, args, _cold_starts=broken, _inner_steps=begun, **gate)
+    assert calls == want_calls
+    assert_same_bits(res.solution, want.solution)
+    assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
+    assert all(start is None for start in starts)
+    # one pass for each chunk of LOOKAHEAD_POINTS points, none tried twice
+    tried = [tuple(anchor) for chunk in passes for anchor in chunk]
+    assert len(passes) > 1 and len(set(tried)) == len(tried) >= len(starts) - 1
+
+    # the third lattice point claimed fails alone; the search raises there
+    bad = want_calls[3]
+    lone = bcs.effective_vector
+
+    def failing(sub_bands, placement, *rest):
+        if (placement.x_m, placement.y_m) == bad:
+            raise ValueError("bad point")
+        return lone(sub_bands, placement, *rest)
+
+    want_calls, want = _claims(monkeypatch, args, effective_vector=failing,
+                               LOOKAHEAD_MIN_OPEN=10**9)
+    calls, res = _claims(monkeypatch, args, effective_vector=failing, _cold_starts=broken,
+                         **gate)
+    assert calls == want_calls == want_calls[:3] + [bad]
+    assert str(res) == str(want) == "bad point"
+
+
+def test_the_last_unsolved_point_leaves_the_pool(monkeypatch):
+    # the only unsolved point, none able to join it, takes its SGD problems
+    # to the lone loop; answers match the one-at-a-time search
+    calls = []
+
+    def counted(surr, targets, max_iters=500, _original=phase_opt.sgd_solve):
+        calls.append(surr)
+        return _original(surr, targets, max_iters)
+
+    handed_off = 0
+    for seed in (6, 68, 70, 248):
+        scene, n, floor = small_case(seed)
+        args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+        want, _, _ = _traced_search(monkeypatch, 1, args)
+        monkeypatch.setattr(phase_opt, "sgd_solve", counted)
+        calls.clear()
+        # the min-distance anchor solves its phase stages alone in any search
+        baseline_mini_dis(*args[:7])
+        anchor = len(calls)
+        res, _, _ = _traced_search(monkeypatch, bcs.LOOKAHEAD_POINTS, args)
+        handed_off += len(calls) - 2 * anchor
+        assert_same_bits(res.solution, want.solution)
+        assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
+    assert handed_off > 0
+
+
 @pytest.mark.parametrize("ue_ys, floor", [((2.0,), 0.0), ((1.0, 3.0), 1e9)])
 def test_mirror_twins_tie_exactly_and_the_earlier_one_wins(ue_ys, floor):
     # AP and UEs on the room's axis x = 2.25, so lattice columns x = 1.5 and
