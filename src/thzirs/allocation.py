@@ -244,6 +244,10 @@ def _rate_floors(rate_requirements, u_count):
     return rate_req
 
 
+class _SnrOverflow(ValueError):
+    """The SNR at the full budget overflows: no allocation has a finite rate."""
+
+
 def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
     """(rate floors, bandwidths, SNR per watt) of valid inputs; raises otherwise.
 
@@ -262,14 +266,21 @@ def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
             f"{u_count} UEs over {i_count} sub-bands give {u_count**i_count} assignments, "
             f"above the exact-allocation cap of {ENUMERATION_CAP}")
     bw = np.array([b.bandwidth_hz for b in sub_bands])
+    kappa, finite = _snr_per_watt(gains, sub_bands, p_max)
+    if not finite.all():
+        raise _SnrOverflow(f"SNR at the full budget overflows: gains / noise * p_max is not "
+                           f"finite at p_max = {p_max}")
+    return rate_req, bw, kappa
+
+
+def _snr_per_watt(gains, sub_bands, p_max):
+    """(SNR per watt, whether the SNR at the full budget is finite) for each
+    entry of (..., U, I) ``gains``.  The allocation refuses a plan with a
+    non-finite entry: its SNR overflows."""
     noise = np.array([b.noise_power_w for b in sub_bands])
     with np.errstate(over="ignore"):
         kappa = gains / noise
-        overflow = not np.isfinite(kappa * p_max).all()
-    if overflow:
-        raise ValueError(f"SNR at the full budget overflows: gains / noise * p_max is not "
-                         f"finite at p_max = {p_max}")
-    return rate_req, bw, kappa
+        return kappa, np.isfinite(kappa * p_max)
 
 
 def solve_allocation(

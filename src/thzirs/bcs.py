@@ -13,7 +13,8 @@ points the next ones in bound order are solved together ahead of the loop
 (``_Lookahead``): their link rows, matched profiles and cold allocations are
 built for a chunk of points in one pass, their phase stages' SGD steps are
 stacked into one pooled step, and the last point unsolved with none to join
-it finishes in the lone loop.  The loop still counts and keeps exactly the
+it finishes in the lone loop, its problem in flight leaving the pool
+mid-solve.  The loop still counts and keeps exactly the
 points it reaches.  The reference strategies inner-solve one placement:
 MinDis and RanLoc their own, RanPhi the lattice point that scores best under
 its frozen phase profile.
@@ -27,13 +28,20 @@ size the allocation accepts.
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Optional
 
 import numpy as np
 
 from . import phase_opt
-from .allocation import _cold_allocations, _rate_floors, score_allocations, solve_allocation
+from .allocation import (
+    _cold_allocations,
+    _rate_floors,
+    _snr_per_watt,
+    _SnrOverflow,
+    score_allocations,
+    solve_allocation,
+)
 # absorption_coefficient stays importable here for perfbench/tracer.py
 from .channel import SPEED_OF_LIGHT, _band_absorption, absorption_coefficient  # noqa: F401
 from .geometry import (
@@ -48,6 +56,7 @@ from .phase_opt import (
     _drive,
     _link_rows,
     _sca_steps,
+    _sgd_loop,
     _SgdPool,
     effective_vector,
     sca_phase_optimize,
@@ -256,7 +265,9 @@ def inner_solve(
     alternates until ``ROUND_TOLERANCE`` or ``MAX_ROUNDS`` ends it.  A given
     ``phases`` profile is frozen: the allocation is already exact for it and
     a single round suffices.  An infeasible point comes back as the
-    allocation's all-zero verdict after one round.  The rounds are
+    allocation's all-zero verdict after one round.  A restored profile
+    whose SNR at the full budget overflows is not taken: the rounds end on
+    the feasible allocation held.  The rounds are
     ``_inner_steps``, each phase stage solved by ``sca_phase_optimize``;
     ``bcs_solve`` passes ``_lookahead`` to take the point's answer from the
     lattice points it solves together instead.
@@ -317,9 +328,14 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
             converged = True
             break
         restored_gains = np.abs(vectors @ restored.coefficients) ** 2
-        following = solve_allocation(
-            restored_gains, sub_bands, p_max, rate_req, warm_winners=alloc.winners
-        )
+        try:
+            following = solve_allocation(
+                restored_gains, sub_bands, p_max, rate_req, warm_winners=alloc.winners
+            )
+        except _SnrOverflow:
+            # the restored gains' SNR overflows the budget where the held
+            # ones did not: no finite rate to move to, so keep the held one
+            break
         if not following.feasible:
             # cannot happen when the slack chain holds; keep the last
             # consistent state rather than propagate a numerical glitch
@@ -380,7 +396,9 @@ def _lattice_scores(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     power gains.  Blocks hold at most ``BLOCK_ROWS`` allocation rows (points
     times assignments), one point at least.  Each point's pair is bit for bit
     the ``feasible`` and ``objective`` of ``solve_allocation`` on its own
-    gains.  Returns two (P,) arrays, the sum rate 0.0 where infeasible.
+    gains.  Returns two (P,) arrays, the sum rate 0.0 where infeasible.  A
+    point whose SNR at the full budget overflows, which the allocation
+    refuses, scores (True, +inf), so the rest of its block is still scored.
     """
     per_block = max(1, BLOCK_ROWS // scene.ue_count ** len(sub_bands))
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
@@ -388,9 +406,14 @@ def _lattice_scores(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     rates = np.zeros(len(points))
     for start in range(0, len(points), per_block):
         block = slice(start, start + per_block)
-        vectors = _link_rows(sub_bands, anchors[block], offsets_m, scene, absorb)
-        feasible[block], rates[block] = score_allocations(
-            gains_of(vectors), sub_bands, p_max, rate_requirements)
+        gains = gains_of(_link_rows(sub_bands, anchors[block], offsets_m, scene, absorb))
+        over = ~_snr_per_watt(gains, sub_bands, p_max)[1].all(axis=(1, 2))
+        # views of the block's rows, so that the masked writes land in the results
+        block_feasible, block_rates = feasible[block], rates[block]
+        block_feasible[over], block_rates[over] = True, np.inf
+        if not over.all():
+            block_feasible[~over], block_rates[~over] = score_allocations(
+                gains[~over], sub_bands, p_max, rate_requirements)
     return feasible, rates
 
 
@@ -401,7 +424,9 @@ def _ceiling_bounds(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     ceiling, and the exact allocation's optimum only rises with the gains,
     so the allocation of the (slightly inflated) ceiling gains bounds every
     answer the inner solve can reach there.  -inf when even the ceiling
-    misses a rate floor: no profile makes the point feasible.
+    misses a rate floor: no profile makes the point feasible.  +inf where
+    the ceiling's SNR at the full budget overflows, which the allocation
+    cannot score: such a point is never pruned.
     """
     feasible, rates = _lattice_scores(
         scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb,
@@ -447,8 +472,12 @@ class _Lookahead:
     ``LOOKAHEAD_POINTS - 1`` open points in one pass (``starts_of``, given
     lattice indices); should that pass raise, each of them starts alone.
     The only unsolved point, with no open point able to join it, leaves
-    the pool: ``phase_opt.sgd_solve`` serves its requests until it is
-    solved, the same answer at less cost than a pool step of one row.
+    the pool: its problem in flight leaves mid-solve (``_SgdPool.leave``)
+    and finishes in ``phase_opt._sgd_loop``, and ``phase_opt.sgd_solve``
+    serves its later requests until it is solved, the same answers at less
+    cost than pool steps of one row.  A start pass covers the admitted
+    point and the next open points whose bounds reach the best held, the
+    only ones the rule may still admit.
     """
 
     def __init__(self, order, bounds, best, placement_of, inner_steps, starts_of):
@@ -474,7 +503,9 @@ class _Lookahead:
 
     def _start(self, i):
         if i not in self._starts:
-            chunk = [i, *islice(self._open, LOOKAHEAD_POINTS - 1)]
+            # the open points after i that the rule may still admit
+            reach = takewhile(lambda j: self._bounds[j] >= self._best, self._open)
+            chunk = [i, *islice(reach, LOOKAHEAD_POINTS - 1)]
             try:
                 self._starts.update(zip(chunk, self._starts_of(chunk)))
             except Exception:  # noqa: BLE001 - each point starts alone and raises at its claim
@@ -495,11 +526,11 @@ class _Lookahead:
 
     def _advance(self, outcome, requests, reply):
         try:
-            problem = requests.send(reply)
+            surr, targets, constants = requests.send(reply)
             while self._unsolved == 1 and not self._joinable():
                 # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
-                problem = requests.send(phase_opt.sgd_solve(*problem))
-            self._pool.add((outcome, requests), *problem)
+                surr, targets, constants = requests.send(phase_opt.sgd_solve(surr, targets))
+            self._pool.add((outcome, requests), surr, targets, constants=constants)
         except StopIteration as stop:
             outcome[0] = stop.value
             self._unsolved -= 1
@@ -516,6 +547,11 @@ class _Lookahead:
         while outcome[0] is None:
             while self._joinable():
                 self._start(self._open.popleft())
+            if self._unsolved == 1:
+                # its problem, alone in the pool, finishes in the lone loop
+                (waiting, requests), state = self._pool.leave()
+                self._advance(waiting, requests, _sgd_loop(*state))
+                continue
             for (waiting, requests), result in self._pool.step():
                 self._advance(waiting, requests, result)
         del self._flights[placement]
@@ -543,7 +579,11 @@ def bcs_solve(
     coherent-ceiling bound, all in one batched pass (``_ceiling_bounds``);
     points whose ceiling misses a floor are skipped, the rest are
     inner-solved in decreasing bound order (ties in lattice order) until a
-    bound falls below the incumbent's sum rate.  The best is kept by
+    bound falls below the incumbent's sum rate.  A point whose ceiling's SNR
+    at the full budget overflows is never pruned; should its own SNR
+    overflow before it holds a feasible allocation, the allocation refuses
+    it and the search passes over it as a point with no sum rate to keep.
+    The best is kept by
     (feasible, sum rate, earliest in lattice order, anchor first), so the
     answer is the one a full sweep of the anchor and then the lattice keeps.
     ``points_evaluated`` counts the lattice points inner-solved, one
@@ -582,11 +622,18 @@ def bcs_solve(
         if bounds[i] < best.sum_rate_bps:
             break
         placement = place(i) if ahead is None else ahead.placement(i)
-        candidate = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
-                                mixing_ratio, _lookahead=ahead)
-        key = (candidate.feasible, candidate.sum_rate_bps, -i)
-        if key > best_key:
-            best, best_key = candidate, key
+        try:
+            candidate = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
+                                    mixing_ratio, _lookahead=ahead)
+        except _SnrOverflow:
+            if bounds[i] != np.inf:
+                raise
+            # the point overflowed the budget before holding a sum rate: none to keep
+            candidate = None
+        if candidate is not None:
+            key = (candidate.feasible, candidate.sum_rate_bps, -i)
+            if key > best_key:
+                best, best_key = candidate, key
         trace.append(best.sum_rate_bps)
     return SearchResult(solution=best, best_trace=trace, points_evaluated=len(trace) - 1,
                         anchor=anchor)
@@ -639,7 +686,9 @@ def baseline_ran_phi(
     """Same lattice as the full search but one frozen random phase profile
     and no phase restoration.  Every point is scored in the batched pass;
     the first strict best (feasible beats infeasible, then a larger sum rate)
-    is then inner-solved with the frozen profile.  A lattice step wider than
+    is then inner-solved with the frozen profile; a point whose SNR at the
+    full budget overflows scores +inf, and the allocation refuses its inner
+    solve.  A lattice step wider than
     the room leaves no lattice point; the sweep then takes the
     minimum-total-distance point, the extra candidate of the full search."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))

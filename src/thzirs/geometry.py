@@ -87,7 +87,7 @@ class PhaseVector:
 
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(self.angles)):
+        if not np.isfinite(self.angles).all():
             raise ValueError("phase angles must be finite")
 
     @property

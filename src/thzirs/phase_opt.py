@@ -6,11 +6,13 @@ reflection coefficients.  The quadratic form is minorized by its first-order
 expansion around an anchor, and the resulting linear constraints are handled
 with a priced (multiplier-weighted) penalty whose phase update is closed form.
 A private pool steps the SGD problems of many phase stages at once, bit for
-bit the lone loop.
+bit the lone loop, and hands a problem left alone in it to the lone loop
+mid-solve.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -58,6 +60,8 @@ class Surrogate:
     psi: np.ndarray       # (K,) |e.phi_hat|^2
     anchor: np.ndarray    # (N,) angles
     vectors: np.ndarray   # (K, N) rows e; sgd_solve sizes its step from them
+    # (N,) phi_hat = exp(j anchor) as ``surrogate`` computes it; None to compute
+    coefficients: Optional[np.ndarray] = None
 
 
 def _complex_rows(vectors) -> np.ndarray:
@@ -87,7 +91,8 @@ def surrogate(vectors: np.ndarray, anchor_angles: np.ndarray) -> Surrogate:
     w = _product(phi_hat.size)(vectors, phi_hat)
     theta = w.conj()[:, None] * vectors
     psi = np.abs(w) ** 2
-    return Surrogate(theta=theta, psi=psi, anchor=anchor_angles.copy(), vectors=vectors)
+    return Surrogate(theta=theta, psi=psi, anchor=anchor_angles.copy(), vectors=vectors,
+                     coefficients=phi_hat)
 
 
 def surrogate_values(surr: Surrogate, angles: np.ndarray) -> np.ndarray:
@@ -117,32 +122,49 @@ class SgdResult:
     iterations: int
 
 
-def _sgd_start(surr: Surrogate, targets):
-    """Check one ``sgd_solve`` problem and set up what its loop starts from:
-    ``theta2 = 2 theta``, the (psi, target) pair of each row as floats,
-    tau0, the improvement gap, the feasibility tolerance, the anchor's
-    coefficients and its worst surrogate slack."""
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    k = targets.shape[0]
-    if k == 0 or surr.theta.shape[0] != k:
-        raise ValueError(f"need one target per surrogate row ({surr.theta.shape[0]}), got {k}")
-    if not np.isfinite(targets).all():
-        raise ValueError("targets must be finite")
-
-    scale = float((np.abs(surr.vectors).sum(axis=1) ** 2).max())
-    if not (math.isfinite(scale) and np.isfinite(surr.anchor).all()):
+def _sgd_constants(vectors, targets):
+    """What every SGD problem on the rows ``vectors`` with the finite,
+    non-empty float ``targets`` shares: (the targets as floats, tau0, the
+    improvement gap, the feasibility tolerance).  Raises on rows whose scale
+    is not finite or zero, as ``sgd_solve`` does."""
+    scale = float((np.abs(vectors).sum(axis=1) ** 2).max())
+    if not math.isfinite(scale):
         raise ValueError("effective vectors and anchor must be finite")
     if scale <= 0:
         raise ValueError("all effective vectors are zero")
-    feas_tol = 1e-6 * max(targets.max(), np.finfo(float).tiny)
+    return (targets.tolist(), 1.0 / scale, 1e-15 * scale,
+            1e-6 * max(targets.max(), np.finfo(float).tiny))
+
+
+def _sgd_start(surr: Surrogate, targets, constants=None):
+    """Set up what one ``sgd_solve`` problem's loop starts from:
+    ``theta2 = 2 theta``, the psi and the target of each row as floats,
+    tau0, the improvement gap, the feasibility tolerance, the restoring
+    floor, the anchor's coefficients and its worst surrogate slack.
+    Without ``constants`` (``_sgd_constants`` of its rows and targets) it
+    checks the problem first."""
+    if constants is None:
+        targets = np.asarray(targets, dtype=float).reshape(-1)
+        k = targets.shape[0]
+        if k == 0 or surr.theta.shape[0] != k:
+            raise ValueError(f"need one target per surrogate row ({surr.theta.shape[0]}), got {k}")
+        if not np.isfinite(targets).all():
+            raise ValueError("targets must be finite")
+        if not np.isfinite(surr.anchor).all():
+            raise ValueError("effective vectors and anchor must be finite")
+        constants = _sgd_constants(surr.vectors, targets)
+    target_levels, tau0, gap, feas_tol = constants
+    k = len(target_levels)
 
     theta2 = 2.0 * surr.theta
     psi = surr.psi if np.shape(surr.psi) == (k,) else np.broadcast_to(surr.psi, (k,))
-    levels = list(zip(psi.tolist(), targets.tolist()))
-    prev = np.exp(1j * surr.anchor)
+    psi = psi.tolist()
+    prev = np.exp(1j * surr.anchor) if surr.coefficients is None else surr.coefficients.copy()
     w = _product(theta2.shape[1])(theta2, prev)
-    best_slack = min([(x - p) - t for x, (p, t) in zip(w.real.tolist(), levels)])
-    return theta2, levels, 1.0 / scale, 1e-15 * scale, feas_tol, prev, best_slack
+    best_slack = min([(x - p) - t for x, p, t in zip(w.real.tolist(), psi, target_levels)])
+    # a restoration ends at its first improving iterate with worst slack >= 0
+    floor = 0.0 if best_slack < -feas_tol else math.inf
+    return theta2, psi, target_levels, tau0, gap, feas_tol, floor, prev, best_slack
 
 
 def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> SgdResult:
@@ -160,7 +182,26 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     better worst slack, the only reliable progress signal of a subgradient
     method.  A restoration (an anchor short of its targets) ends at its
     first improving iterate whose worst slack is >= 0: the surrogate is a
-    minorant, so that profile meets the true targets too.
+    minorant, so that profile meets the true targets too.  The loop is
+    ``_sgd_loop``, started at iteration zero.
+    """
+    theta2, psi, targets, tau0, gap, feas_tol, floor, prev, best_slack = _sgd_start(surr, targets)
+    return _sgd_loop(theta2, list(zip(psi, targets)), [1.0] * len(psi), best_slack,
+                     best_slack + gap, gap, tau0, feas_tol, floor, 0, 0, max_iters, prev,
+                     surr.anchor.copy())
+
+
+def _sgd_loop(theta2, levels, prices, best_slack, thresh, gap, tau0, feas_tol, floor, it, stall,
+              max_iters, prev, best_angles) -> SgdResult:
+    """``sgd_solve``'s loop from the end of iteration ``it`` to its exit.
+
+    The state is a fresh problem's (``it`` = 0) or that of a problem an
+    ``_SgdPool`` hands out mid-solve (``_SgdBatch.leave``): the prices as
+    floats, the best worst slack, the threshold ``best_slack + gap`` an
+    iterate must beat, tau0, the feasibility tolerance, the restoring floor
+    (0.0, or inf when not restoring), the stall count, the iteration cap,
+    the previous coefficients (a buffer the loop writes into) and the best
+    iterate's angles.
 
     The loop is bit for bit the step-by-step form in ``tests/phase_oracle.py``
     and makes no array per step beyond the copy an improving iterate keeps.
@@ -183,16 +224,15 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
       else 0.0`` is ``np.maximum(0.0, x)`` for every finite x but -0.0, and
       a price difference p - x is -0.0 only for p = -0.0, which neither
       form ever stores.  All prices at zero is ``not any``.
+    - The threshold is ``best_slack + gap``, added when the best changes.
     - The movement test subtracts into a fixed buffer and sums the squares
       of its real and imaginary views, ``np.linalg.norm``'s own formula; the
       current and previous coefficient buffers swap roles each step.
     """
-    theta2, levels, tau0, gap, feas_tol, prev, best_slack = _sgd_start(surr, targets)
     k, n = theta2.shape
     mix_rows, apply_rows = _product(k), _product(n)
-    cprices = np.ones(k, dtype=complex)
+    cprices = np.array(prices, dtype=complex)
     prices_re = cprices.real
-    prices = [1.0] * k
     v = np.empty(n, dtype=complex)
     v_re, v_im = v.real, v.imag
     a = np.empty(n)
@@ -205,15 +245,11 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     coeff = np.empty(n, dtype=complex)
     d = np.empty(n, dtype=complex)
     d_re, d_im = d.real, d.imag
-
-    best_angles = surr.anchor.copy()
-    restoring = best_slack < -feas_tol
+    restoring = floor == 0.0
 
     converged = False
     collapsed = False
-    stall = 0
-    it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(it + 1, max_iters + 1):
         if collapsed:
             break
         mix_rows(cprices, theta2, out=v)
@@ -223,8 +259,9 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
         apply_rows(theta2, coeff, out=w)
         slacks = [(x - p) - t for x, (p, t) in zip(w_re.tolist(), levels)]
         worst = min(slacks)
-        if worst > best_slack + gap:
+        if worst > thresh:
             best_slack = worst
+            thresh = worst + gap
             best_angles = -a
             stall = 0
             if restoring and worst >= 0.0:
@@ -264,13 +301,12 @@ class _SgdRow:
 
     __slots__ = ("token", "k", "theta2", "levels", "prices", "scalars", "prev", "best")
 
-    def __init__(self, token, surr, targets, max_iters, tick):
-        theta2, levels, tau0, gap, feas_tol, prev, best_slack = _sgd_start(surr, targets)
-        self.token, self.k, self.theta2 = token, len(levels), theta2
-        self.levels = [list(column) for column in zip(*levels)]
+    def __init__(self, token, surr, targets, max_iters, tick, constants):
+        theta2, psi, targets, tau0, gap, feas_tol, floor, prev, best_slack = _sgd_start(
+            surr, targets, constants)
+        self.token, self.k, self.theta2 = token, len(psi), theta2
+        self.levels = [psi, targets]
         self.prices = [1.0] * self.k
-        # a restoration ends at its first improving iterate with worst slack >= 0
-        floor = 0.0 if best_slack < -feas_tol else math.inf
         self.scalars = [best_slack, best_slack + gap, gap, tau0, feas_tol, floor, tick, tick,
                         tick + max_iters]
         self.prev, self.best = prev[None], -surr.anchor[None]
@@ -423,6 +459,26 @@ class _SgdBatch:
             moved_im[:, None, None], moved[:, 0, 0], converged,
         )
 
+    def leave(self):
+        """Take the batch's only problem out, joined or still joining: its
+        token and its state as ``_sgd_loop`` arguments.  Its row, if it
+        has one, is vacated as at an exit."""
+        if self.joining:
+            row = self.joining.pop()
+            prices, scalars, prev, best = row.prices, row.scalars, row.prev, row.best
+        else:
+            r = next(r for r, row in enumerate(self.rows) if row is not None)
+            row, self.rows[r] = self.rows[r], None
+            self.vacated.append(r)
+            prices = self.cprices.real[r, 0, :row.k].tolist()
+            scalars = self.scalars[r].tolist()
+            prev, best = self.coeffs[self.parity ^ 1][r], self.best[r]
+        best_slack, thresh, gap, tau0, feas_tol, floor, start, last, cap = scalars
+        return row.token, (
+            row.theta2, list(zip(*row.levels)), prices, best_slack, thresh, gap, tau0, feas_tol,
+            floor, int(self.tick - start), int(self.tick - last), int(cap - start), prev[0].copy(),
+            -best[0])
+
     def _next_due(self):
         """The first tick at which a row may stall out or reach its cap."""
         return float(np.minimum(self.last + STALL_LIMIT, self.cap).min())
@@ -509,20 +565,31 @@ class _SgdPool:
     so does the stacked movement norm over the same strided views
     (``tests/test_phase_opt.py`` guards both on the host's BLAS).  A
     problem leaves on the step it exits; one added between steps joins at
-    the next.
+    the next.  The only problem in the pool can also leave between steps
+    (``leave``) and finish in ``_sgd_loop``.
     """
 
     def __init__(self):
         self._batches = {}
 
-    def add(self, token, surr: Surrogate, targets, max_iters: int = 500):
+    def add(self, token, surr: Surrogate, targets, max_iters: int = 500, constants=None):
         """Queue ``sgd_solve(surr, targets, max_iters)``, ``max_iters`` >= 1,
-        under ``token``; raises its ValueError at once."""
+        under ``token``; raises its ValueError at once.  ``constants``, the
+        ``_sgd_constants`` of the problem's rows and targets, skip the checks."""
         n = np.shape(surr.theta)[-1]
         batch = self._batches.get(n)
         if batch is None:
             batch = self._batches[n] = _SgdBatch()
-        batch.joining.append(_SgdRow(token, surr, targets, max_iters, batch.tick))
+        batch.joining.append(_SgdRow(token, surr, targets, max_iters, batch.tick, constants))
+
+    def leave(self):
+        """Take the pool's only problem out mid-solve: returns its token and
+        the ``_sgd_loop`` arguments that finish it, bit for bit the result
+        the pool would give."""
+        for batch in self._batches.values():
+            if batch.joining or any(row is not None for row in batch.rows):
+                return batch.leave()
+        raise ValueError("the pool holds no problem")
 
     def step(self):
         """One step of every problem in the pool; returns (token, SgdResult)
@@ -569,12 +636,15 @@ def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     """
     # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
     return _drive(_sca_steps(vectors, targets, anchor),
-                  lambda surr, targets: sgd_solve(surr, targets))
+                  lambda surr, targets, _: sgd_solve(surr, targets))
 
 
 def _sca_steps(vectors, targets, anchor):
     """``sca_phase_optimize`` as a generator: yields each SGD problem as
-    (surrogate, targets), takes its ``SgdResult``, returns the ``ScaResult``."""
+    (surrogate, targets, constants), takes its ``SgdResult``, returns the
+    ``ScaResult``.  The stage checks its input and computes the
+    ``_sgd_constants`` of its rows and targets once; every problem it
+    yields shares them."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     targets = np.asarray(targets, dtype=float).reshape(-1)
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
@@ -584,17 +654,19 @@ def _sca_steps(vectors, targets, anchor):
         raise ValueError("anchor length must match vector width")
     if targets.shape[0] == 0:
         raise ValueError("need at least one target")
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise ValueError("targets must be finite")
-    if np.any(targets < 0):
+    if (targets < 0).any():
         raise ValueError("targets must be non-negative")
-    if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(anchor))):
+    if not np.isfinite(anchor).all():
         raise ValueError("effective vectors and anchor must be finite")
+    # a non-finite entry makes the scale non-finite, so this checks the rows too
+    constants = _sgd_constants(vectors, targets)
     # 1e-6 of the largest target is both "strictly inside" and "no gain"
-    tol = 1e-6 * max(float(np.max(targets)), np.finfo(float).tiny)
+    tol = constants[3]
 
     surr = surrogate(vectors, anchor)
-    best_slack = float(np.min(surr.psi - targets))
+    best_slack = float((surr.psi - targets).min())
     # An anchor already strictly inside the feasible region needs no
     # restoration; a single pass is kept to pick up easy improvement.
     strict_start = best_slack > tol
@@ -602,10 +674,11 @@ def _sca_steps(vectors, targets, anchor):
 
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
-        cand = (yield surr, targets).phases
+        cand = (yield surr, targets, constants).phases
         cand_surr = surrogate(vectors, cand.angles)
-        cand_slack = float(np.min(cand_surr.psi - targets))
-        moved = cand.distance(surr.anchor)
+        cand_slack = float((cand_surr.psi - targets).min())
+        # PhaseVector.distance on the coefficients both surrogates keep
+        moved = float(np.linalg.norm(cand_surr.coefficients - surr.coefficients))
         improvement = cand_slack - best_slack
         if improvement > 0:
             surr, best_slack = cand_surr, cand_slack

@@ -14,10 +14,10 @@ from thzirs.bcs import (
     candidate_grid,
     inner_solve,
 )
-from thzirs.allocation import solve_allocation
+from thzirs.allocation import _snr_per_watt, _SnrOverflow, solve_allocation
 from thzirs.channel import SubBand, _band_absorption, absorption_coefficient, cascaded_gain
 from thzirs.config import ExperimentConfig
-from thzirs.experiment import run_single
+from thzirs.experiment import draw_ue_positions, resolve_bands, run_single
 from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length
 from thzirs.phase_opt import (
     effective_vector,
@@ -836,6 +836,142 @@ def test_the_last_unsolved_point_leaves_the_pool(monkeypatch):
         assert_same_bits(res.solution, want.solution)
         assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
     assert handed_off > 0
+
+
+def test_a_lone_row_leaves_the_pool_mid_solve(monkeypatch):
+    # once one point is left unsolved and none can join it, its problem
+    # leaves the pool even mid-solve: no pool step ever runs one live
+    # problem, and the answers match the one-at-a-time search
+    live_counts, left = [], []
+    step, leave = phase_opt._SgdPool.step, phase_opt._SgdPool.leave
+
+    def counted_step(pool):
+        live_counts.append(sum(len(batch.joining) + sum(row is not None for row in batch.rows)
+                               for batch in pool._batches.values()))
+        return step(pool)
+
+    def counted_leave(pool):
+        token, state = leave(pool)
+        left.append(state[9])  # the iteration it resumes from
+        return token, state
+
+    for seed in (6, 68, 70, 248):
+        scene, n, floor = small_case(seed)
+        args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+        want, want_calls, _ = _traced_search(monkeypatch, 1, args)
+        monkeypatch.setattr(phase_opt._SgdPool, "step", counted_step)
+        monkeypatch.setattr(phase_opt._SgdPool, "leave", counted_leave)
+        res, calls, _ = _traced_search(monkeypatch, bcs.LOOKAHEAD_POINTS, args)
+        assert_same_bits(res.solution, want.solution)
+        assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
+        assert calls == want_calls
+    assert live_counts and min(live_counts) >= 2
+    # problems left the pool after some of their steps
+    assert len(left) >= 2 and min(left) > 0
+
+
+def test_a_start_pass_takes_only_points_the_rule_may_admit(monkeypatch):
+    # a start pass covers the admitted point and the next open points whose
+    # bounds still reach the best held, at most LOOKAHEAD_POINTS of them
+    passes, admitted = [], []
+    init = bcs._Lookahead.__init__
+
+    def recording(ahead, order, bounds, best, placement_of, inner_steps, starts_of):
+        def starts(chunk):
+            passes.append((ahead._best, [bounds[i] for i in chunk]))
+            return starts_of(chunk)
+
+        def begun(placement, start):
+            admitted.append(placement)
+            return inner_steps(placement, start)
+
+        init(ahead, order, bounds, best, placement_of, begun, starts)
+
+    monkeypatch.setattr(bcs._Lookahead, "__init__", recording)
+    monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
+    for seed in (6, 68, 70, 248, 310):
+        scene, n, floor = small_case(seed)
+        bcs_solve(scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+    assert passes and all(len(chunk) <= bcs.LOOKAHEAD_POINTS for _, chunk in passes)
+    assert all(bound >= best for best, chunk in passes for bound in chunk[1:])
+    assert len(admitted) <= sum(len(chunk) for _, chunk in passes)
+
+
+def test_bcs_answers_a_budget_whose_ceiling_snr_overflows():
+    # at 3e306 W the coherent ceiling's SNR overflows at some lattice points,
+    # and so does the own SNR of one of them; minidis and ranphi answer, and
+    # so must bcs, with no less than minidis
+    config = ExperimentConfig(p_max_w=3e306)
+    scene = config.scene_for(draw_ue_positions(config, 1, config.ue_count))
+    bands = resolve_bands(config)
+    absorb = _band_absorption(tuple(b.center_hz for b in bands), config.mixing_ratio())
+    points = candidate_grid(scene, config.element_count, config.spacing_m,
+                            config.grid_step_x_m, config.grid_step_y_m)
+    offsets = np.arange(config.element_count) * config.spacing_m
+    bounds = bcs._ceiling_bounds(scene, points, offsets, bands, config.p_max_w,
+                                 config.rate_floor_bps, absorb)
+    anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
+    vectors = bcs._link_rows(bands, anchors, offsets, scene, absorb)
+    over = ~_snr_per_watt(bcs._ceiling_gains(vectors) * (1.0 + bcs.BOUND_MARGIN), bands,
+                          config.p_max_w)[1].all(axis=(1, 2))
+    assert 0 < over.sum() < len(points)
+    # a point whose ceiling overflows is never pruned; every other keeps its bound
+    assert (bounds[over] == np.inf).all()
+    for (x, y) in points[~over][::40].tolist():
+        want = ceiling_bound(scene, IrsPlacement(x, y, config.element_count, config.spacing_m),
+                             bands, config.p_max_w, config.rate_floor_bps, absorb)
+        assert bounds[(points == (x, y)).all(axis=1)][0] == want
+    # the allocation refuses the budget at (0.75, 0.5) itself, which bcs passes over
+    with pytest.raises(ValueError, match="SNR at the full budget overflows"):
+        inner_solve(scene, IrsPlacement(0.75, 0.5, config.element_count, config.spacing_m),
+                    bands, config.p_max_w, config.rate_floor_bps, config.mixing_ratio())
+    minidis = run_single(config, "minidis", 1)
+    assert run_single(config, "ranphi", 1).feasible
+    got = run_single(config, "bcs", 1)
+    assert got.feasible and got.sum_rate_bps >= minidis.sum_rate_bps
+
+
+def test_bcs_keeps_a_point_whose_restored_snr_overflows(monkeypatch):
+    # at 1e307 W and seed 2, some points start from a feasible
+    # allocation whose SNR stays finite and are then restored to a profile
+    # whose SNR overflows; they keep the allocation they held, in the pool
+    # as in the lone solve, and bcs answers no less than any of them
+    config = ExperimentConfig(p_max_w=1e307)
+    real_steps, real_allocation = bcs._inner_steps, bcs.solve_allocation
+    current, overflowed, solved = [None], set(), {}
+
+    def tracked(scene, placement, *args):
+        steps, reply = real_steps(scene, placement, *args), None
+        while True:
+            current[0] = placement
+            try:
+                request = steps.send(reply)
+            except StopIteration as stop:
+                solved[placement] = stop.value
+                return stop.value
+            reply = yield request
+
+    def recording(gains, *args, warm_winners=None):
+        try:
+            return real_allocation(gains, *args, warm_winners=warm_winners)
+        except _SnrOverflow:
+            if warm_winners is not None:
+                overflowed.add(current[0])
+            raise
+
+    monkeypatch.setattr(bcs, "_inner_steps", tracked)
+    monkeypatch.setattr(bcs, "solve_allocation", recording)
+    got = run_single(config, "bcs", 2)
+    assert overflowed and overflowed <= set(solved)
+    monkeypatch.undo()
+    scene = config.scene_for(draw_ue_positions(config, 2, config.ue_count))
+    bands = resolve_bands(config)
+    for placement in overflowed:
+        kept = solved[placement]
+        assert kept.feasible and not kept.converged
+        assert got.feasible and got.sum_rate_bps >= kept.sum_rate_bps
+        assert_same_bits(kept, inner_solve(scene, placement, bands, config.p_max_w,
+                                           config.rate_floor_bps, config.mixing_ratio()))
 
 
 @pytest.mark.parametrize("ue_ys, floor", [((2.0,), 0.0), ((1.0, 3.0), 1e9)])

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -30,7 +31,7 @@ from thzirs.channel import (
     water_vapor_mixing_ratio,
 )
 from thzirs import phase_opt
-from thzirs.geometry import IrsPlacement, Scene, path_length, steering_phase_profile
+from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length, steering_phase_profile
 from thzirs.phase_opt import (
     _link_rows,
     effective_vector,
@@ -535,6 +536,115 @@ def test_pooled_sgd_matches_reference_bit_for_bit():
                  else "restored" if start < -feas_tol and ref.min_slack >= 0
                  else "stalled")
     assert seen == {"collapsed", "converged", "capped", "restored", "stalled"}
+
+
+def _left_alone(pool):
+    """A copy of ``pool`` whose ``leave`` leaves ``pool`` as it is: ``leave``
+    changes only a batch's row lists and reads its arrays."""
+    twin = copy.copy(pool)
+    twin._batches = {}
+    for n, batch in pool._batches.items():
+        twin._batches[n] = copy.copy(batch)
+        for name in ("rows", "vacated", "joining"):
+            setattr(twin._batches[n], name, list(getattr(batch, name)))
+    return twin
+
+
+def test_a_problem_resumed_from_the_pool_matches_the_reference():
+    """A problem alone in the pool leaves it after any tick, from before its
+    first step to the one before its exit, and finishes in the lone loop
+    with the step-by-step oracle's result.  Half the problems first share
+    their batches with companions of other K that exit early, and one of
+    another N, so the problem leaves from a regrouped row beside idle ones."""
+    rng = np.random.default_rng(38)
+    kinds = ("feasible", "feasible stall", "restore", "stall", "certified", "flat")
+    seen, resumed = set(), 0
+    for case, (k, n, kind) in enumerate(itertools.product(range(1, 5), (1, 8, 20), kinds)):
+        max_iters = (500, 120, 30)[case % 3]
+        surr, targets = _sgd_family(rng, kind, k, n, (1.0, 1e-6)[case % 2])
+        ref = reference_sgd_solve(surr, targets, max_iters=max_iters)
+        want = (ref.phases.angles.tobytes(), ref.converged, ref.feasible, ref.iterations)
+        pool = phase_opt._SgdPool()
+        pool.add("problem", surr, targets, max_iters)
+        alone_from = 0
+        if case % 2:
+            for other_k, other_n, cap in ((k % 4 + 1, n, 1), (1, n, 3), (k, 21 - n % 20, 2)):
+                pool.add(cap, *_sgd_family(rng, "stall", other_k, other_n, 1.0), cap)
+            alone_from = 3
+        tick, result = 0, None
+        while result is None:
+            if tick >= alone_from:
+                token, state = _left_alone(pool).leave()
+                got = phase_opt._sgd_loop(*state)
+                assert token == "problem"
+                assert (got.phases.angles.tobytes(), got.converged, got.feasible,
+                        got.iterations) == want, (case, tick)
+                resumed += 1
+            tick += 1
+            for token, res in pool.step():
+                if token == "problem":
+                    result = res
+        assert (result.phases.angles.tobytes(), result.converged, result.feasible,
+                result.iterations) == want, case
+        start = float(np.min(reference_surrogate_values(surr, surr.anchor) - targets))
+        feas_tol = 1e-6 * max(targets.max(), np.finfo(float).tiny)
+        seen.add("collapsed" if ref.prices_collapsed
+                 else "converged" if ref.converged
+                 else "capped" if ref.iterations == max_iters
+                 else "restored" if start < -feas_tol and ref.min_slack >= 0
+                 else "stalled")
+    assert seen == {"collapsed", "converged", "capped", "restored", "stalled"}
+    assert resumed > 1000
+
+
+def test_problems_started_from_a_stage_match_sgd_solve():
+    """Each SCA stage checks its input and computes the SGD constants once;
+    every problem it yields starts from them, and from the anchor
+    coefficients its surrogate keeps, as ``sgd_solve`` starts it alone."""
+    rng = np.random.default_rng(39)
+    problems = 0
+    for case in range(120):
+        k, n = int(rng.integers(1, 5)), (1, 4, 8, 20)[case % 4]
+        vectors = random_vectors(rng, k, n, (1.0, 1e-6)[case % 2])
+        anchor = rng.uniform(-7.0, 7.0, n)
+        targets = (0.5, 0.9, 1.3)[case % 3] * exact_values(vectors, rng.uniform(-7.0, 7.0, n))
+        steps = phase_opt._sca_steps(vectors, targets, anchor)
+        reply = None
+        while True:
+            try:
+                surr, stage_targets, constants = steps.send(reply)
+            except StopIteration:
+                break
+            assert surr.coefficients.tobytes() == np.exp(1j * surr.anchor).tobytes()
+            fresh = phase_opt._sgd_start(surr, stage_targets, constants)
+            alone = phase_opt._sgd_start(surr, stage_targets)
+            for got, want in zip(fresh, alone):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), case
+            # the stage's tolerance is the problem's feasibility tolerance
+            assert constants[3] == 1e-6 * max(float(np.max(targets)), np.finfo(float).tiny)
+            pool = phase_opt._SgdPool()
+            pool.add(0, surr, stage_targets, constants=constants)
+            pooled = []
+            while not pooled:
+                pooled = pool.step()
+            reply = sgd_solve(surr, stage_targets)
+            assert pooled[0][1].phases.angles.tobytes() == reply.phases.angles.tobytes(), case
+            assert pooled[0][1].iterations == reply.iterations, case
+            problems += 1
+    assert problems > 120
+
+
+def test_sca_moves_by_the_phase_distance():
+    # SCA's movement test reads the coefficients both surrogates keep
+    rng = np.random.default_rng(40)
+    for case in range(200):
+        n = int(rng.integers(1, 21))
+        a, b = rng.uniform(-7.0, 7.0, (2, n))
+        if case % 5 == 0:
+            b = a.copy()
+        pa, pb = surrogate(random_vectors(rng, 2, n), a), surrogate(random_vectors(rng, 2, n), b)
+        moved = float(np.linalg.norm(pb.coefficients - pa.coefficients))
+        assert moved == PhaseVector(b).distance(pa.anchor), case
 
 
 @pytest.mark.parametrize("targets, match", [
