@@ -12,7 +12,9 @@ with all-zero winners, powers and rates.  Plans with more than
 same rows for P plans of one shape in one pass (an allocation row per point
 and assignment) and returns each plan's feasibility and sum rate;
 ``_cold_allocations`` returns each plan's full ``AllocationResult``, and
-``solve_allocation`` is the single-plan case of both.
+``solve_allocation`` is the single-plan case of both.  A caller that solves
+many allocations on one band plan, budget and set of floors passes a
+``_BandPlan`` for the sub-bands, which carries them checked and set up.
 """
 
 from dataclasses import dataclass
@@ -248,36 +250,61 @@ class _SnrOverflow(ValueError):
     """The SNR at the full budget overflows: no allocation has a finite rate."""
 
 
-def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
-    """(rate floors, bandwidths, SNR per watt) of valid inputs; raises otherwise.
+class _BandPlan(tuple):
+    """The sub-bands of one plan with the set-up every allocation on them
+    shares at one budget and one set of rate floors: the floors as a
+    read-only (U,) array, the bandwidths and the noise powers, each checked
+    once.  ``solve_allocation(gains, plan, plan.p_max, plan.floors)`` takes
+    it in place of the sub-bands and checks only the gains; with any other
+    budget or floors it sets the plan up afresh."""
 
-    ``gains`` is (..., U, I); the floors come back as a fresh (U,) array.
+    def __new__(cls, sub_bands, p_max, rate_requirements, u_count):
+        plan = super().__new__(cls, sub_bands)
+        if p_max <= 0 or not np.isfinite(p_max):
+            raise ValueError(f"power budget must be positive, got {p_max}")
+        plan.p_max, plan.u_count = p_max, u_count
+        plan.floors = _rate_floors(rate_requirements, u_count)
+        plan.floors.flags.writeable = False
+        if u_count**len(plan) > ENUMERATION_CAP:
+            raise ValueError(
+                f"{u_count} UEs over {len(plan)} sub-bands give {u_count**len(plan)} assignments, "
+                f"above the exact-allocation cap of {ENUMERATION_CAP}")
+        plan.bw = np.array([b.bandwidth_hz for b in plan])
+        plan.noise = np.array([b.noise_power_w for b in plan])
+        return plan
+
+
+def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
+    """(band plan, SNR per watt) of valid inputs; raises otherwise.
+
+    ``gains`` is (..., U, I); the plan is ``sub_bands`` itself when it is a
+    ``_BandPlan`` of that shape, budget and floors object.
     """
     u_count, i_count = gains.shape[-2:]
-    if len(sub_bands) != i_count:
-        raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
-    if p_max <= 0 or not np.isfinite(p_max):
-        raise ValueError(f"power budget must be positive, got {p_max}")
+    plan = sub_bands
+    if not (isinstance(plan, _BandPlan) and plan.p_max == p_max
+            and plan.floors is rate_requirements
+            and (plan.u_count, len(plan)) == (u_count, i_count)):
+        if len(sub_bands) != i_count:
+            raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
+        plan = None
     if (gains < 0).any() or not np.isfinite(gains).all():
         raise ValueError("channel power gains must be finite and non-negative")
-    rate_req = _rate_floors(rate_requirements, u_count)
-    if u_count**i_count > ENUMERATION_CAP:
-        raise ValueError(
-            f"{u_count} UEs over {i_count} sub-bands give {u_count**i_count} assignments, "
-            f"above the exact-allocation cap of {ENUMERATION_CAP}")
-    bw = np.array([b.bandwidth_hz for b in sub_bands])
-    kappa, finite = _snr_per_watt(gains, sub_bands, p_max)
+    if plan is None:
+        plan = _BandPlan(sub_bands, p_max, rate_requirements, u_count)
+    kappa, finite = _snr_per_watt(gains, plan, p_max)
     if not finite.all():
         raise _SnrOverflow(f"SNR at the full budget overflows: gains / noise * p_max is not "
                            f"finite at p_max = {p_max}")
-    return rate_req, bw, kappa
+    return plan, kappa
 
 
 def _snr_per_watt(gains, sub_bands, p_max):
     """(SNR per watt, whether the SNR at the full budget is finite) for each
     entry of (..., U, I) ``gains``.  The allocation refuses a plan with a
     non-finite entry: its SNR overflows."""
-    noise = np.array([b.noise_power_w for b in sub_bands])
+    noise = (sub_bands.noise if isinstance(sub_bands, _BandPlan)
+             else np.array([b.noise_power_w for b in sub_bands]))
     with np.errstate(over="ignore"):
         kappa = gains / noise
         return kappa, np.isfinite(kappa * p_max)
@@ -304,24 +331,24 @@ def solve_allocation(
     ``ENUMERATION_CAP``.
     """
     gains = np.atleast_2d(np.asarray(channel_power_gains, dtype=float))
-    rate_req, bw, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
+    plan, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
     u_count, i_count = gains.shape
     # every assignment in lexicographic order, the warm one moved to the front
     if warm_winners is None:
         assignments = _assignment_table(u_count, i_count)
     else:
         assignments = _warm_first_table(u_count, i_count, _warm_row(warm_winners, u_count, i_count))
-    return _results(_allocate(kappa[None], bw, p_max, rate_req, assignments), u_count, i_count,
-                    assignments.shape[0])[0]
+    return _results(_allocate(kappa[None], plan.bw, p_max, plan.floors, assignments), u_count,
+                    i_count, assignments.shape[0])[0]
 
 
 def _cold_allocations(channel_power_gains, sub_bands, p_max: float, rate_requirements):
     """``solve_allocation`` without a warm start for each of P (U, I) plans
     in one pass: its ``AllocationResult`` bit for bit, one per plan."""
     gains = np.asarray(channel_power_gains, dtype=float)
-    rate_req, bw, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
+    plan, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
     assignments = _assignment_table(*gains.shape[1:])
-    return _results(_allocate(kappa, bw, p_max, rate_req, assignments), *gains.shape[1:],
+    return _results(_allocate(kappa, plan.bw, p_max, plan.floors, assignments), *gains.shape[1:],
                     assignments.shape[0])
 
 
@@ -335,9 +362,9 @@ def score_allocations(channel_power_gains, sub_bands, p_max: float, rate_require
     sum rate 0.0 where infeasible.  Raises as ``solve_allocation`` does.
     """
     gains = np.asarray(channel_power_gains, dtype=float)
-    rate_req, bw, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
+    plan, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
     assignments = _assignment_table(*gains.shape[1:])
-    _, points, _, _, rates = _allocate(kappa, bw, p_max, rate_req, assignments)
+    _, points, _, _, rates = _allocate(kappa, plan.bw, p_max, plan.floors, assignments)
     feasible = np.zeros(len(gains), dtype=bool)
     sum_rates = np.zeros(len(gains))
     feasible[points] = True

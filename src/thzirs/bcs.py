@@ -8,14 +8,15 @@ whose worst received-power slack falls below the incumbent.  ``bcs_solve``
 sweeps candidate positions over a coordinate lattice (block-coordinate
 search) best first: a coherent-ceiling allocation bounds every lattice
 point's answer from above, points are inner-solved in decreasing bound order,
-and the search stops at the first bound below the incumbent.  With enough open
-points the next ones in bound order are solved together ahead of the loop
-(``_Lookahead``): their link rows, matched profiles and cold allocations are
-built for a chunk of points in one pass, their phase stages' SGD steps are
-stacked into one pooled step, and the last point unsolved with none to join
-it finishes in the lone loop, its problem in flight leaving the pool
-mid-solve.  The loop still counts and keeps exactly the
-points it reaches.  The reference strategies inner-solve one placement:
+and the search stops at the first bound below the incumbent.  With enough
+open points the min-distance anchor and the next points in bound order are
+solved together ahead of the loop (``_Lookahead``): their link rows, matched
+profiles and cold allocations are built for a chunk of points in one pass,
+their phase stages' SGD steps are stacked into one pooled step, a point
+whose bound falls below the best sum rate held is dropped, and the last one
+unsolved with none to join it takes its problems out of the pool to finish
+them alone.  The loop still counts and keeps exactly the points it reaches.
+The reference strategies inner-solve one placement:
 MinDis and RanLoc their own, RanPhi the lattice point that scores best under
 its frozen phase profile.
 
@@ -33,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import phase_opt
 from .allocation import (
+    _BandPlan,
     _cold_allocations,
     _rate_floors,
     _snr_per_watt,
@@ -56,7 +57,6 @@ from .phase_opt import (
     _drive,
     _link_rows,
     _sca_steps,
-    _sgd_loop,
     _SgdPool,
     effective_vector,
     sca_phase_optimize,
@@ -75,9 +75,10 @@ BOUND_MARGIN = 1e-9
 # allocation rows (lattice points x assignments) scored in one batched pass;
 # a block holds one point at least
 BLOCK_ROWS = 512
-# open lattice points bcs_solve solves at once, when at least LOOKAHEAD_MIN_OPEN
-# bounds reach the min-distance anchor's sum rate; with fewer the pool runs so
-# few problems per step that one point at a time is cheaper
+# open lattice points bcs_solve solves at once beside the min-distance anchor,
+# when at least LOOKAHEAD_MIN_OPEN bounds reach the anchor's starting sum rate;
+# with fewer the pool runs so few problems per step that one point at a time
+# is cheaper
 LOOKAHEAD_POINTS = 16
 LOOKAHEAD_MIN_OPEN = 8
 
@@ -287,8 +288,11 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
     returns the ``Solution``.  The rate held is the allocation's before the
     request, 0.0 before a feasible one; the rounds never lower it.  A
     ``start`` from ``_cold_starts`` replaces the rows, matched profile,
-    gains and cold allocation the solve would build itself."""
-    rate_req = _rate_floors(rate_requirements, scene.ue_count)
+    gains and cold allocation the solve would build itself.  Every
+    allocation of the solve shares one ``_BandPlan``: its floors, budget
+    and band arrays are set up and checked once."""
+    plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
+    rate_req = plan.floors
     frozen = phases is not None
     if start is not None:
         vectors, phases, gains, alloc = start
@@ -298,7 +302,7 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
         if not frozen:
             phases = _initial_phases(scene, placement, sub_bands, rate_req)
         gains = np.abs(vectors @ phases.coefficients) ** 2
-        alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
+        alloc = solve_allocation(gains, plan, p_max, rate_req)
     if not alloc.feasible and not frozen and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off.  An unmoved
@@ -307,11 +311,11 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
         if not _same_bits(repaired, phases):
             phases = repaired
             gains = np.abs(vectors @ phases.coefficients) ** 2
-            alloc = solve_allocation(gains, sub_bands, p_max, rate_req)
+            alloc = solve_allocation(gains, plan, p_max, rate_req)
     trace = [alloc.objective] if alloc.feasible else []
     converged = frozen or not alloc.feasible
     while not converged and len(trace) < MAX_ROUNDS:
-        active = np.flatnonzero(alloc.powers > 0)
+        active = (alloc.powers > 0).nonzero()[0]
         if active.size == 0:
             # a feasible allocation spends nothing when no band earns
             # anything for the budget, so there is no link to restore
@@ -330,7 +334,7 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
         restored_gains = np.abs(vectors @ restored.coefficients) ** 2
         try:
             following = solve_allocation(
-                restored_gains, sub_bands, p_max, rate_req, warm_winners=alloc.winners
+                restored_gains, plan, p_max, rate_req, warm_winners=alloc.winners
             )
         except _SnrOverflow:
             # the restored gains' SNR overflows the budget where the held
@@ -400,6 +404,8 @@ def _lattice_scores(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     point whose SNR at the full budget overflows, which the allocation
     refuses, scores (True, +inf), so the rest of its block is still scored.
     """
+    # one set-up of the band plan serves every block
+    plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
     per_block = max(1, BLOCK_ROWS // scene.ue_count ** len(sub_bands))
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
     feasible = np.zeros(len(points), dtype=bool)
@@ -407,13 +413,13 @@ def _lattice_scores(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     for start in range(0, len(points), per_block):
         block = slice(start, start + per_block)
         gains = gains_of(_link_rows(sub_bands, anchors[block], offsets_m, scene, absorb))
-        over = ~_snr_per_watt(gains, sub_bands, p_max)[1].all(axis=(1, 2))
+        over = ~_snr_per_watt(gains, plan, p_max)[1].all(axis=(1, 2))
         # views of the block's rows, so that the masked writes land in the results
         block_feasible, block_rates = feasible[block], rates[block]
         block_feasible[over], block_rates[over] = True, np.inf
         if not over.all():
             block_feasible[~over], block_rates[~over] = score_allocations(
-                gains[~over], sub_bands, p_max, rate_requirements)
+                gains[~over], plan, p_max, plan.floors)
     return feasible, rates
 
 
@@ -450,56 +456,76 @@ def _sgd_requests(steps, held):
 
 
 class _Lookahead:
-    """The open lattice points of one ``bcs_solve``, solved together in
-    bound order (iteration-level batching: Yu et al., OSDI 2022).
+    """The min-distance anchor and the open lattice points of one
+    ``bcs_solve``, solved together in bound order (iteration-level
+    batching: Yu et al., OSDI 2022).
 
-    The next open point is admitted while fewer than ``LOOKAHEAD_POINTS``
-    admitted points are unsolved and its bound is at least the best sum
-    rate held so far: the anchor's, a solved point's, or the allocation an
-    unsolved point's rounds already hold, which they never lower.  Points
-    are admitted in bound order, so that best stays at or below the
-    best-first loop's incumbent at every point the loop has yet to reach,
-    and the loop reaches no point the rule passed over; ``claim`` would
-    start one all the same.  Each admitted point runs ``_inner_steps``,
-    and the SGD problems of all of them share one ``_SgdPool``: a point
-    whose problem exits sends its next one before the next pool step.
-    ``claim`` steps the pool until the claimed point is solved; the loop
-    claims in bound order, and the points still unclaimed when it stops are
-    dropped.  An error is kept with its point and raised when the point is
+    The anchor is the first flight.  The sum rate its rounds hold at their
+    first request (its cold allocation's, or 0.0 before a repair), a lower
+    bound on its answer known before it is solved, decides whether lattice
+    points are admitted at all (``opened``): at least ``LOOKAHEAD_MIN_OPEN``
+    bounds must reach it.  The next open point is then admitted while fewer
+    than ``LOOKAHEAD_POINTS`` lattice points are unsolved and its bound is
+    at least the best sum rate held so far: the anchor's, a solved point's,
+    or the allocation an unsolved flight's rounds already hold, which they
+    never lower.  Points are admitted in bound order, so that best stays at
+    or below the best-first loop's incumbent at every point the loop has
+    yet to reach, and the loop reaches no point the rule passed over;
+    ``claim`` would start one all the same.  For the same reason an
+    unsolved point whose bound falls below the best held is one the loop
+    stops before, and it is dropped (``_prune``).  Each flight runs
+    ``_inner_steps``, and the SGD problems of all of them share one
+    ``_SgdPool``: a flight whose problem exits sends its next one before
+    the next pool step.  ``claim`` steps the pool until the claimed flight
+    is solved; ``bcs_solve`` claims the anchor first and then the lattice
+    points in bound order, and the points still unclaimed when it stops are
+    dropped.  An error is kept with its flight and raised when the flight is
     claimed, where the lone solve would raise it.
 
     A point admitted without a start computes its own and those of the next
     ``LOOKAHEAD_POINTS - 1`` open points in one pass (``starts_of``, given
     lattice indices); should that pass raise, each of them starts alone.
-    The only unsolved point, with no open point able to join it, leaves
-    the pool: its problem in flight leaves mid-solve (``_SgdPool.leave``)
-    and finishes in ``phase_opt._sgd_loop``, and ``phase_opt.sgd_solve``
-    serves its later requests until it is solved, the same answers at less
-    cost than pool steps of one row.  A start pass covers the admitted
-    point and the next open points whose bounds reach the best held, the
-    only ones the rule may still admit.
+    A start pass covers the admitted point and the next open points whose
+    bounds reach the best held, the only ones the rule may still admit.
+    The only unsolved flight, with no open point able to join it, has one
+    way out of the pool: ``_SgdPool.finish`` takes each of its problems out,
+    still joining or in flight, and finishes it alone, the same answers at
+    less cost than pool steps of one row.
     """
 
-    def __init__(self, order, bounds, best, placement_of, inner_steps, starts_of):
+    def __init__(self, order, bounds, anchor, placement_of, inner_steps, starts_of):
         self._open = deque(order)
         self._bounds = bounds
-        self._best = best
+        self._best = 0.0
         self._placement_of = placement_of
         self._inner_steps = inner_steps
         self._starts_of = starts_of
         # lattice point -> its precomputed start, None to start alone
         self._starts = {}
         self._placements = {}
-        # admitted and not yet claimed: placement -> [Solution, error, or None unsolved]
+        # flights not yet claimed, by the id of their placement (the anchor
+        # may sit on a lattice point): [Solution, error, or None unsolved]
         self._flights = {}
+        # admitted lattice points' (bound, outcome), in bound order, until pruned
+        self._admitted = []
         self._unsolved = 0
         self._pool = _SgdPool()
+        self._anchor = self._fly(anchor, None)
+        self.opened = np.count_nonzero(bounds >= self._best) >= LOOKAHEAD_MIN_OPEN
+        if not self.opened:
+            self._open.clear()
 
     def placement(self, i):
         """Lattice point ``i``'s placement, built once."""
         if i not in self._placements:
             self._placements[i] = self._placement_of(i)
         return self._placements[i]
+
+    def _fly(self, placement, start):
+        outcome = self._flights[id(placement)] = [None]
+        self._unsolved += 1
+        self._advance(outcome, _sgd_requests(self._inner_steps(placement, start), self._hold), None)
+        return outcome
 
     def _start(self, i):
         if i not in self._starts:
@@ -510,26 +536,37 @@ class _Lookahead:
                 self._starts.update(zip(chunk, self._starts_of(chunk)))
             except Exception:  # noqa: BLE001 - each point starts alone and raises at its claim
                 self._starts.update(dict.fromkeys(chunk))
-        placement = self.placement(i)
-        outcome = self._flights[placement] = [None]
-        self._unsolved += 1
-        steps = self._inner_steps(placement, self._starts.pop(i))
-        self._advance(outcome, _sgd_requests(steps, self._hold), None)
+        self._admitted.append((self._bounds[i], self._fly(self.placement(i), self._starts.pop(i))))
 
     def _hold(self, rate):
         self._best = max(self._best, rate)
 
     def _joinable(self):
         """Whether the next open point is admitted now."""
-        return (self._open and self._unsolved < LOOKAHEAD_POINTS
+        points = self._unsolved - (self._anchor[0] is None)
+        return (self._open and points < LOOKAHEAD_POINTS
                 and self._bounds[self._open[0]] >= self._best)
+
+    def _prune(self):
+        """Drop the unsolved points whose bounds fell below the best held.
+
+        A point's held rate never exceeds its bound, and points are
+        admitted in bound order, so a best above a point's bound comes from
+        the anchor or from a point the loop claims first; the loop's
+        incumbent then passes that bound, and the loop stops before it."""
+        dropped = set()
+        while self._admitted and self._admitted[-1][0] < self._best:
+            _, outcome = self._admitted.pop()
+            if outcome[0] is None:
+                outcome[0] = RuntimeError("a point dropped from the look-ahead was claimed")
+                self._unsolved -= 1
+                dropped.add(id(outcome))
+        if dropped:
+            self._pool.drop(lambda token: id(token[0]) in dropped)
 
     def _advance(self, outcome, requests, reply):
         try:
             surr, targets, constants = requests.send(reply)
-            while self._unsolved == 1 and not self._joinable():
-                # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
-                surr, targets, constants = requests.send(phase_opt.sgd_solve(surr, targets))
             self._pool.add((outcome, requests), surr, targets, constants=constants)
         except StopIteration as stop:
             outcome[0] = stop.value
@@ -540,21 +577,28 @@ class _Lookahead:
             self._unsolved -= 1
 
     def claim(self, placement) -> Solution:
-        """The inner solve of ``placement``, the next open point in bound order."""
-        if placement not in self._flights:
+        """The inner solve of ``placement``: the anchor, or the next open
+        point in bound order."""
+        if id(placement) not in self._flights:
             self._start(self._open.popleft())
-        outcome = self._flights[placement]
+        outcome = self._flights.pop(id(placement))
+        exited = True
         while outcome[0] is None:
-            while self._joinable():
-                self._start(self._open.popleft())
+            if exited:
+                # the best held and the flights change only when a problem exits
+                self._prune()
+                while self._joinable():
+                    self._start(self._open.popleft())
             if self._unsolved == 1:
-                # its problem, alone in the pool, finishes in the lone loop
-                (waiting, requests), state = self._pool.leave()
-                self._advance(waiting, requests, _sgd_loop(*state))
-                continue
-            for (waiting, requests), result in self._pool.step():
+                # its problem, alone in the pool, is finished alone
+                (waiting, requests), result = self._pool.finish()
                 self._advance(waiting, requests, result)
-        del self._flights[placement]
+                exited = True
+                continue
+            done = self._pool.step()
+            exited = bool(done)
+            for (waiting, requests), result in done:
+                self._advance(waiting, requests, result)
         if isinstance(outcome[0], Exception):
             raise outcome[0]
         return outcome[0]
@@ -573,7 +617,7 @@ def bcs_solve(
 ) -> SearchResult:
     """Best-first search over anchor positions with the full inner solver.
 
-    The minimum-total-distance point is solved first as an extra candidate
+    The minimum-total-distance point is an extra candidate, claimed first
     (outside the lattice counter), so the search never returns less than
     the distance heuristic it refines.  Every lattice point then gets its
     coherent-ceiling bound, all in one batched pass (``_ceiling_bounds``);
@@ -587,36 +631,43 @@ def bcs_solve(
     (feasible, sum rate, earliest in lattice order, anchor first), so the
     answer is the one a full sweep of the anchor and then the lattice keeps.
     ``points_evaluated`` counts the lattice points inner-solved, one
-    ``inner_solve`` call each.  When at least ``LOOKAHEAD_MIN_OPEN`` bounds
-    reach the anchor's sum rate, those calls take their answers from a
-    ``_Lookahead`` that solves up to ``LOOKAHEAD_POINTS`` points at once;
-    the points it solves ahead and the loop never reaches are not counted.
+    ``inner_solve`` call each.  When at least ``LOOKAHEAD_MIN_OPEN``
+    points' ceilings meet every floor, the anchor's ``inner_solve`` takes
+    its answer from a ``_Lookahead``; when as many bounds reach the sum rate
+    the anchor holds at its first phase stage, so do the lattice points', up to
+    ``LOOKAHEAD_POINTS`` points solved at once beside the anchor.  The
+    points it solves ahead and the loop never reaches are not counted.
     """
-    anchor = baseline_mini_dis(
-        scene, sub_bands, element_count, spacing_m, p_max, rate_requirements, mixing_ratio,
-    )
+    anchor_placement = _min_distance_placement(scene, element_count, spacing_m)
     points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
-    bounds = _ceiling_bounds(scene, points, anchor.placement.offsets_m, sub_bands, p_max,
-                             rate_requirements, absorb)
+    offsets = anchor_placement.offsets_m
+    bounds = _ceiling_bounds(scene, points, offsets, sub_bands, p_max, rate_requirements, absorb)
     order = np.argsort(-bounds, kind="stable").tolist()
 
-    best = anchor
-    # the anchor stands before every lattice point
-    best_key = (anchor.feasible, anchor.sum_rate_bps, 1)
-    trace = [anchor.sum_rate_bps]
     def place(i):
         return IrsPlacement(*points[i].tolist(), element_count, spacing_m)
 
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
     rate_req = _rate_floors(rate_requirements, scene.ue_count)
+    # no sum rate is below 0.0: with fewer bounds reaching it, no rate the
+    # anchor holds can open the look-ahead
     ahead = _Lookahead(
-        order, bounds, anchor.sum_rate_bps, place,
+        order, bounds, anchor_placement, place,
         lambda placement, start: _inner_steps(scene, placement, sub_bands, p_max,
                                               rate_requirements, mixing_ratio, None, start),
-        lambda chunk: _cold_starts(scene, anchors[chunk], anchor.placement.offsets_m, sub_bands,
-                                   p_max, rate_req, absorb),
-    ) if np.count_nonzero(bounds >= anchor.sum_rate_bps) >= LOOKAHEAD_MIN_OPEN else None
+        lambda chunk: _cold_starts(scene, anchors[chunk], offsets, sub_bands, p_max, rate_req,
+                                   absorb),
+    ) if np.count_nonzero(bounds >= 0.0) >= LOOKAHEAD_MIN_OPEN else None
+    anchor = inner_solve(scene, anchor_placement, sub_bands, p_max, rate_requirements,
+                         mixing_ratio, _lookahead=ahead)
+    if ahead is not None and not ahead.opened:
+        ahead = None
+
+    best = anchor
+    # the anchor stands before every lattice point
+    best_key = (anchor.feasible, anchor.sum_rate_bps, 1)
+    trace = [anchor.sum_rate_bps]
     for i in order:
         # an infeasible incumbent's 0.0 never ends the search
         if bounds[i] < best.sum_rate_bps:

@@ -6,8 +6,8 @@ reflection coefficients.  The quadratic form is minorized by its first-order
 expansion around an anchor, and the resulting linear constraints are handled
 with a priced (multiplier-weighted) penalty whose phase update is closed form.
 A private pool steps the SGD problems of many phase stages at once, bit for
-bit the lone loop, and hands a problem left alone in it to the lone loop
-mid-solve.
+bit the lone loop, and finishes a problem left alone in it in the lone loop,
+mid-solve if need be.
 """
 
 import math
@@ -167,7 +167,8 @@ def _sgd_start(surr: Surrogate, targets, constants=None):
     return theta2, psi, target_levels, tau0, gap, feas_tol, floor, prev, best_slack
 
 
-def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> SgdResult:
+def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500,
+              constants=None) -> SgdResult:
     """Alternate the closed-form phase update with priced subgradient steps.
 
     Returns the iterate with the best minimum constraint slack seen (the
@@ -183,9 +184,12 @@ def sgd_solve(surr: Surrogate, targets: np.ndarray, max_iters: int = 500) -> Sgd
     method.  A restoration (an anchor short of its targets) ends at its
     first improving iterate whose worst slack is >= 0: the surrogate is a
     minorant, so that profile meets the true targets too.  The loop is
-    ``_sgd_loop``, started at iteration zero.
+    ``_sgd_loop``, started at iteration zero.  ``constants``, the
+    ``_sgd_constants`` of the problem's rows and targets that an SCA stage
+    holds, skip the problem's checks and their recomputation.
     """
-    theta2, psi, targets, tau0, gap, feas_tol, floor, prev, best_slack = _sgd_start(surr, targets)
+    theta2, psi, targets, tau0, gap, feas_tol, floor, prev, best_slack = _sgd_start(
+        surr, targets, constants)
     return _sgd_loop(theta2, list(zip(psi, targets)), [1.0] * len(psi), best_slack,
                      best_slack + gap, gap, tau0, feas_tol, floor, 0, 0, max_iters, prev,
                      surr.anchor.copy())
@@ -289,27 +293,29 @@ def _sgd_loop(theta2, levels, prices, best_slack, thresh, gap, tau0, feas_tol, f
 
 
 class _SgdRow:
-    """One ``sgd_solve`` problem of an ``_SgdPool``, as its loop starts it.
+    """One ``sgd_solve`` problem joining an ``_SgdPool``, as its loop starts it.
 
-    Its state moves into the pool's arrays when a regroup takes it in and
-    back out when the next regroup rebuilds them.  ``scalars`` are the
-    columns of ``_SgdBatch.scalars``; iterations count in the batch's ticks: the
+    Seating writes its state into a row of the pool's arrays, which hold it
+    from then on; the record keeps its token, K and ``theta2``.  ``levels``
+    is its (2, K) psi and target rows, ``scalars`` the columns of
+    ``_SgdBatch.scalars``; iterations count in the batch's ticks: the
     problem is at iteration ``tick - start``, stalls out ``STALL_LIMIT``
     ticks after its ``last`` improvement and reaches ``max_iters`` at tick
-    ``cap``.  ``best`` holds the best iterate's ``a``, the angles negated.
+    ``cap``.  ``prev`` is its anchor's coefficients and ``best`` the best
+    iterate's ``a``, the angles negated; its prices all start at 1.0.
     """
 
-    __slots__ = ("token", "k", "theta2", "levels", "prices", "scalars", "prev", "best")
+    __slots__ = ("token", "problem", "k", "theta2", "levels", "scalars", "prev", "best")
 
     def __init__(self, token, surr, targets, max_iters, tick, constants):
+        self.problem = (surr, targets, max_iters, constants)
         theta2, psi, targets, tau0, gap, feas_tol, floor, prev, best_slack = _sgd_start(
             surr, targets, constants)
         self.token, self.k, self.theta2 = token, len(psi), theta2
-        self.levels = [psi, targets]
-        self.prices = [1.0] * self.k
-        self.scalars = [best_slack, best_slack + gap, gap, tau0, feas_tol, floor, tick, tick,
-                        tick + max_iters]
-        self.prev, self.best = prev[None], -surr.anchor[None]
+        self.levels = np.array((psi, targets))
+        self.scalars = (best_slack, best_slack + gap, gap, tau0, feas_tol, floor, tick, tick,
+                        tick + max_iters)
+        self.prev, self.best = prev, -surr.anchor
 
     def result(self, best, best_slack, feas_tol, converged, iterations):
         return self.token, SgdResult(
@@ -334,52 +340,89 @@ def _square_limit(tol):
 class _SgdBatch:
     """The pool's problems of one width N, one row each of stacked arrays.
 
-    Rows run in blocks of equal K, and each block makes its two products
-    with its own (P_k, K, N) ``theta2``.  Every other step runs once over
-    all rows, on (P, K_max) slack and price arrays: a row's unused columns
-    hold target -inf, so their slack is +inf, which no minimum takes, and
-    their price stays 0.0, which no product reads.
+    Rows run in blocks of equal K, in increasing K, and each block makes its
+    two products with its (P_k, K, N) slice of the batch's (P, K_cap, N)
+    ``theta2``.  Every other step runs once over all rows, on (P, K_cap)
+    slack and price arrays: a row's unused columns hold target -inf, so
+    their slack is +inf, which no minimum takes, and their price stays 0.0,
+    which no product reads.
 
-    A problem that exits leaves its row to the next problem of its K that
+    A problem that exits leaves its row free for the next problem that
     joins; until then the row idles (``_idle``) and ``alive`` keeps it out
-    of the exits.  A joiner that finds no idle row of its K, or idle rows
-    outnumbering live ones, makes the next step regroup every live row and
-    joiner into new arrays.  The per-row scalars are the columns of one
-    (P, 9) array: best_slack, thresh (best_slack + gap), gap, tau0,
-    feas_tol, floor, start, last and cap.
+    of the exits.  A joiner takes a free row of its K, or else any free row,
+    moved to the end of its K's block (``_move``): the rows between shift
+    by one, so the blocks stay one per K.  Only a joiner that finds no free
+    row or outgrows K_cap, or free rows outnumbering live ones, makes the
+    next step regroup: the live rows are gathered from the arrays, the
+    joiners added, the free rows dropped.  The per-row scalars are the
+    columns of one (P, 9) array: best_slack, thresh (best_slack + gap),
+    gap, tau0, feas_tol, floor, start, last and cap.
     """
 
     def __init__(self):
-        self.rows, self.joining, self.vacated, self.idle, self.tick = [], [], [], {}, 0.0
+        self.rows, self.joining, self.vacated, self.tick = [], [], [], 0.0
         self.square_limit = _square_limit(TOLERANCE)
 
     def _settle(self):
-        """Put the joiners into idle rows of their K, or regroup."""
-        vacated, self.vacated, waiting = self.vacated, [], []
-        for r in vacated:
-            self.idle[self.ks[r]].append(r)
-        for row in self.joining:
-            slots = self.idle.get(row.k)
-            if slots:
-                self._put(slots.pop(), row)
-            else:
-                waiting.append(row)
-        self.joining = waiting
-        if waiting or 2 * sum(map(len, self.idle.values())) > len(self.rows):
+        """Seat the joiners in free rows, or regroup."""
+        self.vacated = []
+        free = [r for r, row in enumerate(self.rows) if row is None]
+        if (len(free) < len(self.joining) or 2 * (len(free) - len(self.joining)) > len(self.rows)
+                or any(row.k > self.k_cap for row in self.joining)):
             self._regroup()
             return
-        for r in vacated:
-            if self.rows[r] is None:
+        joining, self.joining = self.joining, []
+        for row in joining:
+            r = next((r for r in free if self.ks[r] == row.k), None)
+            if r is None:
+                r = self._move(free[0], row.k)
+                free = [r for r, row in enumerate(self.rows) if row is None]
+            free.remove(r)
+            self._put(r, row)
+        for r in free:
+            if self.alive[r]:
                 self._idle(r)
+
+    def _move(self, r, k):
+        """Move the free row r to the end of K's block, shifting the rows
+        between by one; returns its new index."""
+        ks, alive = self.ks, self.alive[r]
+        t = sum(1 for q, kq in enumerate(ks) if kq <= k and q != r)
+        if t != r:
+            # the rows from r's neighbour to t take one place toward r
+            dst, src = ((slice(r, t), slice(r + 1, t + 1)) if t > r
+                        else (slice(t + 1, r + 1), slice(t, r)))
+            for arr in (self.theta2, self.scalars, self.psi, self.targets, self.prices,
+                        self.coeffs[self.parity ^ 1], self.best, self.alive):
+                arr[dst] = arr[src].copy()
+            self.rows[dst] = self.rows[src]
+            ks[dst] = ks[src]
+            self.rows[t], self.alive[t] = None, alive
+        ks[t] = k
+        # the row's columns past its new K are padding
+        self.psi[t, k:], self.targets[t, k:], self.prices[t, k:] = 0.0, -math.inf, 0.0
+        self._blocks()
+        return t
+
+    def _blocks(self):
+        """Each block's views: theta2, prices, v, coefficients, w."""
+        self.blocks, ks, lo = [], self.ks, 0
+        while lo < len(ks):
+            k, hi = ks[lo], lo + 1
+            while hi < len(ks) and ks[hi] == k:
+                hi += 1
+            self.blocks.append((self.theta2[lo:hi, :k], self.cprices[lo:hi, :, :k], self.v[lo:hi],
+                                tuple(c[lo:hi].transpose(0, 2, 1) for c in self.coeffs),
+                                self.w[lo:hi, :k]))
+            lo = hi
 
     def _idle(self, r):
         """Leave row r with nothing to improve, stall, cap or collapse: a
         zero ``theta2`` makes its coefficients 1.0, which its previous ones
         are set to, so the row counts as converged at every step."""
         k = self.ks[r]
-        lo, theta2 = self.block_of[r]
-        theta2[r - lo] = 0.0
-        self.levels[r, :, :k] = ((0.0,) * k, (1.0,) * k)
+        self.theta2[r] = 0.0
+        self.psi[r, :k], self.targets[r, :k] = 0.0, 1.0
         self.scalars[r] = (math.inf, math.inf, 0.0, 1.0, 0.0, math.inf, 0.0, math.inf, math.inf)
         self.coeffs[self.parity ^ 1][r] = 1.0
         self.alive[r] = False
@@ -387,13 +430,12 @@ class _SgdBatch:
 
     def _put(self, r, row):
         """Write the joining ``row``'s state into row r."""
-        lo, theta2 = self.block_of[r]
-        theta2[r - lo] = row.theta2
-        self.cprices[r, 0, :row.k] = row.prices
-        self.levels[r, :, :row.k] = row.levels
+        self.theta2[r, :row.k] = row.theta2
+        self.prices[r, :row.k] = 1.0
+        self.psi[r, :row.k], self.targets[r, :row.k] = row.levels
         self.scalars[r] = row.scalars
-        self.coeffs[self.parity ^ 1][r] = row.prev
-        self.best[r] = row.best
+        self.coeffs[self.parity ^ 1][r, 0] = row.prev
+        self.best[r, 0] = row.best
         self.idle_rows -= not self.alive[r]
         self.alive[r] = True
         self.rows[r] = row
@@ -402,59 +444,62 @@ class _SgdBatch:
         self.restoring = self.restoring or floor == 0.0
 
     def _regroup(self):
-        rows = self.rows
-        if rows:
-            prices = self.cprices.real[:, 0].tolist()
-            for row, prev, best, row_prices, scalars in zip(
-                    rows, self.coeffs[self.parity ^ 1], self.best, prices, self.scalars.tolist()):
-                if row is not None:
-                    row.prev, row.best, row.scalars = prev, best, scalars
-                    row.prices = row_prices[:row.k]
-        rows = sorted([row for row in rows if row is not None] + self.joining,
-                      key=lambda row: row.k)
-        self.rows, self.joining, self.idle = rows, [], {}
+        """New arrays for the live rows, gathered from the old ones, and the
+        joiners, in K order; free rows are dropped."""
+        live = [r for r, row in enumerate(self.rows) if row is not None]
+        old = [self.rows[r] for r in live] + self.joining
+        # stable, so that each K's live rows stay ahead of its joiners
+        order = sorted(range(len(old)), key=lambda j: old[j].k)
+        rows = [old[j] for j in order]
+        self.rows, self.joining, self.vacated = rows, [], []
         if not rows:
             return
-        p, n, k_max = len(rows), rows[-1].theta2.shape[1], rows[-1].k
-        self.scalars = np.array([row.scalars for row in rows])
+        p, n, m = len(rows), rows[0].theta2.shape[1], len(live)
+        k_cap = max(rows[-1].k, self.k_cap if m else 0)
+        # the new row of each live row, then of each joiner
+        where = np.empty(p, dtype=int)
+        where[order] = np.arange(p)
+        theta2 = np.zeros((p, k_cap, n), dtype=complex)
+        scalars = np.empty((p, 9))
+        psi, targets, prices = np.zeros((3, p, k_cap))
+        targets[:] = -math.inf
+        prev, best = np.empty((p, 1, n), dtype=complex), np.empty((p, 1, n))
+        if m:
+            moved, width = where[:m], self.k_cap
+            theta2[moved, :width] = self.theta2[live]
+            scalars[moved] = self.scalars[live]
+            psi[moved, :width] = self.psi[live]
+            targets[moved, :width] = self.targets[live]
+            prices[moved, :width] = self.prices[live]
+            prev[moved] = self.coeffs[self.parity ^ 1][live]
+            best[moved] = self.best[live]
+        self.theta2, self.k_cap, self.ks = theta2, k_cap, [row.k for row in rows]
+        self.scalars, self.psi, self.targets, self.prices = scalars, psi, targets, prices
+        # the prices as the complex operands the products take, imaginary parts +0.0
+        self.cprices, self.best = np.zeros((p, 1, k_cap), dtype=complex), best
         (self.best_slack, self.thresh, self.gap, self.tau0, self.feas_tol, self.floor,
-         self.start, self.last, self.cap) = self.scalars.T
-        pads = [(k_max - row.k) for row in rows]
-        self.levels = np.array([[psi + [0.0] * pad, targets + [-math.inf] * pad]
-                                for (psi, targets), pad in zip((row.levels for row in rows), pads)])
-        self.cprices = np.array([[row.prices + [0.0] * pad] for row, pad in zip(rows, pads)],
-                                dtype=complex)
+         self.start, self.last, self.cap) = scalars.T
+        self.coeffs = (prev, np.empty((p, 1, n), dtype=complex))
+        self.parity = 1  # coeffs[parity] takes this step's coefficients
+        self.alive = np.ones(p, dtype=bool)
+        self.idle_rows, self.next_due, self.restoring = 0, math.inf, False
+        for r, row in zip(where[m:].tolist(), old[m:]):
+            self._put(r, row)
         self.restoring = bool((self.floor == 0.0).any())
         self.next_due = self._next_due()
-
-        self.coeffs = (np.array([row.prev for row in rows]), np.empty((p, 1, n), dtype=complex))
-        self.parity = 1  # coeffs[parity] takes this step's coefficients
-        self.best = np.array([row.best for row in rows])
-        self.alive = np.ones(p, dtype=bool)
-        self.idle_rows = 0
         # exp's argument: real part +0.0 throughout, imaginary part 0.0 - a
         v, z, d = np.zeros((3, p, 1, n), dtype=complex)
         a, zeros = np.zeros((2, p, 1, n))
-        w = np.zeros((p, k_max, 1), dtype=complex)
+        w = np.zeros((p, k_cap, 1), dtype=complex)
+        self.v, self.w = v, w
         worst, its, steps, moved_im, priced = np.empty((5, p))
         moved = np.empty((p, 1, 1))
         improved, converged = np.empty((2, p), dtype=bool)
-        prices = self.cprices.real[:, 0]
-        blocks, self.block_of, self.ks, lo = [], [], [], 0
-        while lo < p:
-            k = rows[lo].k
-            hi = lo + sum(1 for row in rows[lo:] if row.k == k)
-            theta2 = np.array([row.theta2 for row in rows[lo:hi]])
-            blocks.append((theta2, self.cprices[lo:hi, :, :k], v[lo:hi],
-                           tuple(c[lo:hi].transpose(0, 2, 1) for c in self.coeffs), w[lo:hi, :k]))
-            self.block_of += [(lo, theta2)] * (hi - lo)
-            self.ks += [k] * (hi - lo)
-            self.idle[k] = []
-            lo = hi
+        self._blocks()
         self.views = (
-            blocks, v, v.real, v.imag, a, zeros, z, z.imag, w.real[:, :, 0], self.levels[:, 0],
-            self.levels[:, 1], np.empty((p, k_max)), worst, improved, improved[:, None, None],
-            its, steps, steps[:, None], prices, np.ones(k_max), priced, d, d.real,
+            self.cprices.real[:, 0], v, v.real, v.imag, a, zeros, z, z.imag, w.real[:, :, 0], psi,
+            targets, np.empty((p, k_cap)), worst, improved, improved[:, None, None],
+            its, steps, steps[:, None], prices, np.ones(k_cap), priced, d, d.real,
             d.real.transpose(0, 2, 1), d.imag, d.imag.transpose(0, 2, 1), moved,
             moved_im[:, None, None], moved[:, 0, 0], converged,
         )
@@ -465,19 +510,21 @@ class _SgdBatch:
         has one, is vacated as at an exit."""
         if self.joining:
             row = self.joining.pop()
-            prices, scalars, prev, best = row.prices, row.scalars, row.prev, row.best
+            levels, prices, scalars = row.levels, [1.0] * row.k, row.scalars
+            prev, best = row.prev, row.best
         else:
             r = next(r for r, row in enumerate(self.rows) if row is not None)
             row, self.rows[r] = self.rows[r], None
             self.vacated.append(r)
-            prices = self.cprices.real[r, 0, :row.k].tolist()
+            levels = np.array((self.psi[r, :row.k], self.targets[r, :row.k]))
+            prices = self.prices[r, :row.k].tolist()
             scalars = self.scalars[r].tolist()
-            prev, best = self.coeffs[self.parity ^ 1][r], self.best[r]
+            prev, best = self.coeffs[self.parity ^ 1][r, 0], self.best[r, 0]
         best_slack, thresh, gap, tau0, feas_tol, floor, start, last, cap = scalars
         return row.token, (
-            row.theta2, list(zip(*row.levels)), prices, best_slack, thresh, gap, tau0, feas_tol,
-            floor, int(self.tick - start), int(self.tick - last), int(cap - start), prev[0].copy(),
-            -best[0])
+            row.theta2, list(zip(*levels.tolist())), prices, best_slack, thresh, gap, tau0,
+            feas_tol, floor, int(self.tick - start), int(self.tick - last), int(cap - start),
+            prev.copy(), -best)
 
     def _next_due(self):
         """The first tick at which a row may stall out or reach its cap."""
@@ -492,39 +539,42 @@ class _SgdBatch:
         self.tick += 1.0
         tick, parity = self.tick, self.parity
         coeff, prev = self.coeffs[parity], self.coeffs[parity ^ 1]
-        (blocks, v, v_re, v_im, a, zeros, z, z_im, w_re, psi, targets, slacks, worst, improved,
-         improved_rows, its, steps, steps_col, prices, ones, priced, d, d_re, d_re_t, d_im,
-         d_im_t, moved, moved_im, moved_sq, converged) = self.views
+        blocks = self.blocks
+        (cprices_re, v, v_re, v_im, a, zeros, z, z_im, w_re, psi, targets, slacks, worst,
+         improved, improved_rows, its, steps, steps_col, prices, ones, priced, d, d_re, d_re_t,
+         d_im, d_im_t, moved, moved_im, moved_sq, converged) = self.views
+        cprices_re[...] = prices
+        # ufuncs take their output positionally, which skips the keyword's parsing
         for theta2, cprices, v_rows, _, _ in blocks:
             np.matmul(cprices, theta2, out=v_rows)
-        np.arctan2(v_im, v_re, out=a)
-        np.subtract(zeros, a, out=z_im)
-        np.exp(z, out=coeff)
+        np.arctan2(v_im, v_re, a)
+        np.subtract(zeros, a, z_im)
+        np.exp(z, coeff)
         for theta2, _, _, coeff_cols, w_rows in blocks:
             np.matmul(theta2, coeff_cols[parity], out=w_rows)
-        np.subtract(w_re, psi, out=slacks)
-        np.subtract(slacks, targets, out=slacks)
+        np.subtract(w_re, psi, slacks)
+        np.subtract(slacks, targets, slacks)
         np.minimum.reduce(slacks, axis=1, out=worst)
-        np.greater(worst, self.thresh, out=improved)
+        np.greater(worst, self.thresh, improved)
         restored = None
         if np.count_nonzero(improved):
             np.copyto(self.best_slack, worst, where=improved)
-            np.add(self.best_slack, self.gap, out=self.thresh)
+            np.add(self.best_slack, self.gap, self.thresh)
             np.copyto(self.best, a, where=improved_rows)
             np.copyto(self.last, tick, where=improved)
             if self.restoring:
                 restored = improved & (worst >= self.floor)
-        np.subtract(tick, self.start, out=its)
-        np.sqrt(its, out=steps)
-        np.divide(self.tau0, steps, out=steps)
-        np.multiply(steps_col, slacks, out=slacks)
-        np.subtract(prices, slacks, out=slacks)
+        np.subtract(tick, self.start, its)
+        np.sqrt(its, steps)
+        np.divide(self.tau0, steps, steps)
+        np.multiply(steps_col, slacks, slacks)
+        np.subtract(prices, slacks, slacks)
         np.maximum(0.0, slacks, out=prices)
-        np.subtract(coeff, prev, out=d)
+        np.subtract(coeff, prev, d)
         np.matmul(d_re, d_re_t, out=moved)
         np.matmul(d_im, d_im_t, out=moved_im)
-        np.add(moved, moved_im, out=moved)
-        np.less_equal(moved_sq, self.square_limit, out=converged)
+        np.add(moved, moved_im, moved)
+        np.less_equal(moved_sq, self.square_limit, converged)
         # prices are >= 0, so a row's sum is 0.0 exactly when all are: collapsed
         np.matmul(prices, ones, out=priced)
         self.parity = parity ^ 1
@@ -540,7 +590,7 @@ class _SgdBatch:
             timed_out |= restored
         self.next_due = self._next_due()
         done = []
-        for r in np.flatnonzero(exited).tolist():
+        for r in exited.nonzero()[0].tolist():
             # a restoration's exit is no convergence; a collapse alone ends
             # the loop at the next step's check
             conv = bool(converged[r]) and not (restored is not None and restored[r])
@@ -566,7 +616,7 @@ class _SgdPool:
     (``tests/test_phase_opt.py`` guards both on the host's BLAS).  A
     problem leaves on the step it exits; one added between steps joins at
     the next.  The only problem in the pool can also leave between steps
-    (``leave``) and finish in ``_sgd_loop``.
+    (``leave``) and finish alone (``finish``).
     """
 
     def __init__(self):
@@ -590,6 +640,29 @@ class _SgdPool:
             if batch.joining or any(row is not None for row in batch.rows):
                 return batch.leave()
         raise ValueError("the pool holds no problem")
+
+    def finish(self):
+        """Take the pool's only problem out and finish it alone: its token
+        and its ``SgdResult``, bit for bit the pool's.  A problem that has
+        taken no step yet is ``sgd_solve``'s, from its stage's constants;
+        one in flight resumes in ``_sgd_loop`` from where it left."""
+        for batch in self._batches.values():
+            if batch.joining:
+                row = batch.joining.pop()
+                surr, targets, max_iters, constants = row.problem
+                # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
+                return row.token, sgd_solve(surr, targets, max_iters, constants=constants)
+        token, state = self.leave()
+        return token, _sgd_loop(*state)
+
+    def drop(self, gone):
+        """Remove every problem whose token ``gone(token)`` is true."""
+        for batch in self._batches.values():
+            batch.joining = [row for row in batch.joining if not gone(row.token)]
+            for r, row in enumerate(batch.rows):
+                if row is not None and gone(row.token):
+                    batch.rows[r] = None
+                    batch.vacated.append(r)
 
     def step(self):
         """One step of every problem in the pool; returns (token, SgdResult)
@@ -632,11 +705,11 @@ def sca_phase_optimize(vectors, targets, anchor) -> ScaResult:
     candidate's surrogate is the next pass's.  A restoration (an anchor
     short of its targets by more than the tolerance) stops at the first
     incumbent that meets every target.  The loop is ``_sca_steps``, each of
-    its SGD problems solved by ``sgd_solve``.
+    its SGD problems solved by ``sgd_solve`` from the stage's constants.
     """
     # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
     return _drive(_sca_steps(vectors, targets, anchor),
-                  lambda surr, targets, _: sgd_solve(surr, targets))
+                  lambda surr, targets, constants: sgd_solve(surr, targets, constants=constants))
 
 
 def _sca_steps(vectors, targets, anchor):
@@ -644,8 +717,10 @@ def _sca_steps(vectors, targets, anchor):
     (surrogate, targets, constants), takes its ``SgdResult``, returns the
     ``ScaResult``.  The stage checks its input and computes the
     ``_sgd_constants`` of its rows and targets once; every problem it
-    yields shares them."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    yields shares them.  A candidate's slack and movement need only its
+    products with the rows, so its surrogate rows are built only when the
+    next problem starts from it: one ``theta`` per problem yielded."""
+    vectors = _complex_rows(vectors)
     targets = np.asarray(targets, dtype=float).reshape(-1)
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
     if vectors.shape[0] != targets.shape[0]:
@@ -673,17 +748,26 @@ def _sca_steps(vectors, targets, anchor):
     restoring = best_slack < -tol
 
     outer = 0
+    product = _product(vectors.shape[1])
+    kept = surr.anchor
     for outer in range(1, MAX_OUTER + 1):
-        cand = (yield surr, targets, constants).phases
-        cand_surr = surrogate(vectors, cand.angles)
-        cand_slack = float((cand_surr.psi - targets).min())
-        # PhaseVector.distance on the coefficients both surrogates keep
-        moved = float(np.linalg.norm(cand_surr.coefficients - surr.coefficients))
+        angles = (yield surr, targets, constants).phases.angles
+        # ``surrogate(vectors, angles)``'s products, its rows left unbuilt
+        coefficients = np.exp(1j * angles)
+        w = product(vectors, coefficients)
+        psi = np.abs(w) ** 2
+        cand_slack = float((psi - targets).min())
+        # PhaseVector.distance, np.linalg.norm's own formula without its wrapper
+        d = coefficients - surr.coefficients
+        moved = math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))
         improvement = cand_slack - best_slack
         if improvement > 0:
-            surr, best_slack = cand_surr, cand_slack
+            best_slack, kept = cand_slack, angles.copy()
         if (strict_start or moved <= TOLERANCE or improvement <= tol
                 or (restoring and best_slack >= 0.0)):
             break
+        # improvement > tol > 0: the candidate is the next problem's anchor
+        surr = Surrogate(theta=w.conj()[:, None] * vectors, psi=psi, anchor=kept,
+                         vectors=vectors, coefficients=coefficients)
 
-    return ScaResult(phases=PhaseVector(surr.anchor), outer_iterations=outer)
+    return ScaResult(phases=PhaseVector(kept), outer_iterations=outer)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzirs import bcs, phase_opt
+from thzirs import allocation, bcs, phase_opt
 from thzirs.bcs import (
     Solution,
     admissible_y_span,
@@ -551,8 +551,8 @@ def test_repair_stops_at_the_first_iterate_that_meets_its_targets(monkeypatch):
 
     solves = []
 
-    def recorded(surr, targets, max_iters=500, _original=phase_opt.sgd_solve):
-        result = _original(surr, targets, max_iters)
+    def recorded(surr, targets, max_iters=500, constants=None, _original=phase_opt.sgd_solve):
+        result = _original(surr, targets, max_iters, constants)
         solves.append((surr, targets, result))
         return result
 
@@ -813,29 +813,40 @@ def test_a_failed_start_pass_starts_each_point_alone(monkeypatch):
 
 
 def test_the_last_unsolved_point_leaves_the_pool(monkeypatch):
-    # the only unsolved point, none able to join it, takes its SGD problems
-    # to the lone loop; answers match the one-at-a-time search
-    calls = []
+    # the only unsolved flight, the anchor's too, none able to join it, has
+    # one way out of the pool: _SgdPool.finish takes each of its problems
+    # out and finishes it alone, in phase_opt.sgd_solve from its stage's
+    # constants before its first pool step, in the lone loop after; answers
+    # match the one-at-a-time search
+    finished, solved, resumed = [], [], []
+    finish, leave = phase_opt._SgdPool.finish, phase_opt._SgdPool.leave
 
-    def counted(surr, targets, max_iters=500, _original=phase_opt.sgd_solve):
-        calls.append(surr)
-        return _original(surr, targets, max_iters)
+    def counted(surr, targets, max_iters=500, constants=None, _original=phase_opt.sgd_solve):
+        assert constants is not None
+        solved.append(surr)
+        return _original(surr, targets, max_iters, constants)
 
-    handed_off = 0
+    def counted_finish(pool):
+        finished.append(pool)
+        return finish(pool)
+
+    def counted_leave(pool):
+        resumed.append(pool)
+        return leave(pool)
+
     for seed in (6, 68, 70, 248):
         scene, n, floor = small_case(seed)
         args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
         want, _, _ = _traced_search(monkeypatch, 1, args)
         monkeypatch.setattr(phase_opt, "sgd_solve", counted)
-        calls.clear()
-        # the min-distance anchor solves its phase stages alone in any search
-        baseline_mini_dis(*args[:7])
-        anchor = len(calls)
+        monkeypatch.setattr(phase_opt._SgdPool, "finish", counted_finish)
+        monkeypatch.setattr(phase_opt._SgdPool, "leave", counted_leave)
         res, _, _ = _traced_search(monkeypatch, bcs.LOOKAHEAD_POINTS, args)
-        handed_off += len(calls) - 2 * anchor
         assert_same_bits(res.solution, want.solution)
+        assert_same_bits(res.anchor, want.anchor)
         assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
-    assert handed_off > 0
+    # every problem out of the look-ahead's pool went through finish
+    assert solved and resumed and len(finished) == len(solved) + len(resumed)
 
 
 def test_a_lone_row_leaves_the_pool_mid_solve(monkeypatch):
@@ -868,6 +879,93 @@ def test_a_lone_row_leaves_the_pool_mid_solve(monkeypatch):
     assert live_counts and min(live_counts) >= 2
     # problems left the pool after some of their steps
     assert len(left) >= 2 and min(left) > 0
+
+
+def test_the_anchor_flies_with_the_first_lattice_points(monkeypatch):
+    # the min-distance anchor is the look-ahead's first flight: its phase
+    # stages share pool steps with the first lattice points, none goes to
+    # sca_phase_optimize, and its Solution is baseline_mini_dis's bit for
+    # bit; a point whose bound falls below the best held is dropped, and
+    # the loop never claims it
+    shared, lone_stages, dropped = [], [], []
+    claim, step, drop = bcs._Lookahead.claim, phase_opt._SgdPool.step, phase_opt._SgdPool.drop
+    claiming = [None]
+
+    def claimed(ahead, placement):
+        claiming[0] = placement
+        return claim(ahead, placement)
+
+    def counted_step(pool):
+        if claiming[0] is anchor_placement:
+            shared.append(sum(len(batch.joining) + sum(row is not None for row in batch.rows)
+                              for batch in pool._batches.values()))
+        return step(pool)
+
+    def counted_drop(pool, gone):
+        dropped.append(pool)
+        return drop(pool, gone)
+
+    def stage(rows, targets, anchor, _original=bcs.sca_phase_optimize):
+        lone_stages.append(rows)
+        return _original(rows, targets, anchor)
+
+    searched = 0
+    for seed in range(40):
+        scene, n, floor = small_case(seed)
+        args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+        want = baseline_mini_dis(*args[:7])
+        anchor_placement = want.placement
+        monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
+        monkeypatch.setattr(bcs._Lookahead, "claim", claimed)
+        monkeypatch.setattr(phase_opt._SgdPool, "step", counted_step)
+        monkeypatch.setattr(phase_opt._SgdPool, "drop", counted_drop)
+        monkeypatch.setattr(bcs, "sca_phase_optimize", stage)
+        monkeypatch.setattr(bcs, "_min_distance_placement", lambda *_: anchor_placement)
+        res = bcs_solve(*args)
+        monkeypatch.undo()
+        assert_same_bits(res.anchor, want)
+        assert res.anchor.placement is anchor_placement
+        assert_same_bits(res.solution, full_sweep_bcs(*args).solution)
+        searched += 1
+    assert searched == 40 and not lone_stages
+    assert shared and max(shared) > 2 and dropped
+
+
+def test_lookahead_census_of_per_problem_work(monkeypatch):
+    # on look-ahead searches each pooled SGD problem builds its surrogate
+    # rows once, each phase stage computes its SGD constants once, and each
+    # inner solve and lattice pass sets its allocation plan up once; no
+    # allocation call repeats the set-up
+    counts = {}
+
+    def count(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(phase_opt, "Surrogate", "surrogate rows")
+    count(phase_opt._SgdPool, "add", "pooled problems")
+    count(bcs, "_sca_steps", "stages")
+    count(phase_opt, "_sgd_constants", "constants")
+    count(allocation, "_rate_floors", "allocation set-ups")
+    count(bcs, "_inner_steps", "inner solves")
+    count(bcs, "_cold_starts", "start passes")
+    count(bcs, "_lattice_scores", "lattice passes")
+    count(bcs, "solve_allocation", "allocations")
+    monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
+    for seed in (6, 68, 70, 248, 310):
+        scene, n, floor = small_case(seed)
+        bcs_solve(scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+    assert counts["surrogate rows"] == counts["pooled problems"] > counts["stages"]
+    assert counts["constants"] == counts["stages"]
+    assert counts["allocation set-ups"] == (counts["inner solves"] + counts["start passes"]
+                                            + counts["lattice passes"])
+    # so the allocations the rounds make set nothing up
+    assert counts["allocations"] > 0
 
 
 def test_a_start_pass_takes_only_points_the_rule_may_admit(monkeypatch):

@@ -647,6 +647,54 @@ def test_sca_moves_by_the_phase_distance():
         assert moved == PhaseVector(b).distance(pa.anchor), case
 
 
+def test_a_joiner_of_another_k_takes_a_moved_row(monkeypatch):
+    """Every problem that exits is followed by one of another K, so each
+    joiner finds no free row of its K: it takes a free row moved to its K's
+    block, and the batch regroups only where the rule allows, at its first
+    step and once free rows outnumber live ones.  Every result is
+    ``sgd_solve``'s bit for bit, and the blocks stay one per K."""
+    rng = np.random.default_rng(41)
+    regroups, moves, blocks = [], [], []
+    regroup, move = phase_opt._SgdBatch._regroup, phase_opt._SgdBatch._move
+
+    def counted_regroup(batch):
+        free = sum(row is None for row in batch.rows) - len(batch.joining)
+        regroups.append("build" if not batch.rows else
+                        "compact" if 2 * free > len(batch.rows) else "other")
+        regroup(batch)
+
+    def counted_move(batch, r, k):
+        moves.append(k)
+        t = move(batch, r, k)
+        blocks.append(len(batch.blocks) == len(set(batch.ks)))
+        return t
+
+    monkeypatch.setattr(phase_opt._SgdBatch, "_regroup", counted_regroup)
+    monkeypatch.setattr(phase_opt._SgdBatch, "_move", counted_move)
+    kinds = ("feasible", "feasible stall", "restore", "stall")
+    problems, got, pool = [], {}, phase_opt._SgdPool()
+
+    def add(k):
+        problems.append((*_sgd_family(rng, kinds[len(problems) % 4], k, 8, 1.0), 120))
+        pool.add(len(problems) - 1, *problems[-1])
+
+    for k in (1, 2, 3, 4, 1, 2, 3, 4):
+        add(k)
+    while len(got) < len(problems):
+        for token, result in pool.step():
+            got[token] = result
+            if len(problems) < 150:
+                add(problems[token][0].theta.shape[0] % 4 + 1)
+    assert len(moves) > 100 and all(blocks)
+    # built at the first step, compacted only as the last problems drain
+    assert regroups == ["build", "compact", "compact"]
+    for i, (surr, targets, max_iters) in enumerate(problems):
+        want = sgd_solve(surr, targets, max_iters)
+        assert got[i].phases.angles.tobytes() == want.phases.angles.tobytes(), i
+        assert (got[i].iterations, got[i].converged, got[i].feasible) == (
+            want.iterations, want.converged, want.feasible), i
+
+
 @pytest.mark.parametrize("targets, match", [
     ([np.nan, 0.1], "targets must be finite"),
     ([], "one target per surrogate row"),
