@@ -50,7 +50,6 @@ from .geometry import (
     PhaseVector,
     Scene,
     _two_hop,
-    optimal_single_ue_phases,
     solve_min_total_distance,
 )
 from .phase_opt import (
@@ -170,24 +169,16 @@ class SearchResult:
     anchor: Optional[Solution] = None
 
 
-def _initial_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
-    """Matched profile for the hardest requirement at the plan's center.
-
-    The UE with the largest rate floor (ties broken toward the longest
-    path) is the one most likely to miss its floor, so the first
-    allocation starts from the profile that protects it best.
-    """
-    hardest = int(np.lexsort((_two_hop(placement.anchor_position(scene), scene)[0], rate_req))[-1])
-    lo = min(b.lo_hz for b in sub_bands)
-    hi = max(b.hi_hz for b in sub_bands)
-    return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
-
-
 def _cold_starts(scene, anchors, offsets_m, sub_bands, p_max, rate_req, absorb):
     """``_inner_steps``'s start at each of a (P, 3) stack of ``anchors``:
-    (link rows, matched profile, gains, cold allocation), each bit for bit
-    what ``effective_vector``, ``_initial_phases`` and ``solve_allocation``
-    give that point alone."""
+    (link rows, matched profile, gains, cold allocation).
+
+    The profile is matched to the UE with the largest rate floor (ties
+    broken toward the longest path) at the plan's center frequency: that UE
+    is the one most likely to miss its floor, so the first allocation starts
+    from the profile that protects it best.  Each point's start is bit for
+    bit the one this pass gives that point alone.
+    """
     vectors = _link_rows(sub_bands, anchors, offsets_m, scene, absorb)
     lengths, slope = _two_hop(anchors, scene)
     hardest = np.lexsort((lengths, np.broadcast_to(rate_req, lengths.shape)))[:, -1]
@@ -196,7 +187,7 @@ def _cold_starts(scene, anchors, offsets_m, sub_bands, p_max, rate_req, absorb):
     k = 2.0 * np.pi * (0.5 * (lo + hi)) / SPEED_OF_LIGHT
     profiles = [PhaseVector(k * s * offsets_m)
                 for s in slope[np.arange(len(anchors)), hardest].tolist()]
-    # one product per point, the lone start's own
+    # one product per point, so that a point's gains keep their bits at any P
     gains = np.array([np.abs(v @ phases.coefficients) ** 2 for v, phases in zip(vectors, profiles)])
     return list(zip(vectors, profiles, gains, _cold_allocations(gains, sub_bands, p_max, rate_req)))
 
@@ -286,23 +277,26 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
     """``inner_solve`` as a generator: yields each phase-stage request as
     (rows, targets, anchor angles, sum rate held), takes its ``ScaResult``,
     returns the ``Solution``.  The rate held is the allocation's before the
-    request, 0.0 before a feasible one; the rounds never lower it.  A
-    ``start`` from ``_cold_starts`` replaces the rows, matched profile,
-    gains and cold allocation the solve would build itself.  Every
-    allocation of the solve shares one ``_BandPlan``: its floors, budget
-    and band arrays are set up and checked once."""
+    request, 0.0 before a feasible one; the rounds never lower it.  The
+    solve starts from ``start``, its point's rows, matched profile, gains
+    and cold allocation from ``_cold_starts``; without one it runs
+    ``_cold_starts`` on its own point, and a frozen ``phases`` profile
+    takes the rows and allocation of that profile.  Every allocation of the
+    solve shares one ``_BandPlan``: its floors, budget and band arrays are
+    set up and checked once."""
     plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
     rate_req = plan.floors
     frozen = phases is not None
-    if start is not None:
-        vectors, phases, gains, alloc = start
-    else:
+    if start is None:
         absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
-        vectors = effective_vector(sub_bands, placement, scene, absorb)
-        if not frozen:
-            phases = _initial_phases(scene, placement, sub_bands, rate_req)
-        gains = np.abs(vectors @ phases.coefficients) ** 2
-        alloc = solve_allocation(gains, plan, p_max, rate_req)
+        if frozen:
+            vectors = effective_vector(sub_bands, placement, scene, absorb)
+            gains = np.abs(vectors @ phases.coefficients) ** 2
+            start = vectors, phases, gains, solve_allocation(gains, plan, p_max, rate_req)
+        else:
+            start, = _cold_starts(scene, placement.anchor_position(scene)[None],
+                                  placement.offsets_m, plan, p_max, rate_req, absorb)
+    vectors, phases, gains, alloc = start
     if not alloc.feasible and not frozen and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off.  An unmoved

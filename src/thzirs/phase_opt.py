@@ -5,14 +5,13 @@ power-and-gain scaled steering row of that link and phi the unit-modulus
 reflection coefficients.  The quadratic form is minorized by its first-order
 expansion around an anchor, and the resulting linear constraints are handled
 with a priced (multiplier-weighted) penalty whose phase update is closed form.
-A private pool steps the SGD problems of many phase stages at once, bit for
-bit the lone loop, and finishes a problem left alone in it in the lone loop,
-mid-solve if need be.
+A private pool steps the SGD problems of one width from many phase stages at
+once, bit for bit the lone loop, and finishes a problem left alone in it in
+the lone loop, mid-solve if need be.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,8 +59,7 @@ class Surrogate:
     psi: np.ndarray       # (K,) |e.phi_hat|^2
     anchor: np.ndarray    # (N,) angles
     vectors: np.ndarray   # (K, N) rows e; sgd_solve sizes its step from them
-    # (N,) phi_hat = exp(j anchor) as ``surrogate`` computes it; None to compute
-    coefficients: Optional[np.ndarray] = None
+    coefficients: np.ndarray  # (N,) phi_hat = exp(j anchor) as ``surrogate`` computes it
 
 
 def _complex_rows(vectors) -> np.ndarray:
@@ -159,7 +157,7 @@ def _sgd_start(surr: Surrogate, targets, constants=None):
     theta2 = 2.0 * surr.theta
     psi = surr.psi if np.shape(surr.psi) == (k,) else np.broadcast_to(surr.psi, (k,))
     psi = psi.tolist()
-    prev = np.exp(1j * surr.anchor) if surr.coefficients is None else surr.coefficients.copy()
+    prev = surr.coefficients.copy()
     w = _product(theta2.shape[1])(theta2, prev)
     best_slack = min([(x - p) - t for x, p, t in zip(w.real.tolist(), psi, target_levels)])
     # a restoration ends at its first improving iterate with worst slack >= 0
@@ -200,7 +198,7 @@ def _sgd_loop(theta2, levels, prices, best_slack, thresh, gap, tau0, feas_tol, f
     """``sgd_solve``'s loop from the end of iteration ``it`` to its exit.
 
     The state is a fresh problem's (``it`` = 0) or that of a problem an
-    ``_SgdPool`` hands out mid-solve (``_SgdBatch.leave``): the prices as
+    ``_SgdPool`` hands out mid-solve (``_SgdPool.leave``): the prices as
     floats, the best worst slack, the threshold ``best_slack + gap`` an
     iterate must beat, tau0, the feasibility tolerance, the restoring floor
     (0.0, or inf when not restoring), the stall count, the iteration cap,
@@ -298,7 +296,7 @@ class _SgdRow:
     Seating writes its state into a row of the pool's arrays, which hold it
     from then on; the record keeps its token, K and ``theta2``.  ``levels``
     is its (2, K) psi and target rows, ``scalars`` the columns of
-    ``_SgdBatch.scalars``; iterations count in the batch's ticks: the
+    ``_SgdPool.scalars``; iterations count in the pool's ticks: the
     problem is at iteration ``tick - start``, stalls out ``STALL_LIMIT``
     ticks after its ``last`` improvement and reaches ``max_iters`` at tick
     ``cap``.  ``prev`` is its anchor's coefficients and ``best`` the best
@@ -337,31 +335,55 @@ def _square_limit(tol):
     return m
 
 
-class _SgdBatch:
-    """The pool's problems of one width N, one row each of stacked arrays.
+class _SgdPool:
+    """``sgd_solve`` for many problems of one width N in flight at once.
 
-    Rows run in blocks of equal K, in increasing K, and each block makes its
-    two products with its (P_k, K, N) slice of the batch's (P, K_cap, N)
-    ``theta2``.  Every other step runs once over all rows, on (P, K_cap)
-    slack and price arrays: a row's unused columns hold target -inf, so
-    their slack is +inf, which no minimum takes, and their price stays 0.0,
-    which no product reads.
+    ``step`` takes every problem one step further, one row each of stacked
+    arrays.  Rows run in blocks of equal K, in increasing K, and each block
+    makes its two products with its (P_k, K, N) slice of the pool's
+    (P, K_cap, N) ``theta2``, so no padding enters a product.  Every other
+    step runs once over all rows, on (P, K_cap) slack and price arrays: a
+    row's unused columns hold target -inf, so their slack is +inf, which no
+    minimum takes, and their price stays 0.0, which no product reads.  Each
+    problem keeps its own iteration count, tau0, gap, stall count,
+    restoring flag and exits in its row, and meets ``sgd_solve``'s
+    arithmetic in its order, so its result is ``sgd_solve``'s bit for bit:
+    the stacked ``np.matmul`` products give every slice the bits of
+    ``sgd_solve``'s own product, and so does the stacked movement norm over
+    the same strided views (``tests/test_phase_opt.py`` guards both on the
+    host's BLAS).  The pool's width is its first problem's; it refuses a
+    problem of another.
 
-    A problem that exits leaves its row free for the next problem that
-    joins; until then the row idles (``_idle``) and ``alive`` keeps it out
-    of the exits.  A joiner takes a free row of its K, or else any free row,
-    moved to the end of its K's block (``_move``): the rows between shift
-    by one, so the blocks stay one per K.  Only a joiner that finds no free
-    row or outgrows K_cap, or free rows outnumbering live ones, makes the
-    next step regroup: the live rows are gathered from the arrays, the
-    joiners added, the free rows dropped.  The per-row scalars are the
-    columns of one (P, 9) array: best_slack, thresh (best_slack + gap),
-    gap, tau0, feas_tol, floor, start, last and cap.
+    A problem added between steps joins at the next and leaves on the step
+    it exits, its row free for the next problem that joins; until then the
+    row idles (``_idle``) and ``alive`` keeps it out of the exits.  A joiner
+    takes a free row of its K, or else any free row, moved to the end of its
+    K's block (``_move``): the rows between shift by one, so the blocks stay
+    one per K.  Only a joiner that finds no free row or outgrows K_cap, or
+    free rows outnumbering live ones, makes the next step regroup: the live
+    rows are gathered from the arrays, the joiners added, the free rows
+    dropped.  The per-row scalars are the columns of one (P, 9) array:
+    best_slack, thresh (best_slack + gap), gap, tau0, feas_tol, floor,
+    start, last and cap.  The only problem in the pool can also leave
+    between steps (``leave``) and finish alone (``finish``).
     """
 
     def __init__(self):
-        self.rows, self.joining, self.vacated, self.tick = [], [], [], 0.0
+        self.rows, self.joining, self.vacated, self.tick, self.n = [], [], [], 0.0, None
         self.square_limit = _square_limit(TOLERANCE)
+
+    def add(self, token, surr: Surrogate, targets, max_iters: int = 500, constants=None):
+        """Queue ``sgd_solve(surr, targets, max_iters)``, ``max_iters`` >= 1,
+        under ``token``; raises its ValueError at once, and one for a
+        problem of another width than the pool's.  ``constants``, the
+        ``_sgd_constants`` of the problem's rows and targets, skip the
+        checks."""
+        row = _SgdRow(token, surr, targets, max_iters, self.tick, constants)
+        n = row.theta2.shape[1]
+        self.n = self.n or n
+        if n != self.n:
+            raise ValueError(f"the pool holds problems of width {self.n}, not {n}")
+        self.joining.append(row)
 
     def _settle(self):
         """Seat the joiners in free rows, or regroup."""
@@ -454,7 +476,7 @@ class _SgdBatch:
         self.rows, self.joining, self.vacated = rows, [], []
         if not rows:
             return
-        p, n, m = len(rows), rows[0].theta2.shape[1], len(live)
+        p, n, m = len(rows), self.n, len(live)
         k_cap = max(rows[-1].k, self.k_cap if m else 0)
         # the new row of each live row, then of each joiner
         where = np.empty(p, dtype=int)
@@ -505,33 +527,48 @@ class _SgdBatch:
         )
 
     def leave(self):
-        """Take the batch's only problem out, joined or still joining: its
-        token and its state as ``_sgd_loop`` arguments.  Its row, if it
-        has one, is vacated as at an exit."""
+        """Take the pool's only problem, in flight, out mid-solve: returns
+        its token and the ``_sgd_loop`` arguments that finish it, bit for
+        bit the result the pool would give.  Its row is vacated as at an
+        exit."""
+        r = next(r for r, row in enumerate(self.rows) if row is not None)
+        row, self.rows[r] = self.rows[r], None
+        self.vacated.append(r)
+        levels = np.array((self.psi[r, :row.k], self.targets[r, :row.k]))
+        best_slack, thresh, gap, tau0, feas_tol, floor, start, last, cap = self.scalars[r].tolist()
+        return row.token, (
+            row.theta2, list(zip(*levels.tolist())), self.prices[r, :row.k].tolist(), best_slack,
+            thresh, gap, tau0, feas_tol, floor, int(self.tick - start), int(self.tick - last),
+            int(cap - start), self.coeffs[self.parity ^ 1][r, 0].copy(), -self.best[r, 0])
+
+    def finish(self):
+        """Take the pool's only problem out and finish it alone: its token
+        and its ``SgdResult``, bit for bit the pool's.  A problem that has
+        taken no step yet is ``sgd_solve``'s, from its stage's constants;
+        one in flight resumes in ``_sgd_loop`` from where it left."""
         if self.joining:
             row = self.joining.pop()
-            levels, prices, scalars = row.levels, [1.0] * row.k, row.scalars
-            prev, best = row.prev, row.best
-        else:
-            r = next(r for r, row in enumerate(self.rows) if row is not None)
-            row, self.rows[r] = self.rows[r], None
-            self.vacated.append(r)
-            levels = np.array((self.psi[r, :row.k], self.targets[r, :row.k]))
-            prices = self.prices[r, :row.k].tolist()
-            scalars = self.scalars[r].tolist()
-            prev, best = self.coeffs[self.parity ^ 1][r, 0], self.best[r, 0]
-        best_slack, thresh, gap, tau0, feas_tol, floor, start, last, cap = scalars
-        return row.token, (
-            row.theta2, list(zip(*levels.tolist())), prices, best_slack, thresh, gap, tau0,
-            feas_tol, floor, int(self.tick - start), int(self.tick - last), int(cap - start),
-            prev.copy(), -best)
+            surr, targets, max_iters, constants = row.problem
+            # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
+            return row.token, sgd_solve(surr, targets, max_iters, constants=constants)
+        token, state = self.leave()
+        return token, _sgd_loop(*state)
+
+    def drop(self, gone):
+        """Remove every problem whose token ``gone(token)`` is true."""
+        self.joining = [row for row in self.joining if not gone(row.token)]
+        for r, row in enumerate(self.rows):
+            if row is not None and gone(row.token):
+                self.rows[r] = None
+                self.vacated.append(r)
 
     def _next_due(self):
         """The first tick at which a row may stall out or reach its cap."""
         return float(np.minimum(self.last + STALL_LIMIT, self.cap).min())
 
     def step(self):
-        """One step of every row; returns (token, SgdResult) per exit."""
+        """One step of every problem in the pool; returns (token, SgdResult)
+        for each problem that exited, in no promised order."""
         if self.joining or self.vacated:
             self._settle()
         if not self.rows:
@@ -599,77 +636,6 @@ class _SgdBatch:
                                             conv, int(tick - self.start[r]) + late))
             self.rows[r] = None
             self.vacated.append(r)
-        return done
-
-
-class _SgdPool:
-    """``sgd_solve`` for many problems in flight at once.
-
-    ``step`` takes every problem one step further: per width N one stacked
-    product per K, so no padding enters a product, and one pass of the
-    element-wise steps.  Each problem keeps its own iteration count, tau0,
-    gap, stall count, restoring flag and exits in its row of the batch's
-    arrays, and meets ``sgd_solve``'s arithmetic in its order, so its
-    result is ``sgd_solve``'s bit for bit: the stacked ``np.matmul``
-    products give every slice the bits of ``sgd_solve``'s own product, and
-    so does the stacked movement norm over the same strided views
-    (``tests/test_phase_opt.py`` guards both on the host's BLAS).  A
-    problem leaves on the step it exits; one added between steps joins at
-    the next.  The only problem in the pool can also leave between steps
-    (``leave``) and finish alone (``finish``).
-    """
-
-    def __init__(self):
-        self._batches = {}
-
-    def add(self, token, surr: Surrogate, targets, max_iters: int = 500, constants=None):
-        """Queue ``sgd_solve(surr, targets, max_iters)``, ``max_iters`` >= 1,
-        under ``token``; raises its ValueError at once.  ``constants``, the
-        ``_sgd_constants`` of the problem's rows and targets, skip the checks."""
-        n = np.shape(surr.theta)[-1]
-        batch = self._batches.get(n)
-        if batch is None:
-            batch = self._batches[n] = _SgdBatch()
-        batch.joining.append(_SgdRow(token, surr, targets, max_iters, batch.tick, constants))
-
-    def leave(self):
-        """Take the pool's only problem out mid-solve: returns its token and
-        the ``_sgd_loop`` arguments that finish it, bit for bit the result
-        the pool would give."""
-        for batch in self._batches.values():
-            if batch.joining or any(row is not None for row in batch.rows):
-                return batch.leave()
-        raise ValueError("the pool holds no problem")
-
-    def finish(self):
-        """Take the pool's only problem out and finish it alone: its token
-        and its ``SgdResult``, bit for bit the pool's.  A problem that has
-        taken no step yet is ``sgd_solve``'s, from its stage's constants;
-        one in flight resumes in ``_sgd_loop`` from where it left."""
-        for batch in self._batches.values():
-            if batch.joining:
-                row = batch.joining.pop()
-                surr, targets, max_iters, constants = row.problem
-                # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
-                return row.token, sgd_solve(surr, targets, max_iters, constants=constants)
-        token, state = self.leave()
-        return token, _sgd_loop(*state)
-
-    def drop(self, gone):
-        """Remove every problem whose token ``gone(token)`` is true."""
-        for batch in self._batches.values():
-            batch.joining = [row for row in batch.joining if not gone(row.token)]
-            for r, row in enumerate(batch.rows):
-                if row is not None and gone(row.token):
-                    batch.rows[r] = None
-                    batch.vacated.append(r)
-
-    def step(self):
-        """One step of every problem in the pool; returns (token, SgdResult)
-        for each problem that exited, in no promised order."""
-        done = []
-        for batch in self._batches.values():
-            done += batch.step()
         return done
 
 

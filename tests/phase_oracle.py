@@ -45,10 +45,12 @@ def reference_surrogate(vectors, anchor_angles) -> Surrogate:
     """Minorant 2 Re{theta . phi} - psi <= |e . phi|^2 at the anchor."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     anchor_angles = np.asarray(anchor_angles, dtype=float).reshape(-1)
-    w = vectors @ np.exp(1j * anchor_angles)
+    phi_hat = np.exp(1j * anchor_angles)
+    w = vectors @ phi_hat
     theta = w.conj()[:, None] * vectors
     psi = np.abs(w) ** 2
-    return Surrogate(theta=theta, psi=psi, anchor=anchor_angles.copy(), vectors=vectors)
+    return Surrogate(theta=theta, psi=psi, anchor=anchor_angles.copy(), vectors=vectors,
+                     coefficients=phi_hat)
 
 
 def reference_surrogate_values(surr: Surrogate, angles) -> np.ndarray:

@@ -19,6 +19,11 @@ allocation every pass even when the phase stage handed back its anchor
 unchanged.  Wherever it ends feasible or at a fixed point, the profile the
 phase stage returns for ``bcs._repair_request``, with its gains and cold
 allocation, must be the same answer bit for bit.
+``reference_start_phases`` is the inner solve's starting profile as it
+stood before the look-ahead's batched start builder became the only one:
+the closed-form single-UE profile of ``geometry.optimal_single_ue_phases``
+for the hardest requirement at the plan's center.  ``bcs._cold_starts`` must
+give the same angles bit for bit.
 ``reference_inner_solve`` is the inner alternation as it stood before it
 learned to skip repeated work, with a one-pass repair: every round re-solves
 the allocation.  ``bcs.inner_solve`` must return the same answers bit for
@@ -35,18 +40,26 @@ from thzirs.bcs import (
     SearchResult,
     Solution,
     _ceiling_gains,
-    _initial_phases,
     _min_distance_placement,
     baseline_mini_dis,
     candidate_grid,
     inner_solve,
 )
 from thzirs.channel import _band_absorption
-from thzirs.geometry import IrsPlacement, PhaseVector
+from thzirs.geometry import IrsPlacement, PhaseVector, _two_hop, optimal_single_ue_phases
 from thzirs.phase_opt import effective_vector, sca_phase_optimize
 
 # repair passes the reference makes at most
 MAX_REPAIRS = 4
+
+
+def reference_start_phases(scene, placement, sub_bands, rate_req) -> PhaseVector:
+    """Matched profile for the hardest requirement at the plan's center:
+    the UE with the largest rate floor, ties broken toward the longest path."""
+    hardest = int(np.lexsort((_two_hop(placement.anchor_position(scene), scene)[0], rate_req))[-1])
+    lo = min(b.lo_hz for b in sub_bands)
+    hi = max(b.hi_hz for b in sub_bands)
+    return optimal_single_ue_phases(0.5 * (lo + hi), placement, scene, hardest)
 
 
 def lattice_placements(scene, element_count, spacing_m, grid_step_x, grid_step_y):
@@ -147,7 +160,7 @@ def reference_inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
     ).copy()
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     vectors = effective_vector(sub_bands, placement, scene, absorb)
-    phases = _initial_phases(scene, placement, sub_bands, rate_req)
+    phases = reference_start_phases(scene, placement, sub_bands, rate_req)
 
     gains = np.abs(vectors @ phases.coefficients) ** 2
     alloc = solve_allocation(gains, sub_bands, p_max, rate_req)

@@ -37,6 +37,7 @@ from search_oracle import (
     lattice_placements,
     reference_inner_solve,
     reference_repair_feasibility,
+    reference_start_phases,
 )
 
 MU = 0.013869106058060476  # 23 C, 1013.25 hPa, 50 % RH
@@ -157,7 +158,7 @@ def test_phase_stage_repairs_a_bad_start(monkeypatch):
     assert_zero_verdict(frozen)
 
     # the same profile as the solver's own start is repaired
-    monkeypatch.setattr(bcs, "_initial_phases", lambda *args: bad)
+    monkeypatch.setattr(bcs, "PhaseVector", lambda angles: bad)
     repaired = inner_solve(scene, placement, [band], 1.0, floor, MU)
     assert repaired.feasible
     assert float(repaired.rates[0]) >= floor * (1 - 1e-9)
@@ -458,14 +459,19 @@ def small_case(seed):
     return Scene(4.0, 3.0, 3.0, (0.0, 0.0, 2.0), ues), n, floor
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of ``name`` from the library search and from its oracle."""
+def _count_calls(monkeypatch, *names):
+    """Count the calls of ``names`` from the library search and from its
+    oracle, each module's calls of the names it holds."""
     calls = {"library": 0, "reference": 0}
     for module, key in ((bcs, "library"), (search_oracle, "reference")):
-        def counted(*args, _original=getattr(module, name), _key=key, **kwargs):
-            calls[_key] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        for name in names:
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _original=getattr(module, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -489,7 +495,7 @@ def test_one_repair_pass_loses_no_rescue(monkeypatch):
         placement = lattice_placements(scene, n, 0.005, 1.0, 1.0)[0]
         rate_req = np.full(scene.ue_count, floor)
         vectors = effective_vector(SMALL_BANDS, placement, scene, absorb)
-        phases = bcs._initial_phases(scene, placement, SMALL_BANDS, rate_req)
+        phases = reference_start_phases(scene, placement, SMALL_BANDS, rate_req)
         gains = np.abs(vectors @ phases.coefficients) ** 2
         if solve_allocation(gains, SMALL_BANDS, 1.0, rate_req).feasible:
             continue
@@ -524,8 +530,9 @@ def test_one_repair_pass_loses_no_rescue(monkeypatch):
 def test_inner_solve_skips_only_work_that_repeats(monkeypatch):
     # rounds whose phase stage hands back its anchor reuse their allocation,
     # and so does a repair that hands back its start; the reference
-    # re-solves every round
-    calls = _count_calls(monkeypatch, "solve_allocation")
+    # re-solves every round.  The library's cold allocation comes from its
+    # start builder, the rounds' from solve_allocation: both are counted
+    calls = _count_calls(monkeypatch, "solve_allocation", "_cold_allocations")
     solved = 0
     for seed in range(24):
         scene, n, floor = small_case(seed)
@@ -545,7 +552,7 @@ def test_repair_stops_at_the_first_iterate_that_meets_its_targets(monkeypatch):
     rate_req = np.full(scene.ue_count, floor)
     absorb = _band_absorption(tuple(b.center_hz for b in SMALL_BANDS), MU)
     vectors = effective_vector(SMALL_BANDS, placement, scene, absorb)
-    start = bcs._initial_phases(scene, placement, SMALL_BANDS, rate_req)
+    start = reference_start_phases(scene, placement, SMALL_BANDS, rate_req)
     gains = np.abs(vectors @ start.coefficients) ** 2
     assert not solve_allocation(gains, SMALL_BANDS, 1.0, rate_req).feasible
 
@@ -721,7 +728,7 @@ def test_batched_starts_match_the_lone_starts():
             for (x, y), (vectors, phases, gains, alloc) in zip(points.tolist(), starts):
                 placement = IrsPlacement(x, y, n, 0.005)
                 lone_vectors = effective_vector(SMALL_BANDS, placement, scene, absorb)
-                lone_phases = bcs._initial_phases(scene, placement, SMALL_BANDS, rate_req)
+                lone_phases = reference_start_phases(scene, placement, SMALL_BANDS, rate_req)
                 lone_gains = np.abs(lone_vectors @ lone_phases.coefficients) ** 2
                 assert vectors.tobytes() == lone_vectors.tobytes()
                 assert phases.angles.tobytes() == lone_phases.angles.tobytes()
@@ -775,39 +782,42 @@ def test_a_failed_start_pass_starts_each_point_alone(monkeypatch):
     args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
     gate = {"LOOKAHEAD_MIN_OPEN": 0}
     want_calls, want = _claims(monkeypatch, args, **gate)
-    passes, starts = [], []
-    steps = bcs._inner_steps
+    passes, starts = [], {}
+    steps, cold_starts = bcs._inner_steps, bcs._cold_starts
 
-    def broken(scene, anchors, *rest):
-        passes.append(anchors.tolist())
-        raise ValueError("start pass")
+    def broken_at(bad):
+        # a lone start is a start pass of one point: only wider passes
+        # break, and a lone start at ``bad``
+        def broken(scene, anchors, *rest):
+            if len(anchors) > 1:
+                passes.append(anchors.tolist())
+                raise ValueError("start pass")
+            if tuple(anchors[0, :2].tolist()) == bad:
+                raise ValueError("bad point")
+            return cold_starts(scene, anchors, *rest)
+        return broken
 
     def begun(scene, placement, *rest):
-        starts.append(rest[-1])
+        starts.setdefault((placement.x_m, placement.y_m), []).append(rest[-1])
         return steps(scene, placement, *rest)
 
-    calls, res = _claims(monkeypatch, args, _cold_starts=broken, _inner_steps=begun, **gate)
+    calls, res = _claims(monkeypatch, args, _cold_starts=broken_at(None), _inner_steps=begun,
+                         **gate)
     assert calls == want_calls
     assert_same_bits(res.solution, want.solution)
     assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
-    assert all(start is None for start in starts)
-    # one pass for each chunk of LOOKAHEAD_POINTS points, none tried twice
-    tried = [tuple(anchor) for chunk in passes for anchor in chunk]
-    assert len(passes) > 1 and len(set(tried)) == len(tried) >= len(starts) - 1
+    # one pass for each chunk of LOOKAHEAD_POINTS points, none tried twice,
+    # and each point of a failed pass started once, alone
+    tried = [tuple(anchor[:2]) for chunk in passes for anchor in chunk]
+    assert len(passes) > 1 and len(set(tried)) == len(tried)
+    started = [point for point in tried if point in starts]
+    assert started and all(starts[point] == [None] for point in started)
 
     # the third lattice point claimed fails alone; the search raises there
     bad = want_calls[3]
-    lone = bcs.effective_vector
-
-    def failing(sub_bands, placement, *rest):
-        if (placement.x_m, placement.y_m) == bad:
-            raise ValueError("bad point")
-        return lone(sub_bands, placement, *rest)
-
-    want_calls, want = _claims(monkeypatch, args, effective_vector=failing,
+    want_calls, want = _claims(monkeypatch, args, _cold_starts=broken_at(bad),
                                LOOKAHEAD_MIN_OPEN=10**9)
-    calls, res = _claims(monkeypatch, args, effective_vector=failing, _cold_starts=broken,
-                         **gate)
+    calls, res = _claims(monkeypatch, args, _cold_starts=broken_at(bad), **gate)
     assert calls == want_calls == want_calls[:3] + [bad]
     assert str(res) == str(want) == "bad point"
 
@@ -857,8 +867,7 @@ def test_a_lone_row_leaves_the_pool_mid_solve(monkeypatch):
     step, leave = phase_opt._SgdPool.step, phase_opt._SgdPool.leave
 
     def counted_step(pool):
-        live_counts.append(sum(len(batch.joining) + sum(row is not None for row in batch.rows)
-                               for batch in pool._batches.values()))
+        live_counts.append(len(pool.joining) + sum(row is not None for row in pool.rows))
         return step(pool)
 
     def counted_leave(pool):
@@ -897,8 +906,7 @@ def test_the_anchor_flies_with_the_first_lattice_points(monkeypatch):
 
     def counted_step(pool):
         if claiming[0] is anchor_placement:
-            shared.append(sum(len(batch.joining) + sum(row is not None for row in batch.rows)
-                              for batch in pool._batches.values()))
+            shared.append(len(pool.joining) + sum(row is not None for row in pool.rows))
         return step(pool)
 
     def counted_drop(pool, gone):
@@ -934,8 +942,9 @@ def test_the_anchor_flies_with_the_first_lattice_points(monkeypatch):
 def test_lookahead_census_of_per_problem_work(monkeypatch):
     # on look-ahead searches each pooled SGD problem builds its surrogate
     # rows once, each phase stage computes its SGD constants once, and each
-    # inner solve and lattice pass sets its allocation plan up once; no
-    # allocation call repeats the set-up
+    # inner solve, start pass and lattice pass sets its allocation plan up
+    # once; a lone start runs on its inner solve's plan, and no allocation
+    # call repeats the set-up
     counts = {}
 
     def count(module, name, key):
@@ -953,16 +962,27 @@ def test_lookahead_census_of_per_problem_work(monkeypatch):
     count(phase_opt, "_sgd_constants", "constants")
     count(allocation, "_rate_floors", "allocation set-ups")
     count(bcs, "_inner_steps", "inner solves")
-    count(bcs, "_cold_starts", "start passes")
+    count(bcs, "_cold_starts", "cold starts")
     count(bcs, "_lattice_scores", "lattice passes")
     count(bcs, "solve_allocation", "allocations")
+    steps = bcs._inner_steps
+
+    def begun(scene, placement, sub_bands, p_max, floors, mu, phases=None, start=None):
+        # an inner solve without a start builds its own: a lone start
+        counts["lone starts"] = counts.get("lone starts", 0) + (start is None)
+        return steps(scene, placement, sub_bands, p_max, floors, mu, phases, start)
+
+    monkeypatch.setattr(bcs, "_inner_steps", begun)
     monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
     for seed in (6, 68, 70, 248, 310):
         scene, n, floor = small_case(seed)
         bcs_solve(scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
     assert counts["surrogate rows"] == counts["pooled problems"] > counts["stages"]
     assert counts["constants"] == counts["stages"]
-    assert counts["allocation set-ups"] == (counts["inner solves"] + counts["start passes"]
+    # the look-ahead's start passes of many points, apart from the lone starts
+    start_passes = counts["cold starts"] - counts["lone starts"]
+    assert counts["lone starts"] > 0 and start_passes > 0
+    assert counts["allocation set-ups"] == (counts["inner solves"] + start_passes
                                             + counts["lattice passes"])
     # so the allocations the rounds make set nothing up
     assert counts["allocations"] > 0

@@ -1,5 +1,7 @@
-"""NumPy is the only runtime dependency of the library (see pyproject.toml), and
-``import thzirs`` stays free of the modules only some entry points need."""
+"""NumPy is the only runtime dependency of the library (see pyproject.toml),
+``import thzirs`` stays free of the modules only some entry points need, and
+every private helper of the library serves the library: test oracles live
+under ``tests/``."""
 
 import ast
 import subprocess
@@ -46,3 +48,30 @@ def test_importing_the_library_loads_no_pool_or_parser_module():
     loaded = set(out.stdout.split())
     assert "thzirs" in loaded
     assert not loaded & {"multiprocessing", "concurrent.futures", "argparse"}
+
+
+def _private_definitions(tree):
+    """Each module-level private function or class of ``tree``: name -> node."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def test_library_uses_every_private_function_and_class_it_defines():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    defined = {(path, name): node for path, tree in trees.items()
+               for name, node in _private_definitions(tree).items()}
+    assert defined
+    used = set()
+    for path, tree in trees.items():
+        # a helper's own body, a recursive call say, does not count as a use
+        own = {id(inner): name for name, node in _private_definitions(tree).items()
+               for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and own.get(id(node)) != name:
+                used.add(name)
+    unused = sorted(f"{path.name}: {name}" for path, name in defined if name not in used)
+    assert not unused, unused

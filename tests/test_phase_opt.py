@@ -494,8 +494,9 @@ def _sgd_family(rng, kind, k, n, scale):
 
 
 def test_pooled_sgd_matches_reference_bit_for_bit():
-    """Problems of mixed K and N join the pool at random steps and leave on
-    their own exits; each must return the step-by-step oracle's result."""
+    """Problems of mixed K and N join the pool of their N at random steps
+    and leave on their own exits; each must return the step-by-step
+    oracle's result."""
     rng = np.random.default_rng(35)
     kinds = ("feasible", "feasible stall", "restore", "stall", "certified", "flat")
     problems = []
@@ -505,16 +506,18 @@ def test_pooled_sgd_matches_reference_bit_for_bit():
         max_iters = (500, 500, 500, 60, 1)[case % 5]
         problems.append((*_sgd_family(rng, kind, k, n, (1.0, 1e-6)[case % 2]), max_iters))
 
-    pool = phase_opt._SgdPool()
+    # a pool holds problems of one width
+    pools = {n: phase_opt._SgdPool() for n in (1, 8, 20)}
     waiting, got, steps = list(range(len(problems))), {}, 0
     while len(got) < len(problems):
         for _ in range(int(rng.integers(0, 4))):
             if waiting:
                 i = waiting.pop(0)
-                pool.add(i, *problems[i])
-        for token, result in pool.step():
-            assert token not in got
-            got[token] = result
+                pools[problems[i][0].theta.shape[1]].add(i, *problems[i])
+        for pool in pools.values():
+            for token, result in pool.step():
+                assert token not in got
+                got[token] = result
         steps += 1
     assert steps < 5000
 
@@ -539,23 +542,21 @@ def test_pooled_sgd_matches_reference_bit_for_bit():
 
 
 def _left_alone(pool):
-    """A copy of ``pool`` whose ``leave`` leaves ``pool`` as it is: ``leave``
-    changes only a batch's row lists and reads its arrays."""
+    """A copy of ``pool`` whose ``finish`` leaves ``pool`` as it is:
+    ``finish`` changes only the pool's row lists and reads its arrays."""
     twin = copy.copy(pool)
-    twin._batches = {}
-    for n, batch in pool._batches.items():
-        twin._batches[n] = copy.copy(batch)
-        for name in ("rows", "vacated", "joining"):
-            setattr(twin._batches[n], name, list(getattr(batch, name)))
+    for name in ("rows", "vacated", "joining"):
+        setattr(twin, name, list(getattr(pool, name)))
     return twin
 
 
 def test_a_problem_resumed_from_the_pool_matches_the_reference():
     """A problem alone in the pool leaves it after any tick, from before its
-    first step to the one before its exit, and finishes in the lone loop
-    with the step-by-step oracle's result.  Half the problems first share
-    their batches with companions of other K that exit early, and one of
-    another N, so the problem leaves from a regrouped row beside idle ones."""
+    first step to the one before its exit, and finishes alone with the
+    step-by-step oracle's result: in ``sgd_solve`` before its first step,
+    in the lone loop after.  Half the problems first share their pool with
+    companions that exit early, two of them of other K, so the problem
+    leaves from a regrouped row beside idle ones."""
     rng = np.random.default_rng(38)
     kinds = ("feasible", "feasible stall", "restore", "stall", "certified", "flat")
     seen, resumed = set(), 0
@@ -568,14 +569,13 @@ def test_a_problem_resumed_from_the_pool_matches_the_reference():
         pool.add("problem", surr, targets, max_iters)
         alone_from = 0
         if case % 2:
-            for other_k, other_n, cap in ((k % 4 + 1, n, 1), (1, n, 3), (k, 21 - n % 20, 2)):
-                pool.add(cap, *_sgd_family(rng, "stall", other_k, other_n, 1.0), cap)
+            for other_k, cap in ((k % 4 + 1, 1), (1, 3), (k, 2)):
+                pool.add(cap, *_sgd_family(rng, "stall", other_k, n, 1.0), cap)
             alone_from = 3
         tick, result = 0, None
         while result is None:
             if tick >= alone_from:
-                token, state = _left_alone(pool).leave()
-                got = phase_opt._sgd_loop(*state)
+                token, got = _left_alone(pool).finish()
                 assert token == "problem"
                 assert (got.phases.angles.tobytes(), got.converged, got.feasible,
                         got.iterations) == want, (case, tick)
@@ -655,22 +655,22 @@ def test_a_joiner_of_another_k_takes_a_moved_row(monkeypatch):
     ``sgd_solve``'s bit for bit, and the blocks stay one per K."""
     rng = np.random.default_rng(41)
     regroups, moves, blocks = [], [], []
-    regroup, move = phase_opt._SgdBatch._regroup, phase_opt._SgdBatch._move
+    regroup, move = phase_opt._SgdPool._regroup, phase_opt._SgdPool._move
 
-    def counted_regroup(batch):
-        free = sum(row is None for row in batch.rows) - len(batch.joining)
-        regroups.append("build" if not batch.rows else
-                        "compact" if 2 * free > len(batch.rows) else "other")
-        regroup(batch)
+    def counted_regroup(pool):
+        free = sum(row is None for row in pool.rows) - len(pool.joining)
+        regroups.append("build" if not pool.rows else
+                        "compact" if 2 * free > len(pool.rows) else "other")
+        regroup(pool)
 
-    def counted_move(batch, r, k):
+    def counted_move(pool, r, k):
         moves.append(k)
-        t = move(batch, r, k)
-        blocks.append(len(batch.blocks) == len(set(batch.ks)))
+        t = move(pool, r, k)
+        blocks.append(len(pool.blocks) == len(set(pool.ks)))
         return t
 
-    monkeypatch.setattr(phase_opt._SgdBatch, "_regroup", counted_regroup)
-    monkeypatch.setattr(phase_opt._SgdBatch, "_move", counted_move)
+    monkeypatch.setattr(phase_opt._SgdPool, "_regroup", counted_regroup)
+    monkeypatch.setattr(phase_opt._SgdPool, "_move", counted_move)
     kinds = ("feasible", "feasible stall", "restore", "stall")
     problems, got, pool = [], {}, phase_opt._SgdPool()
 
@@ -698,12 +698,27 @@ def test_a_joiner_of_another_k_takes_a_moved_row(monkeypatch):
 @pytest.mark.parametrize("targets, match", [
     ([np.nan, 0.1], "targets must be finite"),
     ([], "one target per surrogate row"),
+    ([0.1, 0.1], "the pool holds problems of width 5, not 4"),
 ])
 def test_pool_refuses_what_sgd_refuses(targets, match):
     rng = np.random.default_rng(36)
+    pool = phase_opt._SgdPool()
+    held = None
+    if "width" in match:
+        # the pool's width is its first problem's
+        held = (surrogate(random_vectors(rng, 2, 5), np.zeros(5)), np.full(2, 0.1))
+        pool.add("held", *held)
     surr = surrogate(random_vectors(rng, 2, 4), np.zeros(4))
     with pytest.raises(ValueError, match=match):
-        phase_opt._SgdPool().add(0, surr, np.array(targets, dtype=float))
+        pool.add(0, surr, np.array(targets, dtype=float))
+    if held is not None:
+        # the refused problem left the pool as it was
+        done = []
+        while not done:
+            done = pool.step()
+        (token, result), = done
+        want = sgd_solve(*held)
+        assert token == "held" and result.phases.angles.tobytes() == want.phases.angles.tobytes()
 
 
 def test_stacked_products_match_the_lone_products():
