@@ -12,8 +12,10 @@ with all-zero winners, powers and rates.  Plans with more than
 same rows for P plans of one shape in one pass (an allocation row per point
 and assignment) and returns each plan's feasibility and sum rate;
 ``_cold_allocations`` returns each plan's full ``AllocationResult``, and
-``solve_allocation`` is the single-plan case of both.  A caller that solves
-many allocations on one band plan, budget and set of floors passes a
+``solve_allocation`` is the single-plan case of both.  ``sum_rate_bounds``
+caps each plan's sum rate from above at the cost of one water-filling, so a
+caller can skip the plans that cannot beat a rate it holds.  A caller that
+solves many allocations on one band plan, budget and set of floors passes a
 ``_BandPlan`` for the sub-bands, which carries them checked and set up.
 """
 
@@ -273,25 +275,27 @@ class _BandPlan(tuple):
         plan.noise = np.array([b.noise_power_w for b in plan])
         return plan
 
+    @classmethod
+    def of(cls, sub_bands, p_max, rate_requirements, u_count):
+        """``sub_bands`` itself when it is a plan of that budget, floors
+        object and UE count, else a plan set up afresh."""
+        if (isinstance(sub_bands, cls) and sub_bands.p_max == p_max
+                and sub_bands.floors is rate_requirements and sub_bands.u_count == u_count):
+            return sub_bands
+        return cls(sub_bands, p_max, rate_requirements, u_count)
+
 
 def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
     """(band plan, SNR per watt) of valid inputs; raises otherwise.
 
-    ``gains`` is (..., U, I); the plan is ``sub_bands`` itself when it is a
-    ``_BandPlan`` of that shape, budget and floors object.
+    ``gains`` is (..., U, I); the plan is ``_BandPlan.of`` the sub-bands.
     """
     u_count, i_count = gains.shape[-2:]
-    plan = sub_bands
-    if not (isinstance(plan, _BandPlan) and plan.p_max == p_max
-            and plan.floors is rate_requirements
-            and (plan.u_count, len(plan)) == (u_count, i_count)):
-        if len(sub_bands) != i_count:
-            raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
-        plan = None
+    if len(sub_bands) != i_count:
+        raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
     if (gains < 0).any() or not np.isfinite(gains).all():
         raise ValueError("channel power gains must be finite and non-negative")
-    if plan is None:
-        plan = _BandPlan(sub_bands, p_max, rate_requirements, u_count)
+    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, u_count)
     kappa, finite = _snr_per_watt(gains, plan, p_max)
     if not finite.all():
         raise _SnrOverflow(f"SNR at the full budget overflows: gains / noise * p_max is not "
@@ -370,3 +374,25 @@ def score_allocations(channel_power_gains, sub_bands, p_max: float, rate_require
     feasible[points] = True
     sum_rates[points] = rates.sum(axis=1)
     return feasible, sum_rates
+
+
+def sum_rate_bounds(channel_power_gains, sub_bands, p_max: float):
+    """Upper bound on ``score_allocations``' sum rate at each of P plans.
+
+    Every band goes to the UE with its largest SNR and the budget is
+    water-filled over the bands with no rate floors: no assignment, power
+    split or floor earns more.  ``channel_power_gains`` is (P, U, I);
+    returns a (P,) array, of no meaning where the SNR at the full budget
+    overflows.  Rounding may leave it a few ulps under the true bound, so a
+    caller that prunes on it inflates it.
+    """
+    gains = np.asarray(channel_power_gains, dtype=float)
+    kappa = _snr_per_watt(gains, sub_bands, p_max)[0].max(axis=1)   # (P, I)
+    bw = np.array([b.bandwidth_hz for b in sub_bands])
+    live = kappa > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        floors = 1.0 / kappa                                       # inf on bands that earn nothing
+        none = np.zeros_like(kappa)
+        nu = _budget_levels(bw, floors, none, none, none[:, 0], p_max)
+        split = np.where(live, np.maximum(0.0, nu[:, None] * bw - floors), 0.0)
+        return (bw * np.log2(1.0 + kappa * split)).sum(axis=1)

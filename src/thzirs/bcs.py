@@ -21,10 +21,15 @@ MinDis and RanLoc their own, RanPhi the lattice point that scores best under
 its frozen phase profile.
 
 Both lattice passes, the ceiling bounds and RanPhi's frozen-profile scores,
-build link rows and run the exact allocation for a whole block of lattice
-points at once (``_lattice_scores``); a block holds at most ``BLOCK_ROWS``
-allocation rows (points times assignments), so memory stays flat at any plan
-size the allocation accepts.
+build link rows a block of lattice points at a time, keep only the points'
+power gains, and run the exact allocation for a block of points at once
+(``_lattice_scores``); a block holds at most ``BLOCK_ROWS`` allocation rows
+(points times assignments), so memory stays flat at any plan size the
+allocation accepts.  The ceiling pass scores every point.  RanPhi's walks
+the lattice in order and scores exactly only the points whose water-filled
+bound (``sum_rate_bounds``) reaches the best sum rate scored before them,
+the only ones that can change its answer or its running best (branch and
+bound: Land and Doig, 1960).  Each search sets its allocation plan up once.
 """
 
 from collections import deque
@@ -42,6 +47,7 @@ from .allocation import (
     _SnrOverflow,
     score_allocations,
     solve_allocation,
+    sum_rate_bounds,
 )
 # absorption_coefficient stays importable here for perfbench/tracer.py
 from .channel import SPEED_OF_LIGHT, _band_absorption, absorption_coefficient  # noqa: F401
@@ -68,8 +74,8 @@ MAX_ROUNDS = 30
 ROUND_TOLERANCE = 1e-3
 # relative drift a stored Solution may show against its recomputed figures
 VALIDATE_TOLERANCE = 1e-6
-# relative inflation of the coherent-ceiling gains, so that rounding in either
-# allocation never lets a point's bound fall below its inner-solved sum rate
+# relative inflation of the coherent-ceiling gains and of RanPhi's water-filled
+# bounds, so that rounding never lets a point's bound fall below its answer
 BOUND_MARGIN = 1e-9
 # allocation rows (lattice points x assignments) scored in one batched pass;
 # a block holds one point at least
@@ -160,7 +166,7 @@ class SearchResult:
     bound leaves open for ``bcs``, the winning point alone for ``ranphi``.
     ``best_trace`` is the running best sum rate, in visit order led by the
     anchor's for ``bcs`` and in lattice order, one entry per point, from the
-    batched scores for ``ranphi``.
+    batched scores for ``ranphi``, the same as if every point were scored.
     """
 
     solution: Solution
@@ -283,8 +289,9 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
     ``_cold_starts`` on its own point, and a frozen ``phases`` profile
     takes the rows and allocation of that profile.  Every allocation of the
     solve shares one ``_BandPlan``: its floors, budget and band arrays are
-    set up and checked once."""
-    plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
+    set up and checked once, or taken as passed when ``sub_bands`` is a
+    plan of that budget and floors (``_BandPlan.of``)."""
+    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, scene.ue_count)
     rate_req = plan.floors
     frozen = phases is not None
     if start is None:
@@ -385,36 +392,54 @@ def _min_distance_placement(scene, element_count, spacing_m):
     return IrsPlacement(x, y, element_count, spacing_m)
 
 
-def _lattice_scores(scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb,
-                    gains_of):
+def _lattice_scores(scene, points, offsets_m, plan, absorb, gains_of, prune=False):
     """Feasibility and exact-allocation sum rate at every (x, y) row of ``points``,
-    the array's elements ``offsets_m`` along +y from each anchor.
+    the array's elements ``offsets_m`` along +y from each anchor, on the
+    ``_BandPlan`` ``plan``.
 
     ``gains_of`` turns a block's (P, U, I, N) link rows into its (P, U, I)
-    power gains.  Blocks hold at most ``BLOCK_ROWS`` allocation rows (points
-    times assignments), one point at least.  Each point's pair is bit for bit
-    the ``feasible`` and ``objective`` of ``solve_allocation`` on its own
-    gains.  Returns two (P,) arrays, the sum rate 0.0 where infeasible.  A
-    point whose SNR at the full budget overflows, which the allocation
-    refuses, scores (True, +inf), so the rest of its block is still scored.
+    power gains; only the gains of the whole lattice are kept.  A block
+    holds at most ``BLOCK_ROWS`` allocation rows (points times assignments),
+    one point at least, and so does each ``score_allocations`` call.  Each
+    scored point's pair is bit for bit the ``feasible`` and ``objective`` of
+    ``solve_allocation`` on its own gains.  Returns two (P,) arrays, the sum
+    rate 0.0 where infeasible.  A point whose SNR at the full budget
+    overflows, which the allocation refuses, scores (True, +inf) and is not
+    sent to the allocation.
+
+    With ``prune`` and more than one block of points, the points are scored
+    in lattice order and a point whose ``sum_rate_bounds`` bound, inflated
+    by ``BOUND_MARGIN``, is below the best sum rate scored before it (as
+    known after the last call) is skipped and reads (False, 0.0).  Its true
+    sum rate is below an earlier one, so the running maximum of the rates
+    and the first point of the largest feasible rate are those of the full
+    pass.  A NaN bound never skips a point.
     """
-    # one set-up of the band plan serves every block
-    plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
-    per_block = max(1, BLOCK_ROWS // scene.ue_count ** len(sub_bands))
+    per_block = max(1, BLOCK_ROWS // plan.u_count ** len(plan))
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
-    feasible = np.zeros(len(points), dtype=bool)
-    rates = np.zeros(len(points))
+    gains = np.empty((len(points), plan.u_count, len(plan)))
     for start in range(0, len(points), per_block):
         block = slice(start, start + per_block)
-        gains = gains_of(_link_rows(sub_bands, anchors[block], offsets_m, scene, absorb))
-        over = ~_snr_per_watt(gains, plan, p_max)[1].all(axis=(1, 2))
-        # views of the block's rows, so that the masked writes land in the results
-        block_feasible, block_rates = feasible[block], rates[block]
-        block_feasible[over], block_rates[over] = True, np.inf
-        if not over.all():
-            block_feasible[~over], block_rates[~over] = score_allocations(
-                gains[~over], plan, p_max, plan.floors)
-    return feasible, rates
+        gains[block] = gains_of(_link_rows(plan, anchors[block], offsets_m, scene, absorb))
+    # a point the allocation refuses reads (True, +inf); the rest wait their turn
+    feasible = ~_snr_per_watt(gains, plan, plan.p_max)[1].all(axis=(1, 2))
+    rates = np.where(feasible, np.inf, 0.0)
+    waiting = ~feasible
+    bounds = None
+    if prune and len(points) > per_block:
+        bounds = sum_rate_bounds(gains, plan, plan.p_max) * (1.0 + BOUND_MARGIN)
+    start, best = 0, -np.inf
+    while True:
+        open_points = waiting[start:]
+        if bounds is not None:
+            open_points = open_points & ~(bounds[start:] < best)
+        chosen = start + open_points.nonzero()[0][:per_block]
+        if not chosen.size:
+            return feasible, rates
+        feasible[chosen], rates[chosen] = score_allocations(gains[chosen], plan, plan.p_max,
+                                                            plan.floors)
+        best = max(best, rates[start:chosen[-1] + 1].max())
+        start = chosen[-1] + 1
 
 
 def _ceiling_bounds(scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb):
@@ -426,10 +451,11 @@ def _ceiling_bounds(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     answer the inner solve can reach there.  -inf when even the ceiling
     misses a rate floor: no profile makes the point feasible.  +inf where
     the ceiling's SNR at the full budget overflows, which the allocation
-    cannot score: such a point is never pruned.
+    cannot score: such a point is never pruned.  Every point is scored.
     """
+    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, scene.ue_count)
     feasible, rates = _lattice_scores(
-        scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb,
+        scene, points, offsets_m, plan, absorb,
         lambda vectors: _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN))
     return np.where(feasible, rates, -np.inf)
 
@@ -636,25 +662,26 @@ def bcs_solve(
     points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     offsets = anchor_placement.offsets_m
-    bounds = _ceiling_bounds(scene, points, offsets, sub_bands, p_max, rate_requirements, absorb)
+    # one set-up of the band plan serves the bounds, the start passes and every inner solve
+    plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
+    rate_req = plan.floors
+    bounds = _ceiling_bounds(scene, points, offsets, plan, p_max, rate_req, absorb)
     order = np.argsort(-bounds, kind="stable").tolist()
 
     def place(i):
         return IrsPlacement(*points[i].tolist(), element_count, spacing_m)
 
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
-    rate_req = _rate_floors(rate_requirements, scene.ue_count)
     # no sum rate is below 0.0: with fewer bounds reaching it, no rate the
     # anchor holds can open the look-ahead
     ahead = _Lookahead(
         order, bounds, anchor_placement, place,
-        lambda placement, start: _inner_steps(scene, placement, sub_bands, p_max,
-                                              rate_requirements, mixing_ratio, None, start),
-        lambda chunk: _cold_starts(scene, anchors[chunk], offsets, sub_bands, p_max, rate_req,
-                                   absorb),
+        lambda placement, start: _inner_steps(scene, placement, plan, p_max, rate_req,
+                                              mixing_ratio, None, start),
+        lambda chunk: _cold_starts(scene, anchors[chunk], offsets, plan, p_max, rate_req, absorb),
     ) if np.count_nonzero(bounds >= 0.0) >= LOOKAHEAD_MIN_OPEN else None
-    anchor = inner_solve(scene, anchor_placement, sub_bands, p_max, rate_requirements,
-                         mixing_ratio, _lookahead=ahead)
+    anchor = inner_solve(scene, anchor_placement, plan, p_max, rate_req, mixing_ratio,
+                         _lookahead=ahead)
     if ahead is not None and not ahead.opened:
         ahead = None
 
@@ -668,8 +695,8 @@ def bcs_solve(
             break
         placement = place(i) if ahead is None else ahead.placement(i)
         try:
-            candidate = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
-                                    mixing_ratio, _lookahead=ahead)
+            candidate = inner_solve(scene, placement, plan, p_max, rate_req, mixing_ratio,
+                                    _lookahead=ahead)
         except _SnrOverflow:
             if bounds[i] != np.inf:
                 raise
@@ -729,28 +756,30 @@ def baseline_ran_phi(
     grid_step_y: float,
 ) -> SearchResult:
     """Same lattice as the full search but one frozen random phase profile
-    and no phase restoration.  Every point is scored in the batched pass;
-    the first strict best (feasible beats infeasible, then a larger sum rate)
-    is then inner-solved with the frozen profile; a point whose SNR at the
-    full budget overflows scores +inf, and the allocation refuses its inner
-    solve.  A lattice step wider than
-    the room leaves no lattice point; the sweep then takes the
-    minimum-total-distance point, the extra candidate of the full search."""
+    and no phase restoration.  The batched pass scores, in lattice order,
+    every point that can beat the best scored before it; the first strict
+    best (feasible beats infeasible, then a larger sum rate) is then
+    inner-solved with the frozen profile, on the pass's band plan.  A point
+    whose SNR at the full budget overflows scores +inf, and the allocation
+    refuses its inner solve.  A lattice step wider than the room leaves no
+    lattice point; the sweep then takes the minimum-total-distance point,
+    the extra candidate of the full search."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
     points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     if not len(points):
         fallback = _min_distance_placement(scene, element_count, spacing_m)
         points = np.array([[fallback.x_m, fallback.y_m]])
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
+    plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
     coefficients = phases.coefficients
     feasible, rates = _lattice_scores(
-        scene, points, np.arange(element_count) * spacing_m, sub_bands, p_max,
-        rate_requirements, absorb, lambda vectors: np.abs(vectors @ coefficients) ** 2)
+        scene, points, np.arange(element_count) * spacing_m, plan, absorb,
+        lambda vectors: np.abs(vectors @ coefficients) ** 2, prune=True)
     # an infeasible point scores 0.0 and a feasible one at least that, so
     # -1.0 puts every feasible point first; argmax keeps the first best
     best = int(np.argmax(np.where(feasible, rates, -1.0)))
     trace = np.maximum.accumulate(rates).tolist()
     placement = IrsPlacement(*points[best].tolist(), element_count, spacing_m)
-    solution = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
-                           mixing_ratio, phases=phases)
+    solution = inner_solve(scene, placement, plan, p_max, plan.floors, mixing_ratio,
+                           phases=phases)
     return SearchResult(solution=solution, best_trace=trace, points_evaluated=1)

@@ -10,7 +10,9 @@ must return the same solution bit for bit.
 stood before the batched scorer: one ``inner_solve`` with the frozen profile,
 or one ``solve_allocation`` on the coherent-ceiling gains, per lattice point.
 The batched ``baseline_ran_phi`` and ``_ceiling_bounds`` must agree with them
-bit for bit.
+bit for bit.  ``frozen_point_scores`` is the per-point half of the first: one
+frozen-profile ``inner_solve`` per lattice point, where a point whose SNR at
+the full budget overflows, which the allocation refuses, scores +inf.
 
 ``reference_repair_feasibility`` is the feasibility repair as it stood
 before it became one pass: it re-runs the phase stage for up to
@@ -32,7 +34,7 @@ bit.
 
 import numpy as np
 
-from thzirs.allocation import solve_allocation
+from thzirs.allocation import _SnrOverflow, solve_allocation
 from thzirs.bcs import (
     BOUND_MARGIN,
     MAX_ROUNDS,
@@ -106,6 +108,23 @@ def frozen_sweep_ran_phi(scene, sub_bands, element_count, spacing_m, p_max, rate
         inner_solve(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
                     phases=phases) for placement in points)
     return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points))
+
+
+def frozen_point_scores(scene, sub_bands, element_count, spacing_m, p_max, rate_requirements,
+                        mixing_ratio, rng, grid_step_x, grid_step_y):
+    """Each lattice point's (feasible, sum rate) under ``frozen_sweep_ran_phi``'s
+    profile, (True, inf) where the SNR at the full budget overflows."""
+    phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
+    scores = []
+    for placement in lattice_placements(scene, element_count, spacing_m, grid_step_x,
+                                        grid_step_y):
+        try:
+            sol = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
+                              mixing_ratio, phases=phases)
+            scores.append((sol.feasible, sol.sum_rate_bps))
+        except _SnrOverflow:
+            scores.append((True, np.inf))
+    return scores
 
 
 def ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb):

@@ -18,7 +18,9 @@ from thzirs.allocation import (
     _warm_first_table,
     score_allocations,
     solve_allocation,
+    sum_rate_bounds,
 )
+from thzirs.bcs import BOUND_MARGIN
 from thzirs.channel import SubBand
 
 
@@ -449,3 +451,38 @@ def test_warm_start_from_an_answer_returns_that_answer_bit_for_bit():
                         cases += 1
                         feasible += first.feasible
     assert cases == 16 * 6 * 3 * 2 and 0 < feasible < cases
+
+
+def test_water_filled_bound_caps_every_scored_sum_rate():
+    # ranphi skips a lattice point on this bound, inflated by
+    # bcs.BOUND_MARGIN = 1e-9 relative.  With no floors the best UE of each
+    # band wins it and the bound is the exact optimum, so rounding puts it
+    # a few ulps on either side of the scored rate and only that margin
+    # keeps it above; the cases cover U, I = 1..4, floors from none up to
+    # out of reach, dead bands and points, and budgets near SNR overflow.
+    assert BOUND_MARGIN == 1e-9
+    rng = np.random.default_rng(2024)
+    tight = feasible = cases = 0
+    for u in range(1, 5):
+        for i in range(1, 5):
+            for _ in range(3):
+                gains = 10.0 ** rng.uniform(-10.0, -7.5, (24, u, i))
+                gains[:4, :, rng.integers(i)] = 0.0       # a band no UE hears
+                gains[4] = 0.0                            # a point that hears nothing
+                bands = make_bands(rng.choice([25e9, 50e9], size=i),
+                                   noise=10.0 ** rng.uniform(-20.5, -19.5))
+                kappa = gains / np.array([b.noise_power_w for b in bands])
+                # the largest SNR at the full budget a tenth of the way to overflow
+                for p_max in (1.0, 0.1 * np.finfo(float).max / kappa.max()):
+                    full = (np.array([b.bandwidth_hz for b in bands])
+                            * np.log2(1.0 + kappa * p_max)).sum(axis=2).min()
+                    for floors in (np.zeros(u), rng.uniform(0.0, 0.6, u) * full / u,
+                                   np.full(u, 1e13), np.full(u, np.inf)):
+                        ok, rates = score_allocations(gains, bands, p_max, floors)
+                        bounds = sum_rate_bounds(gains, bands, p_max)
+                        assert np.all(rates <= bounds * (1.0 + BOUND_MARGIN)), (u, i, p_max)
+                        assert np.all(bounds[4] == 0.0)
+                        tight += np.count_nonzero(rates > bounds)
+                        feasible += np.count_nonzero(ok)
+                        cases += len(ok)
+    assert tight > 0 and 0 < feasible < cases

@@ -32,6 +32,7 @@ import search_oracle
 from search_oracle import (
     MAX_REPAIRS,
     ceiling_bound,
+    frozen_point_scores,
     frozen_sweep_ran_phi,
     full_sweep_bcs,
     lattice_placements,
@@ -942,9 +943,9 @@ def test_the_anchor_flies_with_the_first_lattice_points(monkeypatch):
 def test_lookahead_census_of_per_problem_work(monkeypatch):
     # on look-ahead searches each pooled SGD problem builds its surrogate
     # rows once, each phase stage computes its SGD constants once, and each
-    # inner solve, start pass and lattice pass sets its allocation plan up
-    # once; a lone start runs on its inner solve's plan, and no allocation
-    # call repeats the set-up
+    # search sets its allocation plan up once: its lattice pass, start
+    # passes, lone starts and inner solves all run on that plan, and no
+    # allocation call repeats the set-up
     counts = {}
 
     def count(module, name, key):
@@ -965,6 +966,7 @@ def test_lookahead_census_of_per_problem_work(monkeypatch):
     count(bcs, "_cold_starts", "cold starts")
     count(bcs, "_lattice_scores", "lattice passes")
     count(bcs, "solve_allocation", "allocations")
+    count(bcs, "_cold_allocations", "start allocations")
     steps = bcs._inner_steps
 
     def begun(scene, placement, sub_bands, p_max, floors, mu, phases=None, start=None):
@@ -982,10 +984,11 @@ def test_lookahead_census_of_per_problem_work(monkeypatch):
     # the look-ahead's start passes of many points, apart from the lone starts
     start_passes = counts["cold starts"] - counts["lone starts"]
     assert counts["lone starts"] > 0 and start_passes > 0
-    assert counts["allocation set-ups"] == (counts["inner solves"] + start_passes
-                                            + counts["lattice passes"])
-    # so the allocations the rounds make set nothing up
-    assert counts["allocations"] > 0
+    assert counts["lattice passes"] == 5
+    assert counts["allocation set-ups"] == 5
+    # so the lattice pass, the starts and the rounds' allocations set nothing up
+    assert counts["inner solves"] > 5 and counts["allocations"] > 0
+    assert counts["start allocations"] == counts["cold starts"]
 
 
 def test_a_start_pass_takes_only_points_the_rule_may_admit(monkeypatch):
@@ -1241,10 +1244,133 @@ def test_block_size_leaves_every_answer_unchanged(monkeypatch, block_rows):
         assert_same_bits(got_ranphi.solution, ranphi.solution)
         assert got_ranphi.best_trace == ranphi.best_trace
         assert got_bounds.tobytes() == bounds.tobytes()
-        # each pass covers the lattice in full blocks of the allowed size and
-        # one shorter tail
+        # the ceiling pass, run second, covers the lattice in full blocks of
+        # the allowed size and one shorter tail; ranphi's pass scores each
+        # point once at most, no call holding more than one block of points
         size = max(1, block_rows // scene.ue_count ** len(SMALL_BANDS))
         lattice = len(bounds)
-        for pass_blocks in (blocks[:len(blocks) // 2], blocks[len(blocks) // 2:]):
-            assert [shape[0] for shape in pass_blocks] == (
-                [size] * (lattice // size) + [lattice % size] * (lattice % size > 0))
+        ceiling = [size] * (lattice // size) + [lattice % size] * (lattice % size > 0)
+        ranphi_blocks = [shape[0] for shape in blocks[:-len(ceiling)]]
+        assert [shape[0] for shape in blocks[-len(ceiling):]] == ceiling
+        assert ranphi_blocks and max(ranphi_blocks) <= size and sum(ranphi_blocks) <= lattice
+
+
+# one row of 12 lattice points along x (x = 0.25 .. 3 m, y = 3 m) in a 4 m x
+# 3 m room, for a one-element array, whose frozen profile leaves its gains
+# alone; the AP and two UEs sit at the far end of the row (gains rise along
+# it) or across its middle (they peak at the sixth point)
+ROW = dict(n=1, step_x=0.25, step_y=3.0)
+ROW_BANDS = make_bands([275.0, 305.0])
+
+
+def _row_scene(x):
+    return Scene(4.0, 3.0, 3.0, (x, 0.0, 2.0), [(x, 3.0, 1.0), (x - 0.1, 3.5, 1.0)])
+
+
+def _ranphi_and_oracle(scene, p_max, floor, block_rows, seed=5):
+    """ranphi and its per-point oracle on the row lattice, and the number of
+    points in each of ranphi's scoring calls.  An overflowing point makes
+    both raise; it returns the error each raised."""
+    args = (scene, ROW_BANDS, ROW["n"], 0.005, p_max, floor, MU)
+    grid = (ROW["step_x"], ROW["step_y"])
+    calls = []
+    original = bcs.score_allocations
+
+    def recorded(gains, *rest):
+        calls.append(len(gains))
+        return original(gains, *rest)
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bcs, "BLOCK_ROWS", block_rows)
+        patch.setattr(bcs, "score_allocations", recorded)
+        for solve in (baseline_ran_phi, frozen_sweep_ran_phi):
+            try:
+                outcomes.append(solve(*args, SplitMix64(seed), *grid))
+            except _SnrOverflow as error:
+                outcomes.append(error)
+    return (*outcomes, calls)
+
+
+def _assert_same_search(got, want):
+    assert_same_bits(got.solution, want.solution)
+    assert [r.hex() for r in got.best_trace] == [r.hex() for r in want.best_trace]
+    assert len(got.best_trace) == 12
+
+
+def test_ranphi_scores_every_point_of_rising_rates():
+    # every point beats all before it, so none is skipped: the pass scores
+    # the lattice in full blocks of 2 points (4 assignments each, 8 rows)
+    got, want, calls = _ranphi_and_oracle(_row_scene(3.0), 1.0, 0.0, 8)
+    _assert_same_search(got, want)
+    assert all(np.diff(want.best_trace) > 0)
+    assert calls == [2] * 6
+
+
+def test_ranphi_skips_the_points_that_cannot_set_a_record():
+    # rates peak at the sixth point and fall after it: each later point's
+    # bound falls below that peak, so only the first blocks are scored
+    got, want, calls = _ranphi_and_oracle(_row_scene(1.5), 1.0, 0.0, 8)
+    _assert_same_search(got, want)
+    assert want.solution.placement.x_m == 1.5
+    assert calls and max(calls) <= 2 and sum(calls) < 12
+
+
+@pytest.mark.parametrize("block_rows, first_block", [(32, True), (8, False)])
+def test_ranphi_with_an_overflowing_point(block_rows, first_block):
+    # a budget that overflows the SNR at the sixth point alone: it scores
+    # +inf, so it is the best and every later point is skipped; its inner
+    # solve is refused as the oracle's is, and the pass's running best and
+    # first best match the per-point scores
+    scene = _row_scene(1.5)
+    placements = lattice_placements(scene, ROW["n"], 0.005, ROW["step_x"], ROW["step_y"])
+    absorb = _band_absorption(tuple(b.center_hz for b in ROW_BANDS), MU)
+    gains = np.array([np.abs(effective_vector(ROW_BANDS, p, scene, absorb)[..., 0]) ** 2
+                      for p in placements])
+    kappa = (gains / np.array([b.noise_power_w for b in ROW_BANDS])).max(axis=(1, 2))
+    p_max = np.finfo(float).max / kappa.max() * (1.0 + 1e-9)
+    finite = _snr_per_watt(gains, ROW_BANDS, p_max)[1].all(axis=(1, 2))
+    assert (~finite).nonzero()[0].tolist() == [5]
+    per_block = block_rows // 4
+    assert (5 < per_block) == first_block
+
+    got, want, calls = _ranphi_and_oracle(scene, p_max, 0.0, block_rows)
+    assert isinstance(got, _SnrOverflow) and str(got) == str(want)
+    assert calls and max(calls) <= per_block and sum(calls) < 11
+
+    scores = frozen_point_scores(scene, ROW_BANDS, ROW["n"], 0.005, p_max, 0.0, MU,
+                                 SplitMix64(5), ROW["step_x"], ROW["step_y"])
+    phases = PhaseVector(np.array([SplitMix64(5).uniform(0.0, 2.0 * np.pi)]))
+    plan = allocation._BandPlan(ROW_BANDS, p_max, 0.0, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bcs, "BLOCK_ROWS", block_rows)
+        feasible, rates = bcs._lattice_scores(
+            scene, np.array([[p.x_m, p.y_m] for p in placements]), np.zeros(1), plan, absorb,
+            lambda vectors: np.abs(vectors @ phases.coefficients) ** 2, prune=True)
+    want_feasible, want_rates = (np.array(column) for column in zip(*scores))
+    assert [r.hex() for r in np.maximum.accumulate(rates).tolist()] == [
+        r.hex() for r in np.maximum.accumulate(want_rates).tolist()]
+    assert np.argmax(np.where(feasible, rates, -1.0)) == np.argmax(
+        np.where(want_feasible, want_rates, -1.0)) == 5
+
+
+def test_ranphi_on_a_lattice_with_no_feasible_point():
+    # no rate is above 0.0, so no bound falls below the best: every point is
+    # scored, and the first point's infeasible verdict is the answer
+    got, want, calls = _ranphi_and_oracle(_row_scene(1.5), 1.0, 1e13, 8)
+    _assert_same_search(got, want)
+    assert not want.solution.feasible and want.best_trace == [0.0] * 12
+    assert want.solution.placement.x_m == 0.25
+    assert calls == [2] * 6
+
+
+def test_ranphi_on_a_one_block_lattice_scores_it_in_one_call(monkeypatch):
+    # the whole lattice fits one block: no bound is computed and one call
+    # scores every point
+    def refused(*args):
+        raise AssertionError("a one-block lattice computed bounds")
+
+    monkeypatch.setattr(bcs, "sum_rate_bounds", refused)
+    got, want, calls = _ranphi_and_oracle(_row_scene(1.5), 1.0, 0.0, 48)
+    _assert_same_search(got, want)
+    assert calls == [12]

@@ -2,14 +2,16 @@
 and a validating answer from every algorithm on small valid plans."""
 
 import dataclasses
+import hashlib
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzirs import experiment
+from thzirs import bcs, experiment
 from thzirs.bcs import Solution
 from thzirs.config import ExperimentConfig
 from thzirs.experiment import draw_ue_positions, resolve_bands, run_experiment, run_single
@@ -135,10 +137,33 @@ def test_worker_count_never_changes_a_small_study(config, first_seed):
     assert pooled.failures == serial.failures
 
 
-def test_default_ranphi_answer_is_pinned():
+def test_default_ranphi_answer_is_pinned(monkeypatch):
     # the frozen-profile sweep's counterpart of the default bcs answer at
     # seed 7 (524.437 Gbit/s at (1.75, 1.25))
     sol = run_single(ExperimentConfig(), "ranphi", 7)
     assert (sol.placement.x_m, sol.placement.y_m) == (0.5, 1.0)
     assert sol.winners.tolist() == [1, 0, 0]
     assert sol.sum_rate_bps == 292870837528.98883
+
+    # its running best over the 620 lattice points, 10 blocks of up to 64,
+    # as the full pass that scored every point gave it; only the first
+    # block's 64 points are scored exactly, since no later point's bound
+    # reaches the best of that block
+    scored = []
+    original = bcs.score_allocations
+
+    def counted(gains, *args):
+        scored.append(len(gains))
+        return original(gains, *args)
+
+    monkeypatch.setattr(bcs, "score_allocations", counted)
+    config = ExperimentConfig()
+    scene = config.scene_for(draw_ue_positions(config, 7, config.ue_count))
+    again, extra, _ = experiment._solve(config, "ranphi", 7, scene, resolve_bands(config),
+                                        config.mixing_ratio())
+    assert again.sum_rate_bps == sol.sum_rate_bps
+    trace = np.array(extra["best_trace"])
+    assert trace.shape == (620,) and trace[-1] == sol.sum_rate_bps
+    assert hashlib.sha256(trace.tobytes()).hexdigest() == (
+        "2facd80e066140f97d07ad0a91df502d493013f33f9700a3b1e35df484ddab22")
+    assert scored == [64]
