@@ -14,9 +14,10 @@ and assignment) and returns each plan's feasibility and sum rate;
 ``_cold_allocations`` returns each plan's full ``AllocationResult``, and
 ``solve_allocation`` is the single-plan case of both.  ``sum_rate_bounds``
 caps each plan's sum rate from above at the cost of one water-filling, so a
-caller can skip the plans that cannot beat a rate it holds.  A caller that
-solves many allocations on one band plan, budget and set of floors passes a
-``_BandPlan`` for the sub-bands, which carries them checked and set up.
+caller can skip the plans that cannot beat a rate it holds.  These three
+take a ``_BandPlan``, which carries the sub-bands, budget and rate floors
+checked and set up, in place of all three; ``solve_allocation`` takes one
+in place of the sub-bands.
 """
 
 from dataclasses import dataclass
@@ -256,9 +257,10 @@ class _BandPlan(tuple):
     """The sub-bands of one plan with the set-up every allocation on them
     shares at one budget and one set of rate floors: the floors as a
     read-only (U,) array, the bandwidths and the noise powers, each checked
-    once.  ``solve_allocation(gains, plan, plan.p_max, plan.floors)`` takes
-    it in place of the sub-bands and checks only the gains; with any other
-    budget or floors it sets the plan up afresh."""
+    once.  The batched allocations take it alone and refuse gains of
+    another UE or band count; ``solve_allocation(gains, plan, plan.p_max,
+    plan.floors)`` takes it in place of the sub-bands, and with any other
+    budget, floors or UE count sets the plan up afresh."""
 
     def __new__(cls, sub_bands, p_max, rate_requirements, u_count):
         plan = super().__new__(cls, sub_bands)
@@ -285,33 +287,29 @@ class _BandPlan(tuple):
         return cls(sub_bands, p_max, rate_requirements, u_count)
 
 
-def _checked_inputs(gains, sub_bands, p_max, rate_requirements):
-    """(band plan, SNR per watt) of valid inputs; raises otherwise.
-
-    ``gains`` is (..., U, I); the plan is ``_BandPlan.of`` the sub-bands.
-    """
-    u_count, i_count = gains.shape[-2:]
-    if len(sub_bands) != i_count:
-        raise ValueError(f"{len(sub_bands)} sub-bands for {i_count} gain columns")
+def _checked_inputs(gains, plan):
+    """``_snr_per_watt`` of valid gains; raises unless they are finite and
+    non-negative and their SNR at the full budget is finite."""
     if (gains < 0).any() or not np.isfinite(gains).all():
         raise ValueError("channel power gains must be finite and non-negative")
-    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, u_count)
-    kappa, finite = _snr_per_watt(gains, plan, p_max)
+    kappa, finite = _snr_per_watt(gains, plan)
     if not finite.all():
         raise _SnrOverflow(f"SNR at the full budget overflows: gains / noise * p_max is not "
-                           f"finite at p_max = {p_max}")
-    return plan, kappa
+                           f"finite at p_max = {plan.p_max}")
+    return kappa
 
 
-def _snr_per_watt(gains, sub_bands, p_max):
+def _snr_per_watt(gains, plan):
     """(SNR per watt, whether the SNR at the full budget is finite) for each
-    entry of (..., U, I) ``gains``.  The allocation refuses a plan with a
-    non-finite entry: its SNR overflows."""
-    noise = (sub_bands.noise if isinstance(sub_bands, _BandPlan)
-             else np.array([b.noise_power_w for b in sub_bands]))
+    entry of (..., U, I) ``gains`` on the ``_BandPlan`` ``plan``; raises
+    unless the gains hold its UE and band counts.  The allocation refuses a
+    plan with a non-finite entry: its SNR overflows."""
+    if gains.shape[-2:] != (plan.u_count, len(plan)):
+        raise ValueError(f"gains of shape {gains.shape} do not fit a plan of {plan.u_count} "
+                         f"UEs over {len(plan)} sub-bands")
     with np.errstate(over="ignore"):
-        kappa = gains / noise
-        return kappa, np.isfinite(kappa * p_max)
+        kappa = gains / plan.noise
+        return kappa, np.isfinite(kappa * plan.p_max)
 
 
 def solve_allocation(
@@ -335,7 +333,8 @@ def solve_allocation(
     ``ENUMERATION_CAP``.
     """
     gains = np.atleast_2d(np.asarray(channel_power_gains, dtype=float))
-    plan, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
+    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, gains.shape[0])
+    kappa = _checked_inputs(gains, plan)
     u_count, i_count = gains.shape
     # every assignment in lexicographic order, the warm one moved to the front
     if warm_winners is None:
@@ -346,29 +345,31 @@ def solve_allocation(
                     i_count, assignments.shape[0])[0]
 
 
-def _cold_allocations(channel_power_gains, sub_bands, p_max: float, rate_requirements):
+def _cold_allocations(channel_power_gains, plan):
     """``solve_allocation`` without a warm start for each of P (U, I) plans
-    in one pass: its ``AllocationResult`` bit for bit, one per plan."""
+    on the ``_BandPlan`` ``plan`` in one pass: its ``AllocationResult`` bit
+    for bit, one per plan."""
     gains = np.asarray(channel_power_gains, dtype=float)
-    plan, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
-    assignments = _assignment_table(*gains.shape[1:])
-    return _results(_allocate(kappa, plan.bw, p_max, plan.floors, assignments), *gains.shape[1:],
-                    assignments.shape[0])
+    kappa = _checked_inputs(gains, plan)
+    assignments = _assignment_table(plan.u_count, len(plan))
+    return _results(_allocate(kappa, plan.bw, plan.p_max, plan.floors, assignments),
+                    plan.u_count, len(plan), assignments.shape[0])
 
 
-def score_allocations(channel_power_gains, sub_bands, p_max: float, rate_requirements):
+def score_allocations(channel_power_gains, plan):
     """Feasibility and optimal sum rate of P separate plans in one pass.
 
-    ``channel_power_gains`` is (P, U, I).  Point p's (feasible, sum rate) is
-    bit for bit the ``feasible`` and ``objective`` that ``solve_allocation``
-    returns for its (U, I) gains: the same rows, the same first-best tie
-    rule, budget shave and final floor check.  Returns two (P,) arrays, the
-    sum rate 0.0 where infeasible.  Raises as ``solve_allocation`` does.
+    ``channel_power_gains`` is (P, U, I) on the ``_BandPlan`` ``plan``.
+    Point p's (feasible, sum rate) is bit for bit the ``feasible`` and
+    ``objective`` that ``solve_allocation`` returns for its (U, I) gains:
+    the same rows, the same first-best tie rule, budget shave and final
+    floor check.  Returns two (P,) arrays, the sum rate 0.0 where
+    infeasible.  Raises as ``solve_allocation`` does.
     """
     gains = np.asarray(channel_power_gains, dtype=float)
-    plan, kappa = _checked_inputs(gains, sub_bands, p_max, rate_requirements)
-    assignments = _assignment_table(*gains.shape[1:])
-    _, points, _, _, rates = _allocate(kappa, plan.bw, p_max, plan.floors, assignments)
+    kappa = _checked_inputs(gains, plan)
+    assignments = _assignment_table(plan.u_count, len(plan))
+    _, points, _, _, rates = _allocate(kappa, plan.bw, plan.p_max, plan.floors, assignments)
     feasible = np.zeros(len(gains), dtype=bool)
     sum_rates = np.zeros(len(gains))
     feasible[points] = True
@@ -376,23 +377,23 @@ def score_allocations(channel_power_gains, sub_bands, p_max: float, rate_require
     return feasible, sum_rates
 
 
-def sum_rate_bounds(channel_power_gains, sub_bands, p_max: float):
+def sum_rate_bounds(channel_power_gains, plan):
     """Upper bound on ``score_allocations``' sum rate at each of P plans.
 
     Every band goes to the UE with its largest SNR and the budget is
     water-filled over the bands with no rate floors: no assignment, power
-    split or floor earns more.  ``channel_power_gains`` is (P, U, I);
-    returns a (P,) array, of no meaning where the SNR at the full budget
-    overflows.  Rounding may leave it a few ulps under the true bound, so a
-    caller that prunes on it inflates it.
+    split or floor earns more.  ``channel_power_gains`` is (P, U, I) on the
+    ``_BandPlan`` ``plan``; returns a (P,) array, of no meaning where the
+    SNR at the full budget overflows.  Rounding may leave it a few ulps
+    under the true bound, so a caller that prunes on it inflates it.
     """
     gains = np.asarray(channel_power_gains, dtype=float)
-    kappa = _snr_per_watt(gains, sub_bands, p_max)[0].max(axis=1)   # (P, I)
-    bw = np.array([b.bandwidth_hz for b in sub_bands])
+    kappa = _snr_per_watt(gains, plan)[0].max(axis=1)             # (P, I)
+    bw = plan.bw
     live = kappa > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         floors = 1.0 / kappa                                       # inf on bands that earn nothing
         none = np.zeros_like(kappa)
-        nu = _budget_levels(bw, floors, none, none, none[:, 0], p_max)
+        nu = _budget_levels(bw, floors, none, none, none[:, 0], plan.p_max)
         split = np.where(live, np.maximum(0.0, nu[:, None] * bw - floors), 0.0)
         return (bw * np.log2(1.0 + kappa * split)).sum(axis=1)

@@ -9,13 +9,13 @@ sweeps candidate positions over a coordinate lattice (block-coordinate
 search) best first: a coherent-ceiling allocation bounds every lattice
 point's answer from above, points are inner-solved in decreasing bound order,
 and the search stops at the first bound below the incumbent.  With enough
-open points the min-distance anchor and the next points in bound order are
-solved together ahead of the loop (``_Lookahead``): their link rows, matched
-profiles and cold allocations are built for a chunk of points in one pass,
-their phase stages' SGD steps are stacked into one pooled step, a point
-whose bound falls below the best sum rate held is dropped, and the last one
-unsolved with none to join it takes its problems out of the pool to finish
-them alone.  The loop still counts and keeps exactly the points it reaches.
+lattice points whose ceilings meet the floors, the min-distance anchor and
+the next points in bound order are solved together ahead of the loop
+(``_Lookahead``): their link rows, matched profiles and cold allocations are
+built for a chunk of points in one pass, their phase stages' SGD steps are
+stacked into one pooled step, a point whose bound falls below the best sum
+rate held is dropped, and the last one unsolved with none to join it takes
+its problems out of the pool to finish them alone.  The loop still counts and keeps exactly the points it reaches.
 The reference strategies inner-solve one placement:
 MinDis and RanLoc their own, RanPhi the lattice point that scores best under
 its frozen phase profile.
@@ -29,7 +29,9 @@ allocation accepts.  The ceiling pass scores every point.  RanPhi's walks
 the lattice in order and scores exactly only the points whose water-filled
 bound (``sum_rate_bounds``) reaches the best sum rate scored before them,
 the only ones that can change its answer or its running best (branch and
-bound: Land and Doig, 1960).  Each search sets its allocation plan up once.
+bound: Land and Doig, 1960).  Each search sets its allocation plan up once
+(a ``_BandPlan``), and every helper below the public entry points takes the
+sub-bands, budget and rate floors from that plan alone.
 """
 
 from collections import deque
@@ -81,9 +83,8 @@ BOUND_MARGIN = 1e-9
 # a block holds one point at least
 BLOCK_ROWS = 512
 # open lattice points bcs_solve solves at once beside the min-distance anchor,
-# when at least LOOKAHEAD_MIN_OPEN bounds reach the anchor's starting sum rate;
-# with fewer the pool runs so few problems per step that one point at a time
-# is cheaper
+# when at least LOOKAHEAD_MIN_OPEN ceilings meet every rate floor; with fewer
+# the pool runs so few problems per step that one point at a time is cheaper
 LOOKAHEAD_POINTS = 16
 LOOKAHEAD_MIN_OPEN = 8
 
@@ -175,9 +176,10 @@ class SearchResult:
     anchor: Optional[Solution] = None
 
 
-def _cold_starts(scene, anchors, offsets_m, sub_bands, p_max, rate_req, absorb):
-    """``_inner_steps``'s start at each of a (P, 3) stack of ``anchors``:
-    (link rows, matched profile, gains, cold allocation).
+def _cold_starts(scene, anchors, offsets_m, plan, absorb):
+    """``_inner_steps``'s start at each of a (P, 3) stack of ``anchors`` on
+    the ``_BandPlan`` ``plan``: (link rows, matched profile, gains, cold
+    allocation).
 
     The profile is matched to the UE with the largest rate floor (ties
     broken toward the longest path) at the plan's center frequency: that UE
@@ -185,17 +187,17 @@ def _cold_starts(scene, anchors, offsets_m, sub_bands, p_max, rate_req, absorb):
     from the profile that protects it best.  Each point's start is bit for
     bit the one this pass gives that point alone.
     """
-    vectors = _link_rows(sub_bands, anchors, offsets_m, scene, absorb)
+    vectors = _link_rows(plan, anchors, offsets_m, scene, absorb)
     lengths, slope = _two_hop(anchors, scene)
-    hardest = np.lexsort((lengths, np.broadcast_to(rate_req, lengths.shape)))[:, -1]
-    lo = min(b.lo_hz for b in sub_bands)
-    hi = max(b.hi_hz for b in sub_bands)
+    hardest = np.lexsort((lengths, np.broadcast_to(plan.floors, lengths.shape)))[:, -1]
+    lo = min(b.lo_hz for b in plan)
+    hi = max(b.hi_hz for b in plan)
     k = 2.0 * np.pi * (0.5 * (lo + hi)) / SPEED_OF_LIGHT
     profiles = [PhaseVector(k * s * offsets_m)
                 for s in slope[np.arange(len(anchors)), hardest].tolist()]
     # one product per point, so that a point's gains keep their bits at any P
     gains = np.array([np.abs(v @ phases.coefficients) ** 2 for v, phases in zip(vectors, profiles)])
-    return list(zip(vectors, profiles, gains, _cold_allocations(gains, sub_bands, p_max, rate_req)))
+    return list(zip(vectors, profiles, gains, _cold_allocations(gains, plan)))
 
 
 def _same_bits(a: PhaseVector, b: PhaseVector) -> bool:
@@ -208,9 +210,10 @@ def _ceiling_gains(vectors):
     return np.sum(np.abs(vectors), axis=-1) ** 2
 
 
-def _repair_request(vectors, phases, sub_bands, p_max, rate_req):
-    """The phase-stage request that steers the profile toward the rate floors
-    when no allocation meets them: (rows, targets, anchor angles).
+def _repair_request(vectors, phases, plan):
+    """The phase-stage request that steers the profile toward the ``_BandPlan``
+    ``plan``'s rate floors when no allocation meets them: (rows, targets,
+    anchor angles).
 
     Gives every floored UE its highest-headroom free band (hardest UE
     first) and asks for the received powers those floors need at an even
@@ -218,13 +221,12 @@ def _repair_request(vectors, phases, sub_bands, p_max, rate_req):
     phase stage hands back; one pass is all the repair makes, since a second
     rescued none of 3,386 repairs counted when it existed.
     """
-    u_count, i_count, _ = vectors.shape
-    bw = np.array([b.bandwidth_hz for b in sub_bands])
-    noise = np.array([b.noise_power_w for b in sub_bands])
-    p_eq = p_max / i_count
+    i_count = len(plan)
+    rate_req = plan.floors
+    p_eq = plan.p_max / i_count
     # received power needed to hit each floor on each band, and the coherent
     # ceiling an even split could ever deliver there
-    need = noise * (np.exp2(np.minimum(rate_req[:, None] / bw, 1023.0)) - 1.0)
+    need = plan.noise * (np.exp2(np.minimum(rate_req[:, None] / plan.bw, 1023.0)) - 1.0)
     ceiling = p_eq * _ceiling_gains(vectors)
 
     floored = np.flatnonzero(rate_req > 0)
@@ -265,54 +267,51 @@ def inner_solve(
     a single round suffices.  An infeasible point comes back as the
     allocation's all-zero verdict after one round.  A restored profile
     whose SNR at the full budget overflows is not taken: the rounds end on
-    the feasible allocation held.  The rounds are
-    ``_inner_steps``, each phase stage solved by ``sca_phase_optimize``;
-    ``bcs_solve`` passes ``_lookahead`` to take the point's answer from the
-    lattice points it solves together instead.
+    the feasible allocation held.  The rounds are ``_inner_steps`` on
+    ``_BandPlan.of`` the sub-bands, each phase stage solved by
+    ``sca_phase_optimize``; ``bcs_solve`` passes ``_lookahead`` to take the
+    point's answer from the lattice points it solves together instead.
     """
     if _lookahead is not None:
         return _lookahead.claim(placement)
-    steps = _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
-                         phases)
+    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, scene.ue_count)
+    steps = _inner_steps(scene, placement, plan, mixing_ratio, phases)
     # looked up at each call, so that a replaced bcs.sca_phase_optimize serves it
     return _drive(steps, lambda rows, targets, anchor, _: sca_phase_optimize(rows, targets, anchor))
 
 
-def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
-                 phases=None, start=None):
+def _inner_steps(scene, placement, plan, mixing_ratio, phases=None, start=None):
     """``inner_solve`` as a generator: yields each phase-stage request as
     (rows, targets, anchor angles, sum rate held), takes its ``ScaResult``,
     returns the ``Solution``.  The rate held is the allocation's before the
-    request, 0.0 before a feasible one; the rounds never lower it.  The
-    solve starts from ``start``, its point's rows, matched profile, gains
-    and cold allocation from ``_cold_starts``; without one it runs
-    ``_cold_starts`` on its own point, and a frozen ``phases`` profile
-    takes the rows and allocation of that profile.  Every allocation of the
-    solve shares one ``_BandPlan``: its floors, budget and band arrays are
-    set up and checked once, or taken as passed when ``sub_bands`` is a
-    plan of that budget and floors (``_BandPlan.of``)."""
-    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, scene.ue_count)
+    request, 0.0 before a feasible one; the rounds never lower it.  Every
+    allocation of the solve runs on the ``_BandPlan`` ``plan``, whose
+    budget and rate floors it takes.  The solve starts from ``start``, its
+    point's rows, matched profile, gains and cold allocation from
+    ``_cold_starts``; without one it runs ``_cold_starts`` on its own
+    point, and a frozen ``phases`` profile takes the rows and allocation of
+    that profile."""
     rate_req = plan.floors
     frozen = phases is not None
     if start is None:
-        absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
+        absorb = _band_absorption(tuple(b.center_hz for b in plan), mixing_ratio)
         if frozen:
-            vectors = effective_vector(sub_bands, placement, scene, absorb)
+            vectors = effective_vector(plan, placement, scene, absorb)
             gains = np.abs(vectors @ phases.coefficients) ** 2
-            start = vectors, phases, gains, solve_allocation(gains, plan, p_max, rate_req)
+            start = vectors, phases, gains, solve_allocation(gains, plan, plan.p_max, rate_req)
         else:
             start, = _cold_starts(scene, placement.anchor_position(scene)[None],
-                                  placement.offsets_m, plan, p_max, rate_req, absorb)
+                                  placement.offsets_m, plan, absorb)
     vectors, phases, gains, alloc = start
     if not alloc.feasible and not frozen and np.any(rate_req > 0):
         # the starting profile may simply point the wrong way; let the phase
         # stage chase the floors before writing the point off.  An unmoved
         # profile keeps its gains and cold allocation, bit for bit.
-        repaired = (yield *_repair_request(vectors, phases, sub_bands, p_max, rate_req), 0.0).phases
+        repaired = (yield *_repair_request(vectors, phases, plan), 0.0).phases
         if not _same_bits(repaired, phases):
             phases = repaired
             gains = np.abs(vectors @ phases.coefficients) ** 2
-            alloc = solve_allocation(gains, plan, p_max, rate_req)
+            alloc = solve_allocation(gains, plan, plan.p_max, rate_req)
     trace = [alloc.objective] if alloc.feasible else []
     converged = frozen or not alloc.feasible
     while not converged and len(trace) < MAX_ROUNDS:
@@ -335,7 +334,7 @@ def _inner_steps(scene, placement, sub_bands, p_max, rate_requirements, mixing_r
         restored_gains = np.abs(vectors @ restored.coefficients) ** 2
         try:
             following = solve_allocation(
-                restored_gains, plan, p_max, rate_req, warm_winners=alloc.winners
+                restored_gains, plan, plan.p_max, rate_req, warm_winners=alloc.winners
             )
         except _SnrOverflow:
             # the restored gains' SNR overflows the budget where the held
@@ -411,9 +410,10 @@ def _lattice_scores(scene, points, offsets_m, plan, absorb, gains_of, prune=Fals
     in lattice order and a point whose ``sum_rate_bounds`` bound, inflated
     by ``BOUND_MARGIN``, is below the best sum rate scored before it (as
     known after the last call) is skipped and reads (False, 0.0).  Its true
-    sum rate is below an earlier one, so the running maximum of the rates
-    and the first point of the largest feasible rate are those of the full
-    pass.  A NaN bound never skips a point.
+    sum rate is below an earlier one, so the running maximum of the scored
+    rates and the first point of the largest feasible one are those of the
+    full pass.  An overflowing point is not scored, so its +inf never sets
+    that best.  A NaN bound never skips a point.
     """
     per_block = max(1, BLOCK_ROWS // plan.u_count ** len(plan))
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
@@ -422,12 +422,12 @@ def _lattice_scores(scene, points, offsets_m, plan, absorb, gains_of, prune=Fals
         block = slice(start, start + per_block)
         gains[block] = gains_of(_link_rows(plan, anchors[block], offsets_m, scene, absorb))
     # a point the allocation refuses reads (True, +inf); the rest wait their turn
-    feasible = ~_snr_per_watt(gains, plan, plan.p_max)[1].all(axis=(1, 2))
+    feasible = ~_snr_per_watt(gains, plan)[1].all(axis=(1, 2))
     rates = np.where(feasible, np.inf, 0.0)
     waiting = ~feasible
     bounds = None
     if prune and len(points) > per_block:
-        bounds = sum_rate_bounds(gains, plan, plan.p_max) * (1.0 + BOUND_MARGIN)
+        bounds = sum_rate_bounds(gains, plan) * (1.0 + BOUND_MARGIN)
     start, best = 0, -np.inf
     while True:
         open_points = waiting[start:]
@@ -436,14 +436,14 @@ def _lattice_scores(scene, points, offsets_m, plan, absorb, gains_of, prune=Fals
         chosen = start + open_points.nonzero()[0][:per_block]
         if not chosen.size:
             return feasible, rates
-        feasible[chosen], rates[chosen] = score_allocations(gains[chosen], plan, plan.p_max,
-                                                            plan.floors)
-        best = max(best, rates[start:chosen[-1] + 1].max())
+        feasible[chosen], rates[chosen] = score_allocations(gains[chosen], plan)
+        best = max(best, rates[chosen].max())
         start = chosen[-1] + 1
 
 
-def _ceiling_bounds(scene, points, offsets_m, sub_bands, p_max, rate_requirements, absorb):
-    """Upper bound on ``inner_solve``'s sum rate at each lattice point, or -inf.
+def _ceiling_bounds(scene, points, offsets_m, plan, absorb):
+    """Upper bound on ``inner_solve``'s sum rate at each lattice point on the
+    ``_BandPlan`` ``plan``, or -inf.
 
     No unit-modulus profile lifts a link's power gain above the coherent
     ceiling, and the exact allocation's optimum only rises with the gains,
@@ -453,7 +453,6 @@ def _ceiling_bounds(scene, points, offsets_m, sub_bands, p_max, rate_requirement
     the ceiling's SNR at the full budget overflows, which the allocation
     cannot score: such a point is never pruned.  Every point is scored.
     """
-    plan = _BandPlan.of(sub_bands, p_max, rate_requirements, scene.ue_count)
     feasible, rates = _lattice_scores(
         scene, points, offsets_m, plan, absorb,
         lambda vectors: _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN))
@@ -480,23 +479,20 @@ class _Lookahead:
     ``bcs_solve``, solved together in bound order (iteration-level
     batching: Yu et al., OSDI 2022).
 
-    The anchor is the first flight.  The sum rate its rounds hold at their
-    first request (its cold allocation's, or 0.0 before a repair), a lower
-    bound on its answer known before it is solved, decides whether lattice
-    points are admitted at all (``opened``): at least ``LOOKAHEAD_MIN_OPEN``
-    bounds must reach it.  The next open point is then admitted while fewer
-    than ``LOOKAHEAD_POINTS`` lattice points are unsolved and its bound is
-    at least the best sum rate held so far: the anchor's, a solved point's,
-    or the allocation an unsolved flight's rounds already hold, which they
-    never lower.  Points are admitted in bound order, so that best stays at
-    or below the best-first loop's incumbent at every point the loop has
-    yet to reach, and the loop reaches no point the rule passed over;
-    ``claim`` would start one all the same.  For the same reason an
-    unsolved point whose bound falls below the best held is one the loop
-    stops before, and it is dropped (``_prune``).  Each flight runs
-    ``_inner_steps``, and the SGD problems of all of them share one
-    ``_SgdPool``: a flight whose problem exits sends its next one before
-    the next pool step.  ``claim`` steps the pool until the claimed flight
+    ``bcs_solve`` builds one only when at least ``LOOKAHEAD_MIN_OPEN``
+    ceilings meet every floor.  The anchor is the first flight.  The next
+    open point is admitted while fewer than ``LOOKAHEAD_POINTS`` lattice
+    points are unsolved and its bound is at least the best sum rate held so
+    far: the anchor's, a solved point's, or the allocation an unsolved
+    flight's rounds already hold, which they never lower.  Points are
+    admitted in bound order, so that best stays at or below the best-first
+    loop's incumbent at every point the loop has yet to reach, and the loop
+    reaches no point the rule passed over; ``claim`` would start one all
+    the same.  For the same reason an unsolved point whose bound falls below
+    the best held is one the loop stops before, and it is dropped
+    (``_prune``).  Each flight runs ``_inner_steps``, and the SGD problems
+    of all of them share one ``_SgdPool``: a flight whose problem exits
+    sends its next one before the next pool step.  ``claim`` steps the pool until the claimed flight
     is solved; ``bcs_solve`` claims the anchor first and then the lattice
     points in bound order, and the points still unclaimed when it stops are
     dropped.  An error is kept with its flight and raised when the flight is
@@ -531,9 +527,6 @@ class _Lookahead:
         self._unsolved = 0
         self._pool = _SgdPool()
         self._anchor = self._fly(anchor, None)
-        self.opened = np.count_nonzero(bounds >= self._best) >= LOOKAHEAD_MIN_OPEN
-        if not self.opened:
-            self._open.clear()
 
     def placement(self, i):
         """Lattice point ``i``'s placement, built once."""
@@ -652,38 +645,32 @@ def bcs_solve(
     answer is the one a full sweep of the anchor and then the lattice keeps.
     ``points_evaluated`` counts the lattice points inner-solved, one
     ``inner_solve`` call each.  When at least ``LOOKAHEAD_MIN_OPEN``
-    points' ceilings meet every floor, the anchor's ``inner_solve`` takes
-    its answer from a ``_Lookahead``; when as many bounds reach the sum rate
-    the anchor holds at its first phase stage, so do the lattice points', up to
-    ``LOOKAHEAD_POINTS`` points solved at once beside the anchor.  The
-    points it solves ahead and the loop never reaches are not counted.
+    points' ceilings meet every floor, the anchor's and the lattice points'
+    ``inner_solve`` calls take their answers from a ``_Lookahead``, up to
+    ``LOOKAHEAD_POINTS`` points solved at once beside the anchor; with
+    fewer, each point is solved alone.  The points it solves ahead and the
+    loop never reaches are not counted.  One ``_BandPlan`` serves the
+    bounds, the start passes and every inner solve.
     """
     anchor_placement = _min_distance_placement(scene, element_count, spacing_m)
     points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     offsets = anchor_placement.offsets_m
-    # one set-up of the band plan serves the bounds, the start passes and every inner solve
     plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
-    rate_req = plan.floors
-    bounds = _ceiling_bounds(scene, points, offsets, plan, p_max, rate_req, absorb)
+    bounds = _ceiling_bounds(scene, points, offsets, plan, absorb)
     order = np.argsort(-bounds, kind="stable").tolist()
 
     def place(i):
         return IrsPlacement(*points[i].tolist(), element_count, spacing_m)
 
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
-    # no sum rate is below 0.0: with fewer bounds reaching it, no rate the
-    # anchor holds can open the look-ahead
     ahead = _Lookahead(
         order, bounds, anchor_placement, place,
-        lambda placement, start: _inner_steps(scene, placement, plan, p_max, rate_req,
-                                              mixing_ratio, None, start),
-        lambda chunk: _cold_starts(scene, anchors[chunk], offsets, plan, p_max, rate_req, absorb),
+        lambda placement, start: _inner_steps(scene, placement, plan, mixing_ratio, None, start),
+        lambda chunk: _cold_starts(scene, anchors[chunk], offsets, plan, absorb),
     ) if np.count_nonzero(bounds >= 0.0) >= LOOKAHEAD_MIN_OPEN else None
-    anchor = inner_solve(scene, anchor_placement, plan, p_max, rate_req, mixing_ratio,
+    anchor = inner_solve(scene, anchor_placement, plan, plan.p_max, plan.floors, mixing_ratio,
                          _lookahead=ahead)
-    if ahead is not None and not ahead.opened:
-        ahead = None
 
     best = anchor
     # the anchor stands before every lattice point
@@ -695,8 +682,8 @@ def bcs_solve(
             break
         placement = place(i) if ahead is None else ahead.placement(i)
         try:
-            candidate = inner_solve(scene, placement, plan, p_max, rate_req, mixing_ratio,
-                                    _lookahead=ahead)
+            candidate = inner_solve(scene, placement, plan, plan.p_max, plan.floors,
+                                    mixing_ratio, _lookahead=ahead)
         except _SnrOverflow:
             if bounds[i] != np.inf:
                 raise
@@ -760,10 +747,12 @@ def baseline_ran_phi(
     every point that can beat the best scored before it; the first strict
     best (feasible beats infeasible, then a larger sum rate) is then
     inner-solved with the frozen profile, on the pass's band plan.  A point
-    whose SNR at the full budget overflows scores +inf, and the allocation
-    refuses its inner solve.  A lattice step wider than the room leaves no
-    lattice point; the sweep then takes the minimum-total-distance point,
-    the extra candidate of the full search."""
+    whose SNR at the full budget overflows, which the allocation refuses,
+    is passed over: its ``best_trace`` entry repeats the one before it, or
+    reads 0.0 first, and the search raises only when every point overflows.
+    A lattice step wider than the room leaves no lattice point; the sweep
+    then takes the minimum-total-distance point, the extra candidate of the
+    full search."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
     points = candidate_grid(scene, element_count, spacing_m, grid_step_x, grid_step_y)
     if not len(points):
@@ -775,11 +764,14 @@ def baseline_ran_phi(
     feasible, rates = _lattice_scores(
         scene, points, np.arange(element_count) * spacing_m, plan, absorb,
         lambda vectors: np.abs(vectors @ coefficients) ** 2, prune=True)
-    # an infeasible point scores 0.0 and a feasible one at least that, so
-    # -1.0 puts every feasible point first; argmax keeps the first best
-    best = int(np.argmax(np.where(feasible, rates, -1.0)))
-    trace = np.maximum.accumulate(rates).tolist()
+    # an overflowing point scores +inf and is passed over: it adds no rate
+    # to the trace and, at -2.0, ranks below every other point.  An
+    # infeasible point scores 0.0 and a feasible one at least that, so -1.0
+    # puts every feasible point first; argmax keeps the first best
+    over = rates == np.inf
+    best = int(np.argmax(np.where(over, -2.0, np.where(feasible, rates, -1.0))))
+    trace = np.maximum.accumulate(np.where(over, 0.0, rates)).tolist()
     placement = IrsPlacement(*points[best].tolist(), element_count, spacing_m)
-    solution = inner_solve(scene, placement, plan, p_max, plan.floors, mixing_ratio,
+    solution = inner_solve(scene, placement, plan, plan.p_max, plan.floors, mixing_ratio,
                            phases=phases)
     return SearchResult(solution=solution, best_trace=trace, points_evaluated=1)

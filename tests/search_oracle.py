@@ -10,9 +10,8 @@ must return the same solution bit for bit.
 stood before the batched scorer: one ``inner_solve`` with the frozen profile,
 or one ``solve_allocation`` on the coherent-ceiling gains, per lattice point.
 The batched ``baseline_ran_phi`` and ``_ceiling_bounds`` must agree with them
-bit for bit.  ``frozen_point_scores`` is the per-point half of the first: one
-frozen-profile ``inner_solve`` per lattice point, where a point whose SNR at
-the full budget overflows, which the allocation refuses, scores +inf.
+bit for bit.  A lattice point whose SNR at the full budget overflows, which
+the allocation refuses, is one ``frozen_sweep_ran_phi`` passes over.
 
 ``reference_repair_feasibility`` is the feasibility repair as it stood
 before it became one pass: it re-runs the phase stage for up to
@@ -71,9 +70,14 @@ def lattice_placements(scene, element_count, spacing_m, grid_step_x, grid_step_y
 
 
 def _first_strict_best(solutions):
-    """The first solution no later one strictly beats, and the running best rates."""
+    """The first solution no later one strictly beats, and the running best
+    rates; a None entry is passed over and repeats the rate before it, or
+    reads 0.0 first."""
     best, trace = None, []
     for candidate in solutions:
+        if candidate is None:
+            trace.append(trace[-1] if trace else 0.0)
+            continue
         if best is None:
             best = candidate
         elif candidate.feasible != best.feasible:
@@ -100,31 +104,26 @@ def full_sweep_bcs(scene, sub_bands, element_count, spacing_m, p_max, rate_requi
 def frozen_sweep_ran_phi(scene, sub_bands, element_count, spacing_m, p_max, rate_requirements,
                          mixing_ratio, rng, grid_step_x, grid_step_y) -> SearchResult:
     """Inner-solve every lattice point with one frozen random profile; keep the first
-    strict best.  ``best_trace`` has one entry per point."""
+    strict best.  ``best_trace`` has one entry per point.  A point whose SNR at the
+    full budget overflows, which the allocation refuses, is passed over; when every
+    point does, the first one's refusal is raised."""
     phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
     points = (lattice_placements(scene, element_count, spacing_m, grid_step_x, grid_step_y)
               or [_min_distance_placement(scene, element_count, spacing_m)])
-    best, trace = _first_strict_best(
-        inner_solve(scene, placement, sub_bands, p_max, rate_requirements, mixing_ratio,
-                    phases=phases) for placement in points)
-    return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points))
+    refusals = []
 
-
-def frozen_point_scores(scene, sub_bands, element_count, spacing_m, p_max, rate_requirements,
-                        mixing_ratio, rng, grid_step_x, grid_step_y):
-    """Each lattice point's (feasible, sum rate) under ``frozen_sweep_ran_phi``'s
-    profile, (True, inf) where the SNR at the full budget overflows."""
-    phases = PhaseVector(np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(element_count)]))
-    scores = []
-    for placement in lattice_placements(scene, element_count, spacing_m, grid_step_x,
-                                        grid_step_y):
+    def frozen_solve(placement):
         try:
-            sol = inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
-                              mixing_ratio, phases=phases)
-            scores.append((sol.feasible, sol.sum_rate_bps))
-        except _SnrOverflow:
-            scores.append((True, np.inf))
-    return scores
+            return inner_solve(scene, placement, sub_bands, p_max, rate_requirements,
+                               mixing_ratio, phases=phases)
+        except _SnrOverflow as error:
+            refusals.append(error)
+            return None
+
+    best, trace = _first_strict_best([frozen_solve(placement) for placement in points])
+    if best is None:
+        raise refusals[0]
+    return SearchResult(solution=best, best_trace=trace, points_evaluated=len(points))
 
 
 def ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb):

@@ -15,6 +15,8 @@ from allocation_oracle import (
 from thzirs.allocation import (
     ENUMERATION_CAP,
     _assignment_table,
+    _BandPlan,
+    _cold_allocations,
     _warm_first_table,
     score_allocations,
     solve_allocation,
@@ -349,7 +351,8 @@ def test_returned_winners_are_a_private_writable_copy():
 def _verdicts(gains, bands, p_max, floors):
     """Feasibility from the single-plan solve and from the batched scorer."""
     single = solve_allocation(gains, bands, p_max, floors)
-    feasible, rates = score_allocations(gains[None], bands, p_max, floors)
+    plan = _BandPlan(bands, p_max, floors, len(gains))
+    feasible, rates = score_allocations(gains[None], plan)
     assert (bool(feasible[0]), float(rates[0])) == (single.feasible, single.objective)
     return single.feasible
 
@@ -478,11 +481,30 @@ def test_water_filled_bound_caps_every_scored_sum_rate():
                             * np.log2(1.0 + kappa * p_max)).sum(axis=2).min()
                     for floors in (np.zeros(u), rng.uniform(0.0, 0.6, u) * full / u,
                                    np.full(u, 1e13), np.full(u, np.inf)):
-                        ok, rates = score_allocations(gains, bands, p_max, floors)
-                        bounds = sum_rate_bounds(gains, bands, p_max)
+                        plan = _BandPlan(bands, p_max, floors, u)
+                        ok, rates = score_allocations(gains, plan)
+                        bounds = sum_rate_bounds(gains, plan)
                         assert np.all(rates <= bounds * (1.0 + BOUND_MARGIN)), (u, i, p_max)
                         assert np.all(bounds[4] == 0.0)
                         tight += np.count_nonzero(rates > bounds)
                         feasible += np.count_nonzero(ok)
                         cases += len(ok)
     assert tight > 0 and 0 < feasible < cases
+
+
+def test_batched_allocations_refuse_gains_that_do_not_fit_the_plan():
+    # a one-UE plan given two-UE gains would have its (1,) floors broadcast
+    # to two UEs, and a three-band plan given two-band gains would index
+    # past them: every batched allocation names the misfit instead
+    bands = make_bands([50e9, 50e9, 50e9])
+    one_ue = _BandPlan(bands[:2], 1.0, [1e9], 1)
+    three_bands = _BandPlan(bands, 1.0, 0.0, 2)
+    gains = np.full((4, 2, 2), 1e-9)
+    for plan in (one_ue, three_bands):
+        for batched in (score_allocations, _cold_allocations, sum_rate_bounds):
+            with pytest.raises(ValueError, match=r"gains of shape \(4, 2, 2\) do not fit a plan "
+                                                 rf"of {plan.u_count} UEs over {len(plan)} sub-bands"):
+                batched(gains, plan)
+    # gains of the plan's own shape are scored
+    feasible, rates = score_allocations(gains[:, :1], one_ue)
+    assert feasible.all() and len(sum_rate_bounds(gains[:, :1], one_ue)) == 4

@@ -32,7 +32,6 @@ import search_oracle
 from search_oracle import (
     MAX_REPAIRS,
     ceiling_bound,
-    frozen_point_scores,
     frozen_sweep_ran_phi,
     full_sweep_bcs,
     lattice_placements,
@@ -502,8 +501,8 @@ def test_one_repair_pass_loses_no_rescue(monkeypatch):
             continue
         calls.update(library=0)
         reference_passes.clear()
-        repaired = bcs.sca_phase_optimize(
-            *bcs._repair_request(vectors, phases, SMALL_BANDS, 1.0, rate_req)).phases
+        plan = allocation._BandPlan(SMALL_BANDS, 1.0, rate_req, scene.ue_count)
+        repaired = bcs.sca_phase_optimize(*bcs._repair_request(vectors, phases, plan)).phases
         repaired_gains = np.abs(vectors @ repaired.coefficients) ** 2
         got = (repaired, repaired_gains,
                solve_allocation(repaired_gains, SMALL_BANDS, 1.0, rate_req))
@@ -565,8 +564,8 @@ def test_repair_stops_at_the_first_iterate_that_meets_its_targets(monkeypatch):
         return result
 
     monkeypatch.setattr(phase_opt, "sgd_solve", recorded)
-    repaired = bcs.sca_phase_optimize(
-        *bcs._repair_request(vectors, start, SMALL_BANDS, 1.0, rate_req)).phases
+    plan = allocation._BandPlan(SMALL_BANDS, 1.0, rate_req, scene.ue_count)
+    repaired = bcs.sca_phase_optimize(*bcs._repair_request(vectors, start, plan)).phases
     monkeypatch.undo()
 
     def worst(surr, targets, angles):
@@ -716,6 +715,7 @@ def test_batched_starts_match_the_lone_starts():
         scene, n, floor = small_case(seed)
         shapes.add((scene.ue_count, n))
         rate_req = np.full(scene.ue_count, floor)
+        plan = allocation._BandPlan(SMALL_BANDS, 1.0, rate_req, scene.ue_count)
         absorb = _band_absorption(tuple(b.center_hz for b in SMALL_BANDS), MU)
         points = candidate_grid(scene, n, 0.005, 0.5, 0.5)
         anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
@@ -723,8 +723,7 @@ def test_batched_starts_match_the_lone_starts():
         for size in (1, 5, bcs.LOOKAHEAD_POINTS):
             starts = []
             for lo in range(0, len(points), size):
-                starts += bcs._cold_starts(scene, anchors[lo:lo + size], offsets, SMALL_BANDS,
-                                           1.0, rate_req, absorb)
+                starts += bcs._cold_starts(scene, anchors[lo:lo + size], offsets, plan, absorb)
             assert len(starts) == len(points)
             for (x, y), (vectors, phases, gains, alloc) in zip(points.tolist(), starts):
                 placement = IrsPlacement(x, y, n, 0.005)
@@ -749,7 +748,7 @@ def test_batched_starts_match_the_lone_starts():
                     placement = IrsPlacement(x, y, n, 0.005)
                     args = (scene, placement, SMALL_BANDS, 1.0, floor, MU)
                     batched = phase_opt._drive(
-                        bcs._inner_steps(*args, None, start),
+                        bcs._inner_steps(scene, placement, plan, MU, None, start),
                         lambda rows, targets, anchor, _: sca_phase_optimize(rows, targets, anchor))
                     assert_same_bits(batched, inner_solve(*args))
     assert {u for u, _ in shapes} == {1, 2, 3, 4} and {n for _, n in shapes} == {1, 4, 8}
@@ -969,10 +968,10 @@ def test_lookahead_census_of_per_problem_work(monkeypatch):
     count(bcs, "_cold_allocations", "start allocations")
     steps = bcs._inner_steps
 
-    def begun(scene, placement, sub_bands, p_max, floors, mu, phases=None, start=None):
+    def begun(scene, placement, plan, mu, phases=None, start=None):
         # an inner solve without a start builds its own: a lone start
         counts["lone starts"] = counts.get("lone starts", 0) + (start is None)
-        return steps(scene, placement, sub_bands, p_max, floors, mu, phases, start)
+        return steps(scene, placement, plan, mu, phases, start)
 
     monkeypatch.setattr(bcs, "_inner_steps", begun)
     monkeypatch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", 0)
@@ -989,6 +988,74 @@ def test_lookahead_census_of_per_problem_work(monkeypatch):
     # so the lattice pass, the starts and the rounds' allocations set nothing up
     assert counts["inner solves"] > 5 and counts["allocations"] > 0
     assert counts["start allocations"] == counts["cold starts"]
+
+
+# small cases whose lattices (0.5 m steps) hold 1 to 42 ceilings that meet
+# every floor; at 139 fewer than half of its 42 bounds reach the sum rate the
+# anchor holds at its first phase stage
+GATE_SEEDS = (28, 43, 54, 68, 70, 82, 85, 87, 118, 139)
+
+
+def test_the_lookahead_opens_exactly_when_enough_ceilings_meet_the_floors():
+    # one gate: bcs_solve builds a _Lookahead exactly when at least
+    # LOOKAHEAD_MIN_OPEN ceiling bounds are >= 0.0, however few of them
+    # reach the sum rate the anchor holds.  With one, every phase stage runs
+    # in its SGD pool and none reaches bcs.sca_phase_optimize; without one,
+    # every stage does.  Either way the answer is the full sweep's, and the
+    # trace is that of the search under the other gate
+    cases = []
+    for seed in GATE_SEEDS:
+        scene, n, floor = small_case(seed)
+        plan = allocation._BandPlan(SMALL_BANDS, 1.0, floor, scene.ue_count)
+        absorb = _band_absorption(tuple(b.center_hz for b in SMALL_BANDS), MU)
+        points = candidate_grid(scene, n, 0.005, 0.5, 0.5)
+        bounds = bcs._ceiling_bounds(scene, points, np.arange(n) * 0.005, plan, absorb)
+        cases.append(((scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5),
+                      np.count_nonzero(bounds >= 0.0)))
+    # the median count: the search at that count opens, and so do those above
+    counts = sorted(count for _, count in cases)
+    gate = counts[len(counts) // 2]
+    assert counts[0] < gate < counts[-1]
+
+    built, pooled, lone, short = [], [], [], []
+
+    class Counted(bcs._Lookahead):
+        def __init__(self, order, bounds, *rest):
+            built.append(self)
+            super().__init__(order, bounds, *rest)
+            # a search whose anchor holds a rate that too few bounds reach
+            short.append(np.count_nonzero(bounds >= self._best) < bcs.LOOKAHEAD_MIN_OPEN)
+
+    def pooled_stage(*args, _original=bcs._sca_steps):
+        pooled.append(args)
+        return _original(*args)
+
+    def lone_stage(*args, _original=bcs.sca_phase_optimize):
+        lone.append(args)
+        return _original(*args)
+
+    opened = closed = 0
+    for args, count in cases:
+        want = full_sweep_bcs(*args)
+        traces = {}
+        for min_open in (gate, 0 if count < gate else 10**9):
+            del built[:], pooled[:], lone[:]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bcs, "LOOKAHEAD_MIN_OPEN", min_open)
+                patch.setattr(bcs, "_Lookahead", Counted)
+                patch.setattr(bcs, "_sca_steps", pooled_stage)
+                patch.setattr(bcs, "sca_phase_optimize", lone_stage)
+                res = bcs_solve(*args)
+            assert len(built) == (count >= min_open)
+            stages, others = (pooled, lone) if built else (lone, pooled)
+            assert stages and not others
+            assert_same_bits(res.solution, want.solution)
+            assert res.best_trace[-1].hex() == want.best_trace[-1].hex()
+            traces[min_open] = [r.hex() for r in res.best_trace]
+        assert len(set(map(tuple, traces.values()))) == 1
+        opened += count >= gate
+        closed += count < gate
+    assert opened and closed and any(short)
 
 
 def test_a_start_pass_takes_only_points_the_rule_may_admit(monkeypatch):
@@ -1029,12 +1096,12 @@ def test_bcs_answers_a_budget_whose_ceiling_snr_overflows():
     points = candidate_grid(scene, config.element_count, config.spacing_m,
                             config.grid_step_x_m, config.grid_step_y_m)
     offsets = np.arange(config.element_count) * config.spacing_m
-    bounds = bcs._ceiling_bounds(scene, points, offsets, bands, config.p_max_w,
-                                 config.rate_floor_bps, absorb)
+    plan = allocation._BandPlan(bands, config.p_max_w, config.rate_floor_bps, scene.ue_count)
+    bounds = bcs._ceiling_bounds(scene, points, offsets, plan, absorb)
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
     vectors = bcs._link_rows(bands, anchors, offsets, scene, absorb)
-    over = ~_snr_per_watt(bcs._ceiling_gains(vectors) * (1.0 + bcs.BOUND_MARGIN), bands,
-                          config.p_max_w)[1].all(axis=(1, 2))
+    over = ~_snr_per_watt(bcs._ceiling_gains(vectors) * (1.0 + bcs.BOUND_MARGIN),
+                          plan)[1].all(axis=(1, 2))
     assert 0 < over.sum() < len(points)
     # a point whose ceiling overflows is never pruned; every other keeps its bound
     assert (bounds[over] == np.inf).all()
@@ -1148,7 +1215,8 @@ def test_ceiling_bound_caps_the_inner_solve(u_count, n, floor):
     absorb = _band_absorption(tuple(b.center_hz for b in bands), MU)
     points = candidate_grid(scene, n, 0.005, 1.0, 1.0)
     chosen = points[rng.choice(len(points), size=4, replace=False)]
-    bounds = bcs._ceiling_bounds(scene, chosen, np.arange(n) * 0.005, bands, 1.0, floor, absorb)
+    plan = allocation._BandPlan(bands, 1.0, floor, u_count)
+    bounds = bcs._ceiling_bounds(scene, chosen, np.arange(n) * 0.005, plan, absorb)
     for (x, y), bound in zip(chosen.tolist(), bounds.tolist()):
         sol = inner_solve(scene, IrsPlacement(x, y, n, 0.005), bands, 1.0, floor, MU)
         if bound == -np.inf:
@@ -1193,7 +1261,8 @@ def _lattice_answers(scene, bands, n, floor, step_x, step_y, seed):
     points = candidate_grid(scene, n, 0.005, step_x, step_y)
     return (baseline_ran_phi(scene, bands, n, 0.005, 1.0, floor, MU, SplitMix64(seed),
                              step_x, step_y),
-            bcs._ceiling_bounds(scene, points, np.arange(n) * 0.005, bands, 1.0, floor, absorb))
+            bcs._ceiling_bounds(scene, points, np.arange(n) * 0.005,
+                                allocation._BandPlan(bands, 1.0, floor, scene.ue_count), absorb))
 
 
 @pytest.mark.parametrize("size", LATTICE_SIZES)
@@ -1318,40 +1387,40 @@ def test_ranphi_skips_the_points_that_cannot_set_a_record():
 
 @pytest.mark.parametrize("block_rows, first_block", [(32, True), (8, False)])
 def test_ranphi_with_an_overflowing_point(block_rows, first_block):
-    # a budget that overflows the SNR at the sixth point alone: it scores
-    # +inf, so it is the best and every later point is skipped; its inner
-    # solve is refused as the oracle's is, and the pass's running best and
-    # first best match the per-point scores
-    scene = _row_scene(1.5)
-    placements = lattice_placements(scene, ROW["n"], 0.005, ROW["step_x"], ROW["step_y"])
-    absorb = _band_absorption(tuple(b.center_hz for b in ROW_BANDS), MU)
-    gains = np.array([np.abs(effective_vector(ROW_BANDS, p, scene, absorb)[..., 0]) ** 2
-                      for p in placements])
-    kappa = (gains / np.array([b.noise_power_w for b in ROW_BANDS])).max(axis=(1, 2))
-    p_max = np.finfo(float).max / kappa.max() * (1.0 + 1e-9)
-    finite = _snr_per_watt(gains, ROW_BANDS, p_max)[1].all(axis=(1, 2))
-    assert (~finite).nonzero()[0].tolist() == [5]
+    # one UE under the row at each x of ue_xs, so the rates peak twice, and
+    # a budget that overflows the SNR at the fifth point alone, the top of
+    # the first peak: ranphi and its oracle pass over it, and the best of
+    # the rest lies on the second peak.  Had the overflow's +inf set the
+    # pass's running best, the second peak would be skipped: in 2-point
+    # blocks (8 rows) in the first scene, in 8-point blocks in the second
     per_block = block_rows // 4
-    assert (5 < per_block) == first_block
+    assert (4 < per_block) == first_block
+    for ue_xs, ap_x in (((1.0, 2.5), 1.74), ((0.75, 3.0), 1.85)):
+        scene = Scene(4.0, 3.0, 3.0, (ap_x, 0.0, 2.0), [(x, 3.0, 1.0) for x in ue_xs])
+        placements = lattice_placements(scene, ROW["n"], 0.005, ROW["step_x"], ROW["step_y"])
+        absorb = _band_absorption(tuple(b.center_hz for b in ROW_BANDS), MU)
+        gains = np.array([np.abs(effective_vector(ROW_BANDS, p, scene, absorb)[..., 0]) ** 2
+                          for p in placements])
+        kappa = (gains / np.array([b.noise_power_w for b in ROW_BANDS])).max(axis=(1, 2))
+        p_max = np.finfo(float).max / kappa.max() * (1.0 + 1e-9)
+        plan = allocation._BandPlan(ROW_BANDS, p_max, 0.0, 2)
+        assert (~_snr_per_watt(gains, plan)[1].all(axis=(1, 2))).nonzero()[0].tolist() == [4]
+        with pytest.raises(_SnrOverflow):
+            inner_solve(scene, placements[4], ROW_BANDS, p_max, 0.0, MU,
+                        phases=PhaseVector(np.zeros(1)))
 
-    got, want, calls = _ranphi_and_oracle(scene, p_max, 0.0, block_rows)
-    assert isinstance(got, _SnrOverflow) and str(got) == str(want)
-    assert calls and max(calls) <= per_block and sum(calls) < 11
+        got, want, calls = _ranphi_and_oracle(scene, p_max, 0.0, block_rows)
+        _assert_same_search(got, want)
+        assert got.solution.placement.x_m > 2.0
+        assert got.solution.validate(scene, ROW_BANDS, p_max, 0.0, MU) == got.solution.sum_rate_bps
+        # the passed-over point repeats the running best and is never scored
+        assert want.best_trace[4] == want.best_trace[3] > 0.0
+        assert calls and max(calls) <= per_block and sum(calls) < 12
 
-    scores = frozen_point_scores(scene, ROW_BANDS, ROW["n"], 0.005, p_max, 0.0, MU,
-                                 SplitMix64(5), ROW["step_x"], ROW["step_y"])
-    phases = PhaseVector(np.array([SplitMix64(5).uniform(0.0, 2.0 * np.pi)]))
-    plan = allocation._BandPlan(ROW_BANDS, p_max, 0.0, 2)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bcs, "BLOCK_ROWS", block_rows)
-        feasible, rates = bcs._lattice_scores(
-            scene, np.array([[p.x_m, p.y_m] for p in placements]), np.zeros(1), plan, absorb,
-            lambda vectors: np.abs(vectors @ phases.coefficients) ** 2, prune=True)
-    want_feasible, want_rates = (np.array(column) for column in zip(*scores))
-    assert [r.hex() for r in np.maximum.accumulate(rates).tolist()] == [
-        r.hex() for r in np.maximum.accumulate(want_rates).tolist()]
-    assert np.argmax(np.where(feasible, rates, -1.0)) == np.argmax(
-        np.where(want_feasible, want_rates, -1.0)) == 5
+        # a budget that overflows every point leaves nothing to keep: both raise
+        got, want, _ = _ranphi_and_oracle(
+            scene, np.finfo(float).max / kappa.min() * (1.0 + 1e-9), 0.0, block_rows)
+        assert isinstance(got, _SnrOverflow) and str(got) == str(want)
 
 
 def test_ranphi_on_a_lattice_with_no_feasible_point():

@@ -329,13 +329,23 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algo", ["minidis", "bcs", "ranphi"])
+@pytest.mark.parametrize("algo", ["minidis", "bcs"])
 def test_cli_refuses_a_budget_whose_snr_overflows(tmp_path, capsys, algo):
     # 1e308 W passes the config's finiteness check, but gain / noise * p_max
     # overflows; the allocation refuses it rather than report an infinite rate
     cfg = write_config(tmp_path, {"radio": {"p_max_w": 1e308}})
     assert main(["optimize", "--config", cfg, "--algo", algo, "--seed", "1"]) == 1
     assert "gains / noise * p_max is not finite" in capsys.readouterr().err
+
+
+def test_cli_ranphi_passes_over_the_points_whose_snr_overflows(tmp_path, capsys):
+    # at 1e308 W the frozen profile's SNR overflows at some lattice points,
+    # not all: ranphi passes over those and answers from the rest
+    cfg = write_config(tmp_path, {"radio": {"p_max_w": 1e308}})
+    assert main(["optimize", "--config", cfg, "--algo", "ranphi", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "feasible=true" in out
+    assert np.isfinite(float(re.search(r"sum_rate_bps=(\S+)", out).group(1)))
 
 
 def test_cli_optimize_stays_finite_at_a_huge_budget(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """NumPy is the only runtime dependency of the library (see pyproject.toml),
-``import thzirs`` stays free of the modules only some entry points need, and
-every private helper of the library serves the library: test oracles live
-under ``tests/``."""
+``import thzirs`` stays free of the modules only some entry points need,
+every private helper of the library serves the library (test oracles live
+under ``tests/``), and every parameter of the library's functions is read."""
 
 import ast
 import subprocess
@@ -75,3 +75,23 @@ def test_library_uses_every_private_function_and_class_it_defines():
                 used.add(name)
     unused = sorted(f"{path.name}: {name}" for path, name in defined if name not in used)
     assert not unused, unused
+
+
+def test_every_parameter_of_the_library_is_read():
+    # a parameter its body never reads is a dead knob; self and cls excepted
+    functions = 0
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            functions += 1
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(arg for arg in (args.vararg, args.kwarg) if arg is not None)]
+            read = {inner.id for statement in node.body for inner in ast.walk(statement)
+                    if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({param.arg})" for param in params
+                       if param.arg not in read and param.arg not in ("self", "cls")]
+    assert functions > 100
+    assert not unread, unread
