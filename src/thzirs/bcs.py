@@ -21,14 +21,16 @@ MinDis and RanLoc their own, RanPhi the lattice point that scores best under
 its frozen phase profile.
 
 Both lattice passes, the ceiling bounds and RanPhi's frozen-profile scores,
-build link rows a block of lattice points at a time, keep only the points'
-power gains, and run the exact allocation for a block of points at once
-(``_lattice_scores``); a block holds at most ``BLOCK_ROWS`` allocation rows
-(points times assignments), so memory stays flat at any plan size the
-allocation accepts.  The ceiling pass scores every point.  RanPhi's walks
-the lattice in order and scores exactly only the points whose water-filled
-bound (``sum_rate_bounds``) reaches the best sum rate scored before them,
-the only ones that can change its answer or its running best (branch and
+keep only the points' power gains and run the exact allocation for a block
+of points at once (``_lattice_scores``); a block holds at most
+``BLOCK_ROWS`` allocation rows (points times assignments), so memory stays
+flat at any plan size the allocation accepts.  The ceiling pass builds the
+link rows of every point, a block at a time, and scores every point.
+RanPhi's bounds every point's frozen-profile gains in closed form, with no
+link rows (``_frozen_gain_bounds``), walks the lattice in order, and builds
+link rows for and scores exactly only the points whose water-filled bound
+(``sum_rate_bounds``) reaches the best sum rate scored before them, the
+only ones that can change its answer or its running best (branch and
 bound: Land and Doig, 1960).  Each search sets its allocation plan up once
 (a ``_BandPlan``), and every helper below the public entry points takes the
 sub-bands, budget and rate floors from that plan alone.
@@ -52,7 +54,12 @@ from .allocation import (
     sum_rate_bounds,
 )
 # absorption_coefficient stays importable here for perfbench/tracer.py
-from .channel import SPEED_OF_LIGHT, _band_absorption, absorption_coefficient  # noqa: F401
+from .channel import (  # noqa: F401
+    SPEED_OF_LIGHT,
+    _band_absorption,
+    _path_amplitude,
+    absorption_coefficient,
+)
 from .geometry import (
     IrsPlacement,
     PhaseVector,
@@ -391,51 +398,100 @@ def _min_distance_placement(scene, element_count, spacing_m):
     return IrsPlacement(x, y, element_count, spacing_m)
 
 
-def _lattice_scores(scene, points, offsets_m, plan, absorb, gains_of, prune=False):
+def _frozen_gain_bounds(scene, anchors, spacing_m, coefficients, plan, absorb):
+    """(P, U, I) upper bounds on the frozen-profile gains
+    ``np.abs(_link_rows(...) @ coefficients) ** 2`` at a (P, 3) stack of
+    ``anchors`` on the ``_BandPlan`` ``plan``, elements ``spacing_m`` apart,
+    built without link rows.
+
+    Element n sits n spacings along +y, so e_uin = g_ui z_ui^n with
+    z_ui = exp(-j a_ui spacing), a_ui = k_i s_u (``_link_rows``' bits), and
+    e_ui . phi = g_ui S_ui with S_ui = sum_n phi_n z_ui^n, summed by Horner
+    in N in-place steps: one complex exp per (point, UE, band).  The bound
+    is (|g_ui| (|S_ui| + delta_ui))^2 with, in element amplitudes,
+
+        delta = 8 eps N (beta + N + 2),  beta = |a| (N - 1) spacing,
+
+    beta the largest steering phase.  To first order in u = eps / 2, the
+    exact rows' argument rounding (2u beta_n per element), their exps,
+    products and N-term sum stray u N (beta + 1.5 N + 7) from the true sum,
+    and Horner's rounded z, its powers and its steps u N (beta / 2 + 2.7 N + 1);
+    |g|, the abs and the squares add under 8 u N.  delta is u N (16 beta +
+    16 N + 32), at least twice that sum.
+    """
+    f = np.array([b.center_hz for b in plan], dtype=float)
+    lengths, slope = _two_hop(anchors, scene)
+    a = 2.0 * np.pi * f / SPEED_OF_LIGHT * slope[..., None]
+    z = np.exp(-1j * (a * spacing_m))
+    total = np.full(z.shape, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        total *= z
+        total += c
+    n = len(coefficients)
+    delta = 8.0 * np.finfo(float).eps * n * (np.abs(a) * ((n - 1) * spacing_m) + (n + 2))
+    return (_path_amplitude(f, lengths[..., None], absorb) * (np.abs(total) + delta)) ** 2
+
+
+def _lattice_scores(scene, points, offsets_m, plan, absorb, gains_of, bound_gains=None):
     """Feasibility and exact-allocation sum rate at every (x, y) row of ``points``,
     the array's elements ``offsets_m`` along +y from each anchor, on the
     ``_BandPlan`` ``plan``.
 
     ``gains_of`` turns a block's (P, U, I, N) link rows into its (P, U, I)
-    power gains; only the gains of the whole lattice are kept.  A block
-    holds at most ``BLOCK_ROWS`` allocation rows (points times assignments),
-    one point at least, and so does each ``score_allocations`` call.  Each
-    scored point's pair is bit for bit the ``feasible`` and ``objective`` of
-    ``solve_allocation`` on its own gains.  Returns two (P,) arrays, the sum
-    rate 0.0 where infeasible.  A point whose SNR at the full budget
-    overflows, which the allocation refuses, scores (True, +inf) and is not
-    sent to the allocation.
+    power gains.  A block holds at most ``BLOCK_ROWS`` allocation rows
+    (points times assignments), one point at least, and so does each
+    ``score_allocations`` call.  Each scored point's pair is bit for bit the
+    ``feasible`` and ``objective`` of ``solve_allocation`` on its own gains.
+    Returns two (P,) arrays, the sum rate 0.0 where infeasible.  A point
+    whose SNR at the full budget overflows, which the allocation refuses,
+    scores (True, +inf) and is not sent to the allocation.
 
-    With ``prune`` and more than one block of points, the points are scored
-    in lattice order and a point whose ``sum_rate_bounds`` bound, inflated
-    by ``BOUND_MARGIN``, is below the best sum rate scored before it (as
-    known after the last call) is skipped and reads (False, 0.0).  Its true
-    sum rate is below an earlier one, so the running maximum of the scored
-    rates and the first point of the largest feasible one are those of the
-    full pass.  An overflowing point is not scored, so its +inf never sets
-    that best.  A NaN bound never skips a point.
+    With no ``bound_gains``, or no more than one block of points, every
+    point's link rows are built and every point is scored.  Otherwise
+    ``bound_gains`` maps a (P, 3) stack of anchors to (P, U, I) gains no
+    lower than ``gains_of``'s, without link rows, and the points are scored
+    in lattice order: a point whose ``sum_rate_bounds`` bound of those
+    gains, inflated by ``BOUND_MARGIN``, is below the best sum rate scored
+    before it (as known after the last call) is skipped and reads
+    (False, 0.0).  Its true sum rate is below an earlier one, so the
+    running maximum of the scored rates and the first point of the largest
+    feasible one are those of the full pass.  Link rows are built only for
+    the points scored, and first for the points whose bound gains' SNR
+    overflows: their own gains then give the overflow verdict and the
+    bound.  An overflowing point is not scored, so its +inf never sets that
+    best.  A NaN bound never skips a point.
     """
     per_block = max(1, BLOCK_ROWS // plan.u_count ** len(plan))
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
-    gains = np.empty((len(points), plan.u_count, len(plan)))
-    for start in range(0, len(points), per_block):
-        block = slice(start, start + per_block)
-        gains[block] = gains_of(_link_rows(plan, anchors[block], offsets_m, scene, absorb))
+
+    def exact_gains(chosen):
+        for start in range(0, len(chosen), per_block):
+            block = chosen[start:start + per_block]
+            gains[block] = gains_of(_link_rows(plan, anchors[block], offsets_m, scene, absorb))
+
+    pruned = bound_gains is not None and len(points) > per_block
+    if pruned:
+        gains = bound_gains(anchors)
+        exact_gains(np.flatnonzero(~_snr_per_watt(gains, plan)[1].all(axis=(1, 2))))
+    else:
+        gains = np.empty((len(points), plan.u_count, len(plan)))
+        exact_gains(np.arange(len(points)))
     # a point the allocation refuses reads (True, +inf); the rest wait their turn
     feasible = ~_snr_per_watt(gains, plan)[1].all(axis=(1, 2))
     rates = np.where(feasible, np.inf, 0.0)
     waiting = ~feasible
-    bounds = None
-    if prune and len(points) > per_block:
+    if pruned:
         bounds = sum_rate_bounds(gains, plan) * (1.0 + BOUND_MARGIN)
     start, best = 0, -np.inf
     while True:
         open_points = waiting[start:]
-        if bounds is not None:
+        if pruned:
             open_points = open_points & ~(bounds[start:] < best)
         chosen = start + open_points.nonzero()[0][:per_block]
         if not chosen.size:
             return feasible, rates
+        if pruned:
+            exact_gains(chosen)
         feasible[chosen], rates[chosen] = score_allocations(gains[chosen], plan)
         best = max(best, rates[chosen].max())
         start = chosen[-1] + 1
@@ -743,13 +799,15 @@ def baseline_ran_phi(
     grid_step_y: float,
 ) -> SearchResult:
     """Same lattice as the full search but one frozen random phase profile
-    and no phase restoration.  The batched pass scores, in lattice order,
-    every point that can beat the best scored before it; the first strict
-    best (feasible beats infeasible, then a larger sum rate) is then
-    inner-solved with the frozen profile, on the pass's band plan.  A point
-    whose SNR at the full budget overflows, which the allocation refuses,
-    is passed over: its ``best_trace`` entry repeats the one before it, or
-    reads 0.0 first, and the search raises only when every point overflows.
+    and no phase restoration.  The batched pass bounds every point's gains
+    without link rows and scores, in lattice order, every point that can
+    beat the best scored before it, building link rows for those alone;
+    the first strict best (feasible beats infeasible, then a larger sum
+    rate) is then inner-solved with the frozen profile, on the pass's band
+    plan.  A point whose SNR at the full budget overflows, which the
+    allocation refuses, is passed over: its ``best_trace`` entry repeats
+    the one before it, or reads 0.0 first, and the search raises only when
+    every point overflows.
     A lattice step wider than the room leaves no lattice point; the sweep
     then takes the minimum-total-distance point, the extra candidate of the
     full search."""
@@ -763,7 +821,8 @@ def baseline_ran_phi(
     coefficients = phases.coefficients
     feasible, rates = _lattice_scores(
         scene, points, np.arange(element_count) * spacing_m, plan, absorb,
-        lambda vectors: np.abs(vectors @ coefficients) ** 2, prune=True)
+        lambda vectors: np.abs(vectors @ coefficients) ** 2,
+        lambda anchors: _frozen_gain_bounds(scene, anchors, spacing_m, coefficients, plan, absorb))
     # an overflowing point scores +inf and is passed over: it adds no rate
     # to the trace and, at -2.0, ranks below every other point.  An
     # infeasible point scores 0.0 and a feasible one at least that, so -1.0

@@ -16,6 +16,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 # validity warning is emitted.
 VALID_F_LO = 200e9
 VALID_F_HI = 400e9
+# frequency step of the scan for absorption peaks
+_PEAK_SCAN_STEP_HZ = 0.1e9
 
 # Polynomial tail coefficients of the absorption fit (f in Hz, result in 1/m).
 _P1 = 5.54e-37
@@ -140,6 +142,31 @@ def _band_absorption(centers_hz: tuple, mixing_ratio: float) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=64)
+def _absorption_peaks(mixing_ratio: float) -> np.ndarray:
+    """Frequencies of the interior local maxima of K(f) on a uniform scan of
+    the validity window, scanned once per mixing ratio; read-only."""
+    f = np.arange(VALID_F_LO, VALID_F_HI + _PEAK_SCAN_STEP_HZ / 2, _PEAK_SCAN_STEP_HZ)
+    k = absorption_coefficient(f, mixing_ratio)
+    peaks = f[np.flatnonzero((k[1:-1] > k[:-2]) & (k[1:-1] > k[2:])) + 1]
+    peaks.flags.writeable = False
+    return peaks
+
+
+def _path_amplitude(f, d, k):
+    """``cascaded_gain``'s amplitude, Friis spreading over the total length
+    times molecular attenuation, for float arrays of frequency ``f``, path
+    length ``d`` and absorption ``k`` that broadcast against each other."""
+    if not (np.isfinite(d) & (d > 0)).all():
+        raise ValueError(f"path length must be positive, got {d}")
+    if not (np.isfinite(f) & (f > 0)).all():
+        raise ValueError(f"frequency must be positive, got {f}")
+    if not (np.isfinite(k) & (k >= 0)).all():
+        raise ValueError(f"absorption must be non-negative, got {k}")
+    amplitude = SPEED_OF_LIGHT / (4.0 * np.pi * f * d)
+    return amplitude * np.exp(-0.5 * k * d)
+
+
 def cascaded_gain(frequency_hz, path_length_m, absorption_per_m):
     """Complex gain of the two-hop reflected path, Friis spreading over the
     total length times molecular attenuation, with the propagation phase.
@@ -149,15 +176,7 @@ def cascaded_gain(frequency_hz, path_length_m, absorption_per_m):
     """
     f = np.asarray(frequency_hz, dtype=float)
     d = np.asarray(path_length_m, dtype=float)
-    k = np.asarray(absorption_per_m, dtype=float)
-    if not (np.isfinite(d) & (d > 0)).all():
-        raise ValueError(f"path length must be positive, got {path_length_m}")
-    if not (np.isfinite(f) & (f > 0)).all():
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    if not (np.isfinite(k) & (k >= 0)).all():
-        raise ValueError(f"absorption must be non-negative, got {absorption_per_m}")
-    amplitude = SPEED_OF_LIGHT / (4.0 * np.pi * f * d)
-    amplitude = amplitude * np.exp(-0.5 * k * d)
+    amplitude = _path_amplitude(f, d, np.asarray(absorption_per_m, dtype=float))
     phase = -2.0 * np.pi * f * d / SPEED_OF_LIGHT
     re, im = amplitude * np.cos(phase), amplitude * np.sin(phase)
     return complex(re, im) if re.ndim == 0 else re + 1j * im

@@ -21,7 +21,14 @@ from .bcs import (
     baseline_ran_phi,
     bcs_solve,
 )
-from .channel import SPEED_OF_LIGHT, VALID_F_HI, VALID_F_LO, SubBand, absorption_coefficient
+from .channel import (
+    SPEED_OF_LIGHT,
+    VALID_F_HI,
+    VALID_F_LO,
+    SubBand,
+    _absorption_peaks,
+    absorption_coefficient,
+)
 from .channel import water_vapor_mixing_ratio
 from .config import ConfigError, ExperimentConfig, _count, config_from_dict, config_to_dict
 from .geometry import IrsPlacement, PhaseVector
@@ -35,16 +42,12 @@ from .rng import (
 logger = logging.getLogger("thzirs.experiment")
 
 PEAK_EXCLUSION_HZ = 10e9
-_PEAK_SCAN_STEP_HZ = 0.1e9
 
 
 def absorption_peaks(mixing_ratio: float) -> np.ndarray:
     """Frequencies of the interior local maxima of K(f) on a uniform scan
-    of the model's validity window."""
-    f = np.arange(VALID_F_LO, VALID_F_HI + _PEAK_SCAN_STEP_HZ / 2, _PEAK_SCAN_STEP_HZ)
-    k = absorption_coefficient(f, mixing_ratio)
-    idx = np.flatnonzero((k[1:-1] > k[:-2]) & (k[1:-1] > k[2:])) + 1
-    return f[idx]
+    of the model's validity window, as a fresh array."""
+    return _absorption_peaks(mixing_ratio).copy()
 
 
 def auto_band_plan(range_hz, width_hz: float, atmosphere, noise_psd_w_per_hz: float):
@@ -65,7 +68,7 @@ def auto_band_plan(range_hz, width_hz: float, atmosphere, noise_psd_w_per_hz: fl
         raise ConfigError("range too narrow for a single sub-band")
 
     mix = water_vapor_mixing_ratio(atmosphere)
-    peaks = absorption_peaks(mix)
+    peaks = _absorption_peaks(mix)
 
     bands = []
     start = lo

@@ -15,10 +15,17 @@ from thzirs.bcs import (
     inner_solve,
 )
 from thzirs.allocation import _snr_per_watt, _SnrOverflow, solve_allocation
-from thzirs.channel import SubBand, _band_absorption, absorption_coefficient, cascaded_gain
+from thzirs.channel import (
+    SPEED_OF_LIGHT,
+    SubBand,
+    _band_absorption,
+    _path_amplitude,
+    absorption_coefficient,
+    cascaded_gain,
+)
 from thzirs.config import ExperimentConfig
 from thzirs.experiment import draw_ue_positions, resolve_bands, run_single
-from thzirs.geometry import IrsPlacement, PhaseVector, Scene, path_length
+from thzirs.geometry import IrsPlacement, PhaseVector, Scene, _two_hop, path_length
 from thzirs.phase_opt import (
     effective_vector,
     exact_values,
@@ -1423,6 +1430,68 @@ def test_ranphi_with_an_overflowing_point(block_rows, first_block):
         assert isinstance(got, _SnrOverflow) and str(got) == str(want)
 
 
+def test_ranphi_scores_a_point_whose_bound_alone_overflows(monkeypatch):
+    # a budget between the overflow of the sixth point's bound gains and that
+    # of its exact gains: that point's link rows are built first, alone, and
+    # it is then scored like any other, with the oracle's answer and trace
+    scene = _row_scene(1.5)
+    plan = allocation._BandPlan(ROW_BANDS, 1.0, 0.0, 2)
+    absorb = _band_absorption(tuple(b.center_hz for b in ROW_BANDS), MU)
+    anchors = np.array([[x, 3.0, 3.0] for x in 0.25 * np.arange(1, 13)])
+    coefficients = np.ones(1, dtype=complex)
+    exact = np.abs(phase_opt._link_rows(plan, anchors, np.zeros(1), scene, absorb)
+                   @ coefficients) ** 2
+    bound = bcs._frozen_gain_bounds(scene, anchors, 0.005, coefficients, plan, absorb)
+    kappa_exact, kappa_bound = ((g / plan.noise).max(axis=(1, 2)) for g in (exact, bound))
+    p_max = np.finfo(float).max / np.sqrt(kappa_exact[5] * kappa_bound[5])
+    for gains, overflowing in ((exact, []), (bound, [5])):
+        finite = _snr_per_watt(gains, allocation._BandPlan(ROW_BANDS, p_max, 0.0, 2))[1]
+        assert (~finite.all(axis=(1, 2))).nonzero()[0].tolist() == overflowing
+
+    built = []
+    link_rows = bcs._link_rows
+
+    def rows(plan, anchors, *args):
+        built.append(anchors[:, 0].tolist())
+        return link_rows(plan, anchors, *args)
+
+    monkeypatch.setattr(bcs, "_link_rows", rows)
+    got, want, calls = _ranphi_and_oracle(scene, p_max, 0.0, 8)
+    _assert_same_search(got, want)
+    assert want.solution.placement.x_m == 1.5 and want.best_trace[5] > want.best_trace[4]
+    assert got.solution.validate(scene, ROW_BANDS, p_max, 0.0, MU) == got.solution.sum_rate_bps
+    # the overflow check's rows first, then one block per scoring call
+    assert built[0] == [1.5]
+    assert [len(points) for points in built[1:]] == calls
+    assert 1.5 in (x for points in built[1:] for x in points)
+
+
+def test_ranphi_builds_link_rows_only_for_the_points_it_scores(monkeypatch):
+    # all defaults at seed 7: of the 620 lattice points, the pass scores the
+    # first block's 64 and builds link rows for those 64 alone
+    built, scored = [], []
+    link_rows, score = bcs._link_rows, bcs.score_allocations
+
+    def rows(plan, anchors, *args):
+        built.append(anchors[:, :2].tolist())
+        return link_rows(plan, anchors, *args)
+
+    def counted(gains, *rest):
+        scored.append(len(gains))
+        return score(gains, *rest)
+
+    monkeypatch.setattr(bcs, "_link_rows", rows)
+    monkeypatch.setattr(bcs, "score_allocations", counted)
+    config = ExperimentConfig()
+    run_single(config, "ranphi", 7)
+    points = candidate_grid(config.scene_for(draw_ue_positions(config, 7, config.ue_count)),
+                            config.element_count, config.spacing_m, config.grid_step_x_m,
+                            config.grid_step_y_m)
+    assert len(points) == 620
+    assert scored == [64]
+    assert built == [points[:64].tolist()]
+
+
 def test_ranphi_on_a_lattice_with_no_feasible_point():
     # no rate is above 0.0, so no bound falls below the best: every point is
     # scored, and the first point's infeasible verdict is the answer
@@ -1443,3 +1512,53 @@ def test_ranphi_on_a_one_block_lattice_scores_it_in_one_call(monkeypatch):
     got, want, calls = _ranphi_and_oracle(_row_scene(1.5), 1.0, 0.0, 48)
     _assert_same_search(got, want)
     assert calls == [12]
+
+
+# bands across the whole model window, so the steering phase reaches its largest
+BOUND_BANDS = make_bands([205.0, 260.0, 330.0, 395.0], width_ghz=10.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 64, 200])
+def test_frozen_gain_bounds_cover_the_exact_gains(n):
+    # at dense random anchors and profiles, in rooms from 8 m to 400 m long
+    # and at spacings up to the largest each room admits, ranphi's link-free
+    # gain bounds are at least the gains of the exact link rows under the
+    # frozen product; the raw error |S_exact| - |S_Horner|, in element
+    # amplitudes, stays within delta = 8 eps N (beta + N + 2), beta =
+    # |k s| (N - 1) spacing the largest steering phase, and the bound
+    # exceeds the exact amplitude by 2 delta at most
+    rng = np.random.default_rng(n)
+    eps = np.finfo(float).eps
+    worst = (0.0, 1.0)
+    for length, width, height in ((8.0, 5.0, 3.0), (60.0, 40.0, 6.0), (400.0, 300.0, 20.0)):
+        widest = 0.999 * length / max(n - 1, 1)
+        for spacing in (0.005, *10 ** rng.uniform(np.log10(0.005), np.log10(widest), 2), widest):
+            u_count = int(rng.integers(1, 4))
+            ues = [(rng.uniform(0, width), rng.uniform(0, length), rng.uniform(0, 0.9 * height))
+                   for _ in range(u_count)]
+            ap = (rng.uniform(0, width), rng.uniform(0, length), rng.uniform(0, 0.9 * height))
+            scene = Scene(length, width, height, ap, ues)
+            y_hi = admissible_y_span(scene, n, spacing)
+            anchors = np.column_stack((rng.uniform(0, width, 100), rng.uniform(0, y_hi, 100),
+                                       np.full(100, height)))
+            coefficients = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+            plan = allocation._BandPlan(BOUND_BANDS, 1.0, 0.0, u_count)
+            absorb = _band_absorption(tuple(b.center_hz for b in BOUND_BANDS), MU)
+            exact = np.abs(phase_opt._link_rows(plan, anchors, np.arange(n) * spacing, scene,
+                                                absorb) @ coefficients) ** 2
+            bound = bcs._frozen_gain_bounds(scene, anchors, spacing, coefficients, plan, absorb)
+            assert (bound >= exact).all()
+
+            f = np.array([b.center_hz for b in BOUND_BANDS])
+            lengths, slope = _two_hop(anchors, scene)
+            amplitude = _path_amplitude(f, lengths[..., None], absorb)
+            beta = np.abs(2.0 * np.pi * f / SPEED_OF_LIGHT * slope[..., None]) * (n - 1) * spacing
+            delta = 8.0 * eps * n * (beta + n + 2)
+            slack = (np.sqrt(bound) - np.sqrt(exact)) / amplitude      # delta - raw error
+            raw = delta - slack
+            assert (slack <= 2.0 * delta).all()
+            i = np.argmax(raw / delta)
+            if raw.flat[i] / delta.flat[i] > worst[0] / worst[1]:
+                worst = (raw.flat[i], delta.flat[i])
+    print(f"N = {n}: largest raw error {worst[0]:.3g} against delta {worst[1]:.3g}")
+    assert worst[0] <= worst[1]

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from thzirs import channel
 from thzirs.channel import (
     SPEED_OF_LIGHT,
     Atmosphere,
@@ -16,6 +17,7 @@ from thzirs.channel import (
     subband_rate,
     water_vapor_mixing_ratio,
 )
+from thzirs.experiment import absorption_peaks, auto_band_plan
 from thzirs.geometry import IrsPlacement, Scene, optimal_single_ue_phases
 
 # Mixing ratio for the default indoor air state (23 C, 1013.25 hPa, 50% RH).
@@ -93,6 +95,30 @@ def test_absorption_peaks_near_line_centers():
     np.testing.assert_allclose(
         absorption_coefficient(379.7e9, mu), 0.08748816117154286, rtol=1e-12
     )
+
+
+def test_absorption_peaks_are_scanned_once_and_handed_out_fresh(monkeypatch):
+    # one read-only scan per mixing ratio, with the bits of a fresh scan;
+    # the public peaks are a writable copy that leaves the scan alone
+    mu = default_mu()
+    f = np.arange(200e9, 400e9 + 0.05e9, 0.1e9)
+    k = absorption_coefficient(f, mu)
+    want = f[1:-1][(k[1:-1] > k[:-2]) & (k[1:-1] > k[2:])]
+    cached = channel._absorption_peaks(mu)
+    assert cached is channel._absorption_peaks(mu) and not cached.flags.writeable
+    peaks = absorption_peaks(mu)
+    assert peaks.tobytes() == cached.tobytes() == want.tobytes()
+    assert peaks.flags.writeable and not np.shares_memory(peaks, cached)
+    peaks[:] = 0.0
+    assert absorption_peaks(mu).tobytes() == want.tobytes()
+
+    # the band planner reads the scan: no K(f) is evaluated again
+    def refused(*args):
+        raise AssertionError("the absorption peaks were scanned again")
+
+    monkeypatch.setattr(channel, "absorption_coefficient", refused)
+    bands = auto_band_plan((200e9, 400e9), 50e9, Atmosphere(), 1e-20)
+    assert all(np.abs(want - b.center_hz).min() >= 10e9 for b in bands)
 
 
 def test_absorption_array_matches_scalar():
