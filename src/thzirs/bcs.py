@@ -15,20 +15,23 @@ the next points in bound order are solved together ahead of the loop
 built for a chunk of points in one pass, their phase stages' SGD steps are
 stacked into one pooled step, a point whose bound falls below the best sum
 rate held is dropped, and the last one unsolved with none to join it takes
-its problems out of the pool to finish them alone.  The loop still counts and keeps exactly the points it reaches.
+its problems out of the pool to finish them alone.  The loop still counts
+and keeps exactly the points it reaches.
 The reference strategies inner-solve one placement:
 MinDis and RanLoc their own, RanPhi the lattice point that scores best under
 its frozen phase profile.
 
 Both lattice passes, the ceiling bounds and RanPhi's frozen-profile scores,
 keep only the points' power gains and run the exact allocation for a block
-of points at once (``_lattice_scores``); a block holds at most
-``BLOCK_ROWS`` allocation rows (points times assignments), so memory stays
-flat at any plan size the allocation accepts.  The ceiling pass builds the
-link rows of every point, a block at a time, and scores every point.
-RanPhi's bounds every point's frozen-profile gains in closed form, with no
-link rows (``_frozen_gain_bounds``), walks the lattice in order, and builds
-link rows for and scores exactly only the points whose water-filled bound
+of points at once, in one walk over the lattice (``_lattice_scores``); a
+block holds at most ``BLOCK_ROWS`` allocation rows (points times
+assignments), so memory stays flat at any plan size the allocation accepts.
+Neither builds link rows to bound a point.  Every element of a link's row
+carries the path amplitude |g| of its two-hop length, so the ceiling pass
+takes the coherent ceiling (N |g|)^2 from the lengths alone and scores
+every point.  RanPhi bounds every point's frozen-profile gains in closed
+form (``_frozen_gain_bounds``), and the walk builds link rows for and
+scores exactly only the points whose water-filled bound
 (``sum_rate_bounds``) reaches the best sum rate scored before them, the
 only ones that can change its answer or its running best (branch and
 bound: Land and Doig, 1960).  Each search sets its allocation plan up once
@@ -212,11 +215,6 @@ def _same_bits(a: PhaseVector, b: PhaseVector) -> bool:
     return a.angles.tobytes() == b.angles.tobytes()
 
 
-def _ceiling_gains(vectors):
-    """(..., U, I) power gains no unit-modulus profile can exceed: (sum_n |e_uin|)^2."""
-    return np.sum(np.abs(vectors), axis=-1) ** 2
-
-
 def _repair_request(vectors, phases, plan):
     """The phase-stage request that steers the profile toward the ``_BandPlan``
     ``plan``'s rate floors when no allocation meets them: (rows, targets,
@@ -234,7 +232,7 @@ def _repair_request(vectors, phases, plan):
     # received power needed to hit each floor on each band, and the coherent
     # ceiling an even split could ever deliver there
     need = plan.noise * (np.exp2(np.minimum(rate_req[:, None] / plan.bw, 1023.0)) - 1.0)
-    ceiling = p_eq * _ceiling_gains(vectors)
+    ceiling = p_eq * np.sum(np.abs(vectors), axis=-1) ** 2
 
     floored = np.flatnonzero(rate_req > 0)
     headroom = ceiling[floored] / need[floored]
@@ -432,68 +430,50 @@ def _frozen_gain_bounds(scene, anchors, spacing_m, coefficients, plan, absorb):
     return (_path_amplitude(f, lengths[..., None], absorb) * (np.abs(total) + delta)) ** 2
 
 
-def _lattice_scores(scene, points, offsets_m, plan, absorb, gains_of, bound_gains=None):
-    """Feasibility and exact-allocation sum rate at every (x, y) row of ``points``,
-    the array's elements ``offsets_m`` along +y from each anchor, on the
-    ``_BandPlan`` ``plan``.
+def _lattice_scores(gains, plan, exact_gains=None):
+    """Feasibility and exact-allocation sum rate at each of P lattice points
+    on the ``_BandPlan`` ``plan``, from their (P, U, I) power ``gains``.
 
-    ``gains_of`` turns a block's (P, U, I, N) link rows into its (P, U, I)
-    power gains.  A block holds at most ``BLOCK_ROWS`` allocation rows
-    (points times assignments), one point at least, and so does each
-    ``score_allocations`` call.  Each scored point's pair is bit for bit the
-    ``feasible`` and ``objective`` of ``solve_allocation`` on its own gains.
-    Returns two (P,) arrays, the sum rate 0.0 where infeasible.  A point
-    whose SNR at the full budget overflows, which the allocation refuses,
-    scores (True, +inf) and is not sent to the allocation.
+    The points are walked in lattice order, a block at a time: a block holds
+    at most ``BLOCK_ROWS`` allocation rows (points times assignments), one
+    point at least, and so does each ``score_allocations`` call.  Each
+    scored point's pair is bit for bit the ``feasible`` and ``objective`` of
+    ``solve_allocation`` on its own gains.  Returns two (P,) arrays, the sum
+    rate 0.0 where infeasible.  A point in a block whose SNR at the full
+    budget overflows, which the allocation refuses, reads (True, +inf) and
+    is not scored, so its +inf never sets the best below.
 
-    With no ``bound_gains``, or no more than one block of points, every
-    point's link rows are built and every point is scored.  Otherwise
-    ``bound_gains`` maps a (P, 3) stack of anchors to (P, U, I) gains no
-    lower than ``gains_of``'s, without link rows, and the points are scored
-    in lattice order: a point whose ``sum_rate_bounds`` bound of those
-    gains, inflated by ``BOUND_MARGIN``, is below the best sum rate scored
-    before it (as known after the last call) is skipped and reads
-    (False, 0.0).  Its true sum rate is below an earlier one, so the
-    running maximum of the scored rates and the first point of the largest
-    feasible one are those of the full pass.  Link rows are built only for
-    the points scored, and first for the points whose bound gains' SNR
-    overflows: their own gains then give the overflow verdict and the
-    bound.  An overflowing point is not scored, so its +inf never sets that
-    best.  A NaN bound never skips a point.
+    Without ``exact_gains`` the ``gains`` are the points' own, and every
+    point is scored.  With it they are bounds on the true gains, which
+    ``exact_gains`` returns for a block of lattice indices, and a block takes
+    only the next points whose ``sum_rate_bounds`` bound, inflated by
+    ``BOUND_MARGIN``, is not below the best sum rate scored before them (as
+    known after the last block).  A point passed over reads (False, 0.0):
+    its true sum rate is below an earlier one, so the running maximum of the
+    scored rates and the first point of the largest feasible one are those
+    of the full pass.  A NaN or infinite bound never passes a point over.
+    Where the bound gains' SNR overflows the bound is one of those, or the
+    water-filled bound of finite splits, which still holds.
     """
     per_block = max(1, BLOCK_ROWS // plan.u_count ** len(plan))
-    anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
-
-    def exact_gains(chosen):
-        for start in range(0, len(chosen), per_block):
-            block = chosen[start:start + per_block]
-            gains[block] = gains_of(_link_rows(plan, anchors[block], offsets_m, scene, absorb))
-
-    pruned = bound_gains is not None and len(points) > per_block
-    if pruned:
-        gains = bound_gains(anchors)
-        exact_gains(np.flatnonzero(~_snr_per_watt(gains, plan)[1].all(axis=(1, 2))))
+    if exact_gains is None:
+        bounds, exact_gains = np.full(len(gains), np.inf), lambda chosen: gains[chosen]
     else:
-        gains = np.empty((len(points), plan.u_count, len(plan)))
-        exact_gains(np.arange(len(points)))
-    # a point the allocation refuses reads (True, +inf); the rest wait their turn
-    feasible = ~_snr_per_watt(gains, plan)[1].all(axis=(1, 2))
-    rates = np.where(feasible, np.inf, 0.0)
-    waiting = ~feasible
-    if pruned:
         bounds = sum_rate_bounds(gains, plan) * (1.0 + BOUND_MARGIN)
+    feasible = np.zeros(len(gains), dtype=bool)
+    rates = np.zeros(len(gains))
     start, best = 0, -np.inf
     while True:
-        open_points = waiting[start:]
-        if pruned:
-            open_points = open_points & ~(bounds[start:] < best)
-        chosen = start + open_points.nonzero()[0][:per_block]
+        chosen = start + np.flatnonzero(~(bounds[start:] < best))[:per_block]
         if not chosen.size:
             return feasible, rates
-        if pruned:
-            exact_gains(chosen)
-        feasible[chosen], rates[chosen] = score_allocations(gains[chosen], plan)
-        best = max(best, rates[chosen].max())
+        block = exact_gains(chosen)
+        finite = _snr_per_watt(block, plan)[1].all(axis=(1, 2))
+        over, scored = chosen[~finite], chosen[finite]
+        feasible[over], rates[over] = True, np.inf
+        if scored.size:
+            feasible[scored], rates[scored] = score_allocations(block[finite], plan)
+            best = max(best, rates[scored].max())
         start = chosen[-1] + 1
 
 
@@ -501,17 +481,22 @@ def _ceiling_bounds(scene, points, offsets_m, plan, absorb):
     """Upper bound on ``inner_solve``'s sum rate at each lattice point on the
     ``_BandPlan`` ``plan``, or -inf.
 
-    No unit-modulus profile lifts a link's power gain above the coherent
-    ceiling, and the exact allocation's optimum only rises with the gains,
-    so the allocation of the (slightly inflated) ceiling gains bounds every
-    answer the inner solve can reach there.  -inf when even the ceiling
-    misses a rate floor: no profile makes the point feasible.  +inf where
-    the ceiling's SNR at the full budget overflows, which the allocation
-    cannot score: such a point is never pruned.  Every point is scored.
+    Every element of a link's row carries the path amplitude |g| of its
+    two-hop length, so no unit-modulus profile lifts the link's power gain
+    above the coherent ceiling (sum_n |e_uin|)^2 = (N |g|)^2, and the exact
+    allocation's optimum only rises with the gains: the allocation of the
+    (slightly inflated) ceiling gains bounds every answer the inner solve
+    can reach there.  The gains take the two-hop lengths alone, no link
+    rows.  -inf when even the ceiling misses a rate floor: no profile makes
+    the point feasible.  +inf where the ceiling's SNR at the full budget
+    overflows, which the allocation cannot score: such a point is never
+    pruned.  Every point is scored.
     """
-    feasible, rates = _lattice_scores(
-        scene, points, offsets_m, plan, absorb,
-        lambda vectors: _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN))
+    f = np.array([b.center_hz for b in plan], dtype=float)
+    anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
+    amplitude = _path_amplitude(f, _two_hop(anchors, scene)[0][..., None], absorb)
+    gains = (len(offsets_m) * amplitude) ** 2 * (1.0 + BOUND_MARGIN)
+    feasible, rates = _lattice_scores(gains, plan)
     return np.where(feasible, rates, -np.inf)
 
 
@@ -799,15 +784,16 @@ def baseline_ran_phi(
     grid_step_y: float,
 ) -> SearchResult:
     """Same lattice as the full search but one frozen random phase profile
-    and no phase restoration.  The batched pass bounds every point's gains
-    without link rows and scores, in lattice order, every point that can
-    beat the best scored before it, building link rows for those alone;
-    the first strict best (feasible beats infeasible, then a larger sum
-    rate) is then inner-solved with the frozen profile, on the pass's band
-    plan.  A point whose SNR at the full budget overflows, which the
-    allocation refuses, is passed over: its ``best_trace`` entry repeats
-    the one before it, or reads 0.0 first, and the search raises only when
-    every point overflows.
+    and no phase restoration.  The batched walk (``_lattice_scores``) takes
+    every point's gain bounds, built without link rows
+    (``_frozen_gain_bounds``), and scores, in lattice order, every point
+    whose bound reaches the best scored before it, building link rows for
+    those alone; the first strict best (feasible beats infeasible, then a
+    larger sum rate) is then inner-solved with the frozen profile, on the
+    pass's band plan.  A point whose SNR at the full budget overflows,
+    which the allocation refuses, is passed over: its ``best_trace`` entry
+    repeats the one before it, or reads 0.0 first, and the search raises
+    only when every point overflows.
     A lattice step wider than the room leaves no lattice point; the sweep
     then takes the minimum-total-distance point, the extra candidate of the
     full search."""
@@ -818,11 +804,13 @@ def baseline_ran_phi(
         points = np.array([[fallback.x_m, fallback.y_m]])
     absorb = _band_absorption(tuple(b.center_hz for b in sub_bands), mixing_ratio)
     plan = _BandPlan(sub_bands, p_max, rate_requirements, scene.ue_count)
+    anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
+    offsets = np.arange(element_count) * spacing_m
     coefficients = phases.coefficients
     feasible, rates = _lattice_scores(
-        scene, points, np.arange(element_count) * spacing_m, plan, absorb,
-        lambda vectors: np.abs(vectors @ coefficients) ** 2,
-        lambda anchors: _frozen_gain_bounds(scene, anchors, spacing_m, coefficients, plan, absorb))
+        _frozen_gain_bounds(scene, anchors, spacing_m, coefficients, plan, absorb), plan,
+        lambda chosen: np.abs(_link_rows(plan, anchors[chosen], offsets, scene, absorb)
+                              @ coefficients) ** 2)
     # an overflowing point scores +inf and is passed over: it adds no rate
     # to the trace and, at -2.0, ranks below every other point.  An
     # infeasible point scores 0.0 and a feasible one at least that, so -1.0

@@ -198,7 +198,7 @@ def _sgd_loop(theta2, levels, prices, best_slack, thresh, gap, tau0, feas_tol, f
     """``sgd_solve``'s loop from the end of iteration ``it`` to its exit.
 
     The state is a fresh problem's (``it`` = 0) or that of a problem an
-    ``_SgdPool`` hands out mid-solve (``_SgdPool.leave``): the prices as
+    ``_SgdPool`` takes out mid-solve (``_SgdPool.finish``): the prices as
     floats, the best worst slack, the threshold ``best_slack + gap`` an
     iterate must beat, tau0, the feasibility tolerance, the restoring floor
     (0.0, or inf when not restoring), the stall count, the iteration cap,
@@ -365,7 +365,7 @@ class _SgdPool:
     dropped.  The per-row scalars are the columns of one (P, 9) array:
     best_slack, thresh (best_slack + gap), gap, tau0, feas_tol, floor,
     start, last and cap.  The only problem in the pool can also leave
-    between steps (``leave``) and finish alone (``finish``).
+    between steps and finish alone (``finish``).
     """
 
     def __init__(self):
@@ -526,33 +526,26 @@ class _SgdPool:
             moved_im[:, None, None], moved[:, 0, 0], converged,
         )
 
-    def leave(self):
-        """Take the pool's only problem, in flight, out mid-solve: returns
-        its token and the ``_sgd_loop`` arguments that finish it, bit for
-        bit the result the pool would give.  Its row is vacated as at an
-        exit."""
-        r = next(r for r, row in enumerate(self.rows) if row is not None)
-        row, self.rows[r] = self.rows[r], None
-        self.vacated.append(r)
-        levels = np.array((self.psi[r, :row.k], self.targets[r, :row.k]))
-        best_slack, thresh, gap, tau0, feas_tol, floor, start, last, cap = self.scalars[r].tolist()
-        return row.token, (
-            row.theta2, list(zip(*levels.tolist())), self.prices[r, :row.k].tolist(), best_slack,
-            thresh, gap, tau0, feas_tol, floor, int(self.tick - start), int(self.tick - last),
-            int(cap - start), self.coeffs[self.parity ^ 1][r, 0].copy(), -self.best[r, 0])
-
     def finish(self):
         """Take the pool's only problem out and finish it alone: its token
         and its ``SgdResult``, bit for bit the pool's.  A problem that has
         taken no step yet is ``sgd_solve``'s, from its stage's constants;
-        one in flight resumes in ``_sgd_loop`` from where it left."""
+        one in flight resumes in ``_sgd_loop`` from where it left, its row
+        vacated as at an exit."""
         if self.joining:
             row = self.joining.pop()
             surr, targets, max_iters, constants = row.problem
             # looked up at each call, so that a replaced phase_opt.sgd_solve serves it
             return row.token, sgd_solve(surr, targets, max_iters, constants=constants)
-        token, state = self.leave()
-        return token, _sgd_loop(*state)
+        r = next(r for r, row in enumerate(self.rows) if row is not None)
+        row, self.rows[r] = self.rows[r], None
+        self.vacated.append(r)
+        levels = np.array((self.psi[r, :row.k], self.targets[r, :row.k]))
+        best_slack, thresh, gap, tau0, feas_tol, floor, start, last, cap = self.scalars[r].tolist()
+        return row.token, _sgd_loop(
+            row.theta2, list(zip(*levels.tolist())), self.prices[r, :row.k].tolist(), best_slack,
+            thresh, gap, tau0, feas_tol, floor, int(self.tick - start), int(self.tick - last),
+            int(cap - start), self.coeffs[self.parity ^ 1][r, 0].copy(), -self.best[r, 0])
 
     def drop(self, gone):
         """Remove every problem whose token ``gone(token)`` is true."""

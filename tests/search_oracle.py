@@ -8,7 +8,8 @@ must return the same solution bit for bit.
 
 ``frozen_sweep_ran_phi`` and ``ceiling_bound`` are the lattice passes as they
 stood before the batched scorer: one ``inner_solve`` with the frozen profile,
-or one ``solve_allocation`` on the coherent-ceiling gains, per lattice point.
+or one ``solve_allocation`` on the coherent-ceiling gains (N |g|)^2, per
+lattice point.
 The batched ``baseline_ran_phi`` and ``_ceiling_bounds`` must agree with them
 bit for bit.  A lattice point whose SNR at the full budget overflows, which
 the allocation refuses, is one ``frozen_sweep_ran_phi`` passes over.
@@ -40,14 +41,19 @@ from thzirs.bcs import (
     ROUND_TOLERANCE,
     SearchResult,
     Solution,
-    _ceiling_gains,
     _min_distance_placement,
     baseline_mini_dis,
     candidate_grid,
     inner_solve,
 )
-from thzirs.channel import _band_absorption
-from thzirs.geometry import IrsPlacement, PhaseVector, _two_hop, optimal_single_ue_phases
+from thzirs.channel import _band_absorption, _path_amplitude
+from thzirs.geometry import (
+    IrsPlacement,
+    PhaseVector,
+    _two_hop,
+    optimal_single_ue_phases,
+    path_length,
+)
 from thzirs.phase_opt import effective_vector, sca_phase_optimize
 
 # repair passes the reference makes at most
@@ -127,9 +133,12 @@ def frozen_sweep_ran_phi(scene, sub_bands, element_count, spacing_m, p_max, rate
 
 
 def ceiling_bound(scene, placement, sub_bands, p_max, rate_requirements, absorb):
-    """The allocation of one point's inflated coherent-ceiling gains, or None."""
-    vectors = effective_vector(sub_bands, placement, scene, absorb)
-    gains = _ceiling_gains(vectors) * (1.0 + BOUND_MARGIN)
+    """The allocation of one point's inflated coherent-ceiling gains, or None:
+    (N |g|)^2 on each link, |g| the path amplitude of UE u's two-hop length."""
+    f = np.array([b.center_hz for b in sub_bands], dtype=float)
+    lengths = np.array([[path_length(placement, scene, u)] for u in range(scene.ue_count)])
+    amplitude = _path_amplitude(f, lengths, absorb)
+    gains = (placement.element_count * amplitude) ** 2 * (1.0 + BOUND_MARGIN)
     alloc = solve_allocation(gains, sub_bands, p_max, rate_requirements)
     return alloc.objective if alloc.feasible else None
 
@@ -143,7 +152,7 @@ def reference_repair_feasibility(vectors, phases, sub_bands, p_max, rate_req,
     noise = np.array([b.noise_power_w for b in sub_bands])
     p_eq = p_max / i_count
     need = noise * (np.exp2(np.minimum(rate_req[:, None] / bw, 1023.0)) - 1.0)
-    ceiling = p_eq * _ceiling_gains(vectors)
+    ceiling = p_eq * np.sum(np.abs(vectors), axis=-1) ** 2
 
     floored = np.flatnonzero(rate_req > 0)
     headroom = ceiling[floored] / need[floored]

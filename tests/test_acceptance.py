@@ -288,7 +288,8 @@ def test_search_orderings_hold_across_the_batch():
 def test_repeated_batch_is_byte_identical():
     _, out_a = _study_run("a")
     _, out_b = _study_run("b")
-    for name in ("summary.csv", "aggregate.csv"):
+    # report.json carries no wall time, so it replays byte for byte too
+    for name in ("summary.csv", "aggregate.csv", "report.json"):
         with open(os.path.join(out_a, name), "rb") as fh:
             first = fh.read()
         with open(os.path.join(out_b, name), "rb") as fh:

@@ -835,8 +835,8 @@ def test_the_last_unsolved_point_leaves_the_pool(monkeypatch):
     # out and finishes it alone, in phase_opt.sgd_solve from its stage's
     # constants before its first pool step, in the lone loop after; answers
     # match the one-at-a-time search
-    finished, solved, resumed = [], [], []
-    finish, leave = phase_opt._SgdPool.finish, phase_opt._SgdPool.leave
+    finished, solved, resumed, in_flight = [], [], [], [False]
+    finish, loop = phase_opt._SgdPool.finish, phase_opt._sgd_loop
 
     def counted(surr, targets, max_iters=500, constants=None, _original=phase_opt.sgd_solve):
         assert constants is not None
@@ -845,11 +845,17 @@ def test_the_last_unsolved_point_leaves_the_pool(monkeypatch):
 
     def counted_finish(pool):
         finished.append(pool)
-        return finish(pool)
+        in_flight[0] = not pool.joining
+        try:
+            return finish(pool)
+        finally:
+            in_flight[0] = False
 
-    def counted_leave(pool):
-        resumed.append(pool)
-        return leave(pool)
+    def counted_loop(*state):
+        # the lone loop that finish resumes a problem in flight with
+        if in_flight[0]:
+            resumed.append(state)
+        return loop(*state)
 
     for seed in (6, 68, 70, 248):
         scene, n, floor = small_case(seed)
@@ -857,7 +863,7 @@ def test_the_last_unsolved_point_leaves_the_pool(monkeypatch):
         want, _, _ = _traced_search(monkeypatch, 1, args)
         monkeypatch.setattr(phase_opt, "sgd_solve", counted)
         monkeypatch.setattr(phase_opt._SgdPool, "finish", counted_finish)
-        monkeypatch.setattr(phase_opt._SgdPool, "leave", counted_leave)
+        monkeypatch.setattr(phase_opt, "_sgd_loop", counted_loop)
         res, _, _ = _traced_search(monkeypatch, bcs.LOOKAHEAD_POINTS, args)
         assert_same_bits(res.solution, want.solution)
         assert_same_bits(res.anchor, want.anchor)
@@ -870,24 +876,33 @@ def test_a_lone_row_leaves_the_pool_mid_solve(monkeypatch):
     # once one point is left unsolved and none can join it, its problem
     # leaves the pool even mid-solve: no pool step ever runs one live
     # problem, and the answers match the one-at-a-time search
-    live_counts, left = [], []
-    step, leave = phase_opt._SgdPool.step, phase_opt._SgdPool.leave
+    live_counts, left, in_flight = [], [], [False]
+    step, finish, loop = phase_opt._SgdPool.step, phase_opt._SgdPool.finish, phase_opt._sgd_loop
 
     def counted_step(pool):
         live_counts.append(len(pool.joining) + sum(row is not None for row in pool.rows))
         return step(pool)
 
-    def counted_leave(pool):
-        token, state = leave(pool)
-        left.append(state[9])  # the iteration it resumes from
-        return token, state
+    def counted_finish(pool):
+        in_flight[0] = not pool.joining
+        try:
+            return finish(pool)
+        finally:
+            in_flight[0] = False
+
+    def counted_loop(*state):
+        # the lone loop that finish resumes a problem in flight with
+        if in_flight[0]:
+            left.append(state[9])  # the iteration it resumes from
+        return loop(*state)
 
     for seed in (6, 68, 70, 248):
         scene, n, floor = small_case(seed)
         args = (scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
         want, want_calls, _ = _traced_search(monkeypatch, 1, args)
         monkeypatch.setattr(phase_opt._SgdPool, "step", counted_step)
-        monkeypatch.setattr(phase_opt._SgdPool, "leave", counted_leave)
+        monkeypatch.setattr(phase_opt._SgdPool, "finish", counted_finish)
+        monkeypatch.setattr(phase_opt, "_sgd_loop", counted_loop)
         res, calls, _ = _traced_search(monkeypatch, bcs.LOOKAHEAD_POINTS, args)
         assert_same_bits(res.solution, want.solution)
         assert [r.hex() for r in res.best_trace] == [r.hex() for r in want.best_trace]
@@ -1107,7 +1122,7 @@ def test_bcs_answers_a_budget_whose_ceiling_snr_overflows():
     bounds = bcs._ceiling_bounds(scene, points, offsets, plan, absorb)
     anchors = np.column_stack((points, np.full(len(points), scene.ceiling_height_m)))
     vectors = bcs._link_rows(bands, anchors, offsets, scene, absorb)
-    over = ~_snr_per_watt(bcs._ceiling_gains(vectors) * (1.0 + bcs.BOUND_MARGIN),
+    over = ~_snr_per_watt(np.sum(np.abs(vectors), axis=-1) ** 2 * (1.0 + bcs.BOUND_MARGIN),
                           plan)[1].all(axis=(1, 2))
     assert 0 < over.sum() < len(points)
     # a point whose ceiling overflows is never pruned; every other keeps its bound
@@ -1432,8 +1447,9 @@ def test_ranphi_with_an_overflowing_point(block_rows, first_block):
 
 def test_ranphi_scores_a_point_whose_bound_alone_overflows(monkeypatch):
     # a budget between the overflow of the sixth point's bound gains and that
-    # of its exact gains: that point's link rows are built first, alone, and
-    # it is then scored like any other, with the oracle's answer and trace
+    # of its exact gains: its bound is never below the best, so it is chosen
+    # like any other point, its own gains decide its verdict, and it is
+    # scored with the oracle's answer and trace
     scene = _row_scene(1.5)
     plan = allocation._BandPlan(ROW_BANDS, 1.0, 0.0, 2)
     absorb = _band_absorption(tuple(b.center_hz for b in ROW_BANDS), MU)
@@ -1460,10 +1476,9 @@ def test_ranphi_scores_a_point_whose_bound_alone_overflows(monkeypatch):
     _assert_same_search(got, want)
     assert want.solution.placement.x_m == 1.5 and want.best_trace[5] > want.best_trace[4]
     assert got.solution.validate(scene, ROW_BANDS, p_max, 0.0, MU) == got.solution.sum_rate_bps
-    # the overflow check's rows first, then one block per scoring call
-    assert built[0] == [1.5]
-    assert [len(points) for points in built[1:]] == calls
-    assert 1.5 in (x for points in built[1:] for x in points)
+    # one block of link rows per scoring call, the sixth point's among them
+    assert [len(points) for points in built] == calls
+    assert 1.5 in (x for points in built for x in points)
 
 
 def test_ranphi_builds_link_rows_only_for_the_points_it_scores(monkeypatch):
@@ -1502,13 +1517,9 @@ def test_ranphi_on_a_lattice_with_no_feasible_point():
     assert calls == [2] * 6
 
 
-def test_ranphi_on_a_one_block_lattice_scores_it_in_one_call(monkeypatch):
-    # the whole lattice fits one block: no bound is computed and one call
-    # scores every point
-    def refused(*args):
-        raise AssertionError("a one-block lattice computed bounds")
-
-    monkeypatch.setattr(bcs, "sum_rate_bounds", refused)
+def test_ranphi_on_a_one_block_lattice_scores_it_in_one_call():
+    # the whole lattice fits one block: before any point is scored no bound
+    # is below the best, so one call scores every point
     got, want, calls = _ranphi_and_oracle(_row_scene(1.5), 1.0, 0.0, 48)
     _assert_same_search(got, want)
     assert calls == [12]
@@ -1518,18 +1529,12 @@ def test_ranphi_on_a_one_block_lattice_scores_it_in_one_call(monkeypatch):
 BOUND_BANDS = make_bands([205.0, 260.0, 330.0, 395.0], width_ghz=10.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 20, 64, 200])
-def test_frozen_gain_bounds_cover_the_exact_gains(n):
-    # at dense random anchors and profiles, in rooms from 8 m to 400 m long
-    # and at spacings up to the largest each room admits, ranphi's link-free
-    # gain bounds are at least the gains of the exact link rows under the
-    # frozen product; the raw error |S_exact| - |S_Horner|, in element
-    # amplitudes, stays within delta = 8 eps N (beta + N + 2), beta =
-    # |k s| (N - 1) spacing the largest steering phase, and the bound
-    # exceeds the exact amplitude by 2 delta at most
+def _random_arrays(n):
+    """Seeded N-element arrays at 100 random anchors each, in rooms from 8 m
+    to 400 m long and at spacings up to the largest each room admits:
+    yields (rng, scene, anchors, spacing, plan, absorb) on ``BOUND_BANDS``,
+    the rng to draw more from before the next case."""
     rng = np.random.default_rng(n)
-    eps = np.finfo(float).eps
-    worst = (0.0, 1.0)
     for length, width, height in ((8.0, 5.0, 3.0), (60.0, 40.0, 6.0), (400.0, 300.0, 20.0)):
         widest = 0.999 * length / max(n - 1, 1)
         for spacing in (0.005, *10 ** rng.uniform(np.log10(0.005), np.log10(widest), 2), widest):
@@ -1541,24 +1546,93 @@ def test_frozen_gain_bounds_cover_the_exact_gains(n):
             y_hi = admissible_y_span(scene, n, spacing)
             anchors = np.column_stack((rng.uniform(0, width, 100), rng.uniform(0, y_hi, 100),
                                        np.full(100, height)))
-            coefficients = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
             plan = allocation._BandPlan(BOUND_BANDS, 1.0, 0.0, u_count)
             absorb = _band_absorption(tuple(b.center_hz for b in BOUND_BANDS), MU)
-            exact = np.abs(phase_opt._link_rows(plan, anchors, np.arange(n) * spacing, scene,
-                                                absorb) @ coefficients) ** 2
-            bound = bcs._frozen_gain_bounds(scene, anchors, spacing, coefficients, plan, absorb)
-            assert (bound >= exact).all()
+            yield rng, scene, anchors, spacing, plan, absorb
 
-            f = np.array([b.center_hz for b in BOUND_BANDS])
-            lengths, slope = _two_hop(anchors, scene)
-            amplitude = _path_amplitude(f, lengths[..., None], absorb)
-            beta = np.abs(2.0 * np.pi * f / SPEED_OF_LIGHT * slope[..., None]) * (n - 1) * spacing
-            delta = 8.0 * eps * n * (beta + n + 2)
-            slack = (np.sqrt(bound) - np.sqrt(exact)) / amplitude      # delta - raw error
-            raw = delta - slack
-            assert (slack <= 2.0 * delta).all()
-            i = np.argmax(raw / delta)
-            if raw.flat[i] / delta.flat[i] > worst[0] / worst[1]:
-                worst = (raw.flat[i], delta.flat[i])
+
+@pytest.mark.parametrize("n", [1, 2, 20, 64, 200])
+def test_frozen_gain_bounds_cover_the_exact_gains(n):
+    # at dense random anchors and profiles, in rooms from 8 m to 400 m long
+    # and at spacings up to the largest each room admits, ranphi's link-free
+    # gain bounds are at least the gains of the exact link rows under the
+    # frozen product; the raw error |S_exact| - |S_Horner|, in element
+    # amplitudes, stays within delta = 8 eps N (beta + N + 2), beta =
+    # |k s| (N - 1) spacing the largest steering phase, and the bound
+    # exceeds the exact amplitude by 2 delta at most
+    eps = np.finfo(float).eps
+    worst = (0.0, 1.0)
+    for rng, scene, anchors, spacing, plan, absorb in _random_arrays(n):
+        coefficients = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        exact = np.abs(phase_opt._link_rows(plan, anchors, np.arange(n) * spacing, scene,
+                                            absorb) @ coefficients) ** 2
+        bound = bcs._frozen_gain_bounds(scene, anchors, spacing, coefficients, plan, absorb)
+        assert (bound >= exact).all()
+
+        f = np.array([b.center_hz for b in BOUND_BANDS])
+        lengths, slope = _two_hop(anchors, scene)
+        amplitude = _path_amplitude(f, lengths[..., None], absorb)
+        beta = np.abs(2.0 * np.pi * f / SPEED_OF_LIGHT * slope[..., None]) * (n - 1) * spacing
+        delta = 8.0 * eps * n * (beta + n + 2)
+        slack = (np.sqrt(bound) - np.sqrt(exact)) / amplitude      # delta - raw error
+        raw = delta - slack
+        assert (slack <= 2.0 * delta).all()
+        i = np.argmax(raw / delta)
+        if raw.flat[i] / delta.flat[i] > worst[0] / worst[1]:
+            worst = (raw.flat[i], delta.flat[i])
     print(f"N = {n}: largest raw error {worst[0]:.3g} against delta {worst[1]:.3g}")
     assert worst[0] <= worst[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 64, 200])
+def test_ceiling_gains_match_the_rows_and_cover_every_profile(n, monkeypatch):
+    # at _random_arrays' dense random anchors, the gains _ceiling_bounds scores,
+    # (N |g|)^2 from the two-hop lengths alone, are within 1e-12 of the link
+    # rows' coherent ceiling (sum_n |e_uin|)^2, and once inflated they are at
+    # least |e . phi|^2 for a random profile and for the profile matched to
+    # each row
+    scored = []
+    lattice_scores = bcs._lattice_scores
+
+    def recorded(gains, plan):
+        scored.append(gains)
+        return lattice_scores(gains, plan)
+
+    monkeypatch.setattr(bcs, "_lattice_scores", recorded)
+    for rng, scene, anchors, spacing, plan, absorb in _random_arrays(n):
+        offsets = np.arange(n) * spacing
+        del scored[:]
+        bcs._ceiling_bounds(scene, anchors[:, :2], offsets, plan, absorb)
+        gains, = scored
+        vectors = phase_opt._link_rows(plan, anchors, offsets, scene, absorb)
+        rows = np.sum(np.abs(vectors), axis=-1) ** 2
+        assert np.abs(gains / (1.0 + bcs.BOUND_MARGIN) / rows - 1.0).max() <= 1e-12
+        coefficients = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        assert (gains >= np.abs(vectors @ coefficients) ** 2).all()
+        matched = np.abs(np.sum(vectors * np.exp(-1j * np.angle(vectors)), axis=-1)) ** 2
+        assert (gains >= matched).all()
+
+
+def test_the_ceiling_pass_builds_no_link_rows(monkeypatch):
+    # bcs_solve's bounds come from the two-hop lengths alone: no link row is
+    # built while _ceiling_bounds runs, though the inner solves build theirs
+    inside, built = [False], []
+    link_rows, ceiling_bounds = bcs._link_rows, bcs._ceiling_bounds
+
+    def rows(*args):
+        built.append(inside[0])
+        return link_rows(*args)
+
+    def bounds(*args):
+        inside[0] = True
+        try:
+            return ceiling_bounds(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(bcs, "_link_rows", rows)
+    monkeypatch.setattr(bcs, "_ceiling_bounds", bounds)
+    for seed in (6, 68):
+        scene, n, floor = small_case(seed)
+        bcs_solve(scene, SMALL_BANDS, n, 0.005, 1.0, floor, MU, 0.5, 0.5)
+    assert built and not any(built)

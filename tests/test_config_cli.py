@@ -448,13 +448,18 @@ def test_cli_monte_carlo_outputs_and_replay(tmp_path, capsys):
 
     for name in ("summary.csv", "aggregate.csv", "timing.csv", "report.json"):
         assert (out_a / name).is_file()
-    # rates and aggregates replay byte for byte; wallclock may not
-    for name in ("summary.csv", "aggregate.csv"):
+    # rates, aggregates and the report replay byte for byte; wallclock may not
+    for name in ("summary.csv", "aggregate.csv", "report.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     report = load_report(str(out_a / "report.json"))
-    assert not report.failures
+    assert not report.failures and report.timing == []
     assert len(report.rows) == 2 * 2 * 4
+    # a report that still carries its wall times loads as well
+    raw = json.loads((out_a / "report.json").read_text(encoding="utf-8"))
+    timed = tmp_path / "timed.json"
+    timed.write_text(json.dumps({**raw, "timing": [[1, "bcs", 1, 0.5]]}), encoding="utf-8")
+    assert load_report(str(timed)).timing == [[1, "bcs", 1, 0.5]]
     head = (out_a / "summary.csv").read_text().split("\n")[0]
     assert head == "seed,algo,U,sum_rate_bps,feasible"
 

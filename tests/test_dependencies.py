@@ -1,9 +1,11 @@
 """NumPy is the only runtime dependency of the library (see pyproject.toml),
 ``import thzirs`` stays free of the modules only some entry points need,
 every private helper of the library serves the library (test oracles live
-under ``tests/``), and every parameter of the library's functions is read."""
+under ``tests/``), every parameter of the library's functions is read, and
+so is every module-level constant."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,3 +97,19 @@ def test_every_parameter_of_the_library_is_read():
                        if param.arg not in read and param.arg not in ("self", "cls")]
     assert functions > 100
     assert not unread, unread
+
+
+def test_every_constant_of_the_library_is_read():
+    # a module-level UPPER_CASE name, _-prefixed or not, that no module reads
+    # is a dead knob; its own assignment is a store, not a read
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))]
+    constants = {target.id for tree in trees for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert len(constants) > 30
+    assert not sorted(constants - read), sorted(constants - read)

@@ -82,7 +82,7 @@ def test_worker_count_leaves_the_tables_byte_identical(default_order, tmp_path, 
     _, one = default_order
     monkeypatch.setenv("PLAN_THREADS", "2")
     run_experiment(SMALL, out_dir=str(tmp_path), workers=2)
-    for name in ("summary.csv", "aggregate.csv"):
+    for name in ("summary.csv", "aggregate.csv", "report.json"):
         assert (tmp_path / name).read_bytes() == (one / name).read_bytes()
 
 
