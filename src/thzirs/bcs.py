@@ -34,9 +34,12 @@ form (``_frozen_gain_bounds``), and the walk builds link rows for and
 scores exactly only the points whose water-filled bound
 (``sum_rate_bounds``) reaches the best sum rate scored before them, the
 only ones that can change its answer or its running best (branch and
-bound: Land and Doig, 1960).  Each search sets its allocation plan up once
-(a ``_BandPlan``), and every helper below the public entry points takes the
-sub-bands, budget and rate floors from that plan alone.
+bound: Land and Doig, 1960).  No best exists before its first call, so its
+calls grow: the first scores at most ``FIRST_BLOCK_POINTS`` points, each
+later one up to twice as many as the one before, up to a block.  Each search
+sets its allocation plan up once (a ``_BandPlan``), and every helper below
+the public entry points takes the sub-bands, budget and rate floors from
+that plan alone.
 """
 
 from collections import deque
@@ -92,6 +95,12 @@ BOUND_MARGIN = 1e-9
 # allocation rows (lattice points x assignments) scored in one batched pass;
 # a block holds one point at least
 BLOCK_ROWS = 512
+# points in the first scoring call of a bounded lattice walk (RanPhi's), clipped
+# to a block; each later call takes up to twice the one before, up to a block.
+# No bound prunes before the first scored rate, so a small first call spares
+# the most points, and doubling keeps the number of calls, each with a fixed
+# cost, logarithmic in the points scored
+FIRST_BLOCK_POINTS = 4
 # open lattice points bcs_solve solves at once beside the min-distance anchor,
 # when at least LOOKAHEAD_MIN_OPEN ceilings meet every rate floor; with fewer
 # the pool runs so few problems per step that one point at a time is cheaper
@@ -434,37 +443,42 @@ def _lattice_scores(gains, plan, exact_gains=None):
     """Feasibility and exact-allocation sum rate at each of P lattice points
     on the ``_BandPlan`` ``plan``, from their (P, U, I) power ``gains``.
 
-    The points are walked in lattice order, a block at a time: a block holds
+    The points are walked in lattice order, a call at a time: a block holds
     at most ``BLOCK_ROWS`` allocation rows (points times assignments), one
-    point at least, and so does each ``score_allocations`` call.  Each
+    point at least, and no ``score_allocations`` call takes more.  Each
     scored point's pair is bit for bit the ``feasible`` and ``objective`` of
     ``solve_allocation`` on its own gains.  Returns two (P,) arrays, the sum
-    rate 0.0 where infeasible.  A point in a block whose SNR at the full
+    rate 0.0 where infeasible.  A point in a call whose SNR at the full
     budget overflows, which the allocation refuses, reads (True, +inf) and
     is not scored, so its +inf never sets the best below.
 
     Without ``exact_gains`` the ``gains`` are the points' own, and every
-    point is scored.  With it they are bounds on the true gains, which
-    ``exact_gains`` returns for a block of lattice indices, and a block takes
-    only the next points whose ``sum_rate_bounds`` bound, inflated by
-    ``BOUND_MARGIN``, is not below the best sum rate scored before them (as
-    known after the last block).  A point passed over reads (False, 0.0):
-    its true sum rate is below an earlier one, so the running maximum of the
-    scored rates and the first point of the largest feasible one are those
-    of the full pass.  A NaN or infinite bound never passes a point over.
+    point is scored, a full block a call.  With it they are bounds on the
+    true gains, which ``exact_gains`` returns for a call's lattice indices,
+    and a call takes only the next points whose ``sum_rate_bounds`` bound,
+    inflated by ``BOUND_MARGIN``, is not below the best sum rate scored
+    before them (as known after the last call).  A point passed over reads
+    (False, 0.0): its true sum rate is below an earlier one, so the running
+    maximum of the scored rates and the first point of the largest feasible
+    one are those of the full pass.  No best exists before the first call,
+    so the calls grow: the first takes at most ``FIRST_BLOCK_POINTS``
+    points, each later one at most twice as many as the one before, and none
+    more than a block.  A NaN or infinite bound never passes a point over.
     Where the bound gains' SNR overflows the bound is one of those, or the
     water-filled bound of finite splits, which still holds.
     """
     per_block = max(1, BLOCK_ROWS // plan.u_count ** len(plan))
     if exact_gains is None:
+        size = per_block
         bounds, exact_gains = np.full(len(gains), np.inf), lambda chosen: gains[chosen]
     else:
+        size = min(FIRST_BLOCK_POINTS, per_block)
         bounds = sum_rate_bounds(gains, plan) * (1.0 + BOUND_MARGIN)
     feasible = np.zeros(len(gains), dtype=bool)
     rates = np.zeros(len(gains))
     start, best = 0, -np.inf
     while True:
-        chosen = start + np.flatnonzero(~(bounds[start:] < best))[:per_block]
+        chosen = start + np.flatnonzero(~(bounds[start:] < best))[:size]
         if not chosen.size:
             return feasible, rates
         block = exact_gains(chosen)
@@ -474,7 +488,7 @@ def _lattice_scores(gains, plan, exact_gains=None):
         if scored.size:
             feasible[scored], rates[scored] = score_allocations(block[finite], plan)
             best = max(best, rates[scored].max())
-        start = chosen[-1] + 1
+        start, size = chosen[-1] + 1, min(2 * size, per_block)
 
 
 def _ceiling_bounds(scene, points, offsets_m, plan, absorb):

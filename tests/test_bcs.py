@@ -1408,15 +1408,18 @@ def test_ranphi_skips_the_points_that_cannot_set_a_record():
 
 
 @pytest.mark.parametrize("block_rows, first_block", [(32, True), (8, False)])
-def test_ranphi_with_an_overflowing_point(block_rows, first_block):
+def test_ranphi_with_an_overflowing_point(monkeypatch, block_rows, first_block):
     # one UE under the row at each x of ue_xs, so the rates peak twice, and
     # a budget that overflows the SNR at the fifth point alone, the top of
     # the first peak: ranphi and its oracle pass over it, and the best of
     # the rest lies on the second peak.  Had the overflow's +inf set the
     # pass's running best, the second peak would be skipped: in 2-point
-    # blocks (8 rows) in the first scene, in 8-point blocks in the second
+    # blocks (8 rows) in the first scene, in 8-point blocks in the second.
+    # Every call takes a full block, so the first holds the overflow when
+    # first_block is set
     per_block = block_rows // 4
     assert (4 < per_block) == first_block
+    monkeypatch.setattr(bcs, "FIRST_BLOCK_POINTS", per_block)
     for ue_xs, ap_x in (((1.0, 2.5), 1.74), ((0.75, 3.0), 1.85)):
         scene = Scene(4.0, 3.0, 3.0, (ap_x, 0.0, 2.0), [(x, 3.0, 1.0) for x in ue_xs])
         placements = lattice_placements(scene, ROW["n"], 0.005, ROW["step_x"], ROW["step_y"])
@@ -1483,7 +1486,8 @@ def test_ranphi_scores_a_point_whose_bound_alone_overflows(monkeypatch):
 
 def test_ranphi_builds_link_rows_only_for_the_points_it_scores(monkeypatch):
     # all defaults at seed 7: of the 620 lattice points, the pass scores the
-    # first block's 64 and builds link rows for those 64 alone
+    # first 4 and then the 8 open points after them whose bounds reach the
+    # best of those 4, and builds link rows for those 12 alone
     built, scored = [], []
     link_rows, score = bcs._link_rows, bcs.score_allocations
 
@@ -1503,8 +1507,8 @@ def test_ranphi_builds_link_rows_only_for_the_points_it_scores(monkeypatch):
                             config.element_count, config.spacing_m, config.grid_step_x_m,
                             config.grid_step_y_m)
     assert len(points) == 620
-    assert scored == [64]
-    assert built == [points[:64].tolist()]
+    assert scored == [4, 8]
+    assert built == [points[:4].tolist(), points[[6, 11, 34, 65, 66, 67, 127, 132]].tolist()]
 
 
 def test_ranphi_on_a_lattice_with_no_feasible_point():
@@ -1517,12 +1521,86 @@ def test_ranphi_on_a_lattice_with_no_feasible_point():
     assert calls == [2] * 6
 
 
-def test_ranphi_on_a_one_block_lattice_scores_it_in_one_call():
+def test_ranphi_on_a_one_block_lattice_scores_it_in_one_call(monkeypatch):
     # the whole lattice fits one block: before any point is scored no bound
-    # is below the best, so one call scores every point
+    # is below the best, so a first call of a full block scores every point.
+    # The default first call takes FIRST_BLOCK_POINTS = 4 of them, and the
+    # next the 4 open points after them whose bounds reach the best so far
+    got, want, calls = _ranphi_and_oracle(_row_scene(1.5), 1.0, 0.0, 48)
+    _assert_same_search(got, want)
+    assert calls == [4, 4]
+    monkeypatch.setattr(bcs, "FIRST_BLOCK_POINTS", 12)
     got, want, calls = _ranphi_and_oracle(_row_scene(1.5), 1.0, 0.0, 48)
     _assert_same_search(got, want)
     assert calls == [12]
+
+
+def test_bounded_walk_calls_grow_from_a_few_points_to_a_block(monkeypatch):
+    # seeded random lattices of exact gains and of bounds up to 3x above
+    # them: ranphi's bounded walk starts at FIRST_BLOCK_POINTS points at
+    # most, takes at most twice the call before and never more than a block,
+    # and keeps the running best and first best of the full pass, which
+    # (the ceiling pass's walk, without exact gains) still takes full blocks
+    calls = []
+    score = bcs.score_allocations
+
+    def recorded(gains, *rest):
+        calls.append(len(gains))
+        return score(gains, *rest)
+
+    monkeypatch.setattr(bcs, "score_allocations", recorded)
+    monkeypatch.setattr(bcs, "BLOCK_ROWS", 64)
+    rng = np.random.default_rng(32)
+    schedules = []
+    for _ in range(24):
+        u_count, i_count, count = (int(k) for k in rng.integers((1, 1, 1), (4, 4, 90)))
+        floor = float(rng.choice([0.0, 10 ** rng.uniform(9.0, 11.0)]))
+        plan = allocation._BandPlan(SMALL_BANDS[:i_count], 1.0, floor, u_count)
+        exact = plan.noise * 10 ** rng.uniform(-1.0, 4.0, (count, u_count, i_count))
+        bound = exact * 10 ** rng.uniform(0.0, 0.5, exact.shape)
+        per_block = max(1, 64 // u_count**i_count)
+
+        calls.clear()
+        feasible, rates = bcs._lattice_scores(bound, plan, lambda chosen: exact[chosen])
+        walk = calls[:]
+        calls.clear()
+        full_feasible, full_rates = bcs._lattice_scores(exact, plan)
+        assert calls == [per_block] * (count // per_block) + [count % per_block] * (
+            count % per_block > 0)
+
+        assert walk[0] <= min(bcs.FIRST_BLOCK_POINTS, per_block)
+        assert all(b <= min(2 * a, per_block) for a, b in zip(walk, walk[1:]))
+        assert np.maximum.accumulate(rates).tobytes() == (
+            np.maximum.accumulate(full_rates).tobytes())
+        first_best = [np.argmax(np.where(f, r, -1.0)) for f, r in ((feasible, rates),
+                                                                    (full_feasible, full_rates))]
+        assert first_best[0] == first_best[1]
+        schedules.append((walk, per_block))
+    # the draws grow some walk through doubled calls up to a full block
+    assert any(len(walk) >= 3 and walk[1] == 2 * walk[0] and per_block in walk
+               for walk, per_block in schedules)
+
+
+@pytest.mark.parametrize("first", ["one point", "a block"])
+def test_ranphi_matches_its_oracle_at_either_end_of_the_call_schedule(monkeypatch, first):
+    # seeded random scenes on the row lattice, with calls that start at one
+    # point and double, or that take a full block from the first: every
+    # answer and trace is the every-point oracle's
+    rng = np.random.default_rng(7)
+    for block_rows in (8, 20, 48):
+        per_block = block_rows // 4
+        monkeypatch.setattr(bcs, "FIRST_BLOCK_POINTS", 1 if first == "one point" else per_block)
+        for _ in range(4):
+            ap_x, *ue_xs = rng.uniform(0.25, 3.0, 3)
+            scene = Scene(4.0, 3.0, 3.0, (ap_x, 0.0, 2.0),
+                          [(ue_xs[0], 3.0, 1.0), (ue_xs[1], 3.5, 1.0)])
+            floor = float(rng.choice([0.0, 10 ** rng.uniform(10.0, 11.5)]))
+            got, want, calls = _ranphi_and_oracle(scene, 1.0, floor, block_rows,
+                                                  seed=int(rng.integers(2**32)))
+            _assert_same_search(got, want)
+            assert calls[0] == bcs.FIRST_BLOCK_POINTS
+            assert all(b <= min(2 * a, per_block) for a, b in zip(calls, calls[1:]))
+            assert sum(calls) <= 12
 
 
 # bands across the whole model window, so the steering phase reaches its largest

@@ -145,10 +145,10 @@ def test_default_ranphi_answer_is_pinned(monkeypatch):
     assert sol.winners.tolist() == [1, 0, 0]
     assert sol.sum_rate_bps == 292870837528.98883
 
-    # its running best over the 620 lattice points, 10 blocks of up to 64,
-    # as the full pass that scored every point gave it; only the first
-    # block's 64 points are scored exactly, since no later point's bound
-    # reaches the best of that block
+    # its running best over the 620 lattice points, as the full pass that
+    # scored every point gave it; only 12 points are scored exactly, the
+    # first call's 4 and the 8 whose bounds reach the best of those 4, since
+    # no later point's bound reaches the best of those 12
     scored = []
     original = bcs.score_allocations
 
@@ -166,4 +166,4 @@ def test_default_ranphi_answer_is_pinned(monkeypatch):
     assert trace.shape == (620,) and trace[-1] == sol.sum_rate_bps
     assert hashlib.sha256(trace.tobytes()).hexdigest() == (
         "2facd80e066140f97d07ad0a91df502d493013f33f9700a3b1e35df484ddab22")
-    assert scored == [64]
+    assert scored == [4, 8]
